@@ -9,6 +9,7 @@ Carlo sampling of the physical measurements.
 from .states import (
     NORM_TOL,
     PROB_TOL,
+    InternalFaultError,
     LocalPair,
     Priors,
     ProductInstance,
@@ -61,6 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "NORM_TOL",
     "PROB_TOL",
+    "InternalFaultError",
     "PureState",
     "Priors",
     "LocalPair",

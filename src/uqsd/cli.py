@@ -87,7 +87,10 @@ def _amplitudes_from_json(entries, field: str) -> PureState:
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > 1e-6:
         _fail(field, f"amplitudes have norm {norm!r}; expected a unit vector")
-    return PureState.normalized(vec)
+    try:
+        return PureState.normalized(vec)
+    except ValueError as exc:  # e.g. NaN amplitudes, whose norm passes the test above
+        _fail(field, str(exc))
 
 
 def _parse_priors(doc: dict) -> Priors:
@@ -259,7 +262,7 @@ def _report(command: str, scenario: Scenario | None, body: dict) -> dict:
 
 
 def _emit(report: dict):
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _priors_dict(priors: Priors) -> dict:
@@ -367,20 +370,14 @@ def cmd_order(scenario: Scenario, exhaustive: bool = False, quiet: bool = False)
         "exhaustive": None,
     }
     if n <= EXHAUSTIVE_MAX_PARTIES:
-        best, cost = best_order(instance, OrderMode.EXHAUSTIVE)
+        table = None if quiet else []
+        best, cost = best_order(instance, OrderMode.EXHAUSTIVE, table=table)
         exhaustive_body = {"best_order": list(best), "best_cost": cost}
-        if not quiet:
-            table = []
-            for perm in itertools.permutations(range(n)):
-                result = run_protocol(instance, perm)
-                table.append(
-                    {
-                        "order": list(perm),
-                        "expected_measurements": result.expected_measurements,
-                        "p_success": result.p_success,
-                    }
-                )
-            exhaustive_body["table"] = table
+        if table is not None:
+            exhaustive_body["table"] = [
+                {"order": list(perm), "expected_measurements": e_count, "p_success": p_success}
+                for perm, e_count, p_success in table
+            ]
         body["exhaustive"] = exhaustive_body
     return _report("order", scenario, body)
 

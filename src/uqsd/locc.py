@@ -141,12 +141,16 @@ def measurement_count_distribution(result: ProtocolResult) -> tuple[tuple[int, f
     return tuple(sorted(probs.items()))
 
 
-def best_order(instance: ProductInstance, mode: OrderMode) -> tuple[Order, float]:
+def best_order(
+    instance: ProductInstance, mode: OrderMode, table: list | None = None
+) -> tuple[Order, float]:
     """Visiting order minimizing the expected number of measurements.
 
     ASCENDING_OVERLAP sorts parties by local overlap (ties by party index);
     EXHAUSTIVE evaluates all n! orders and keeps the lexicographically first
-    minimizer.
+    minimizer.  With EXHAUSTIVE, a given `table` list receives one
+    (order, expected_measurements, p_success) row per order, in
+    lexicographic order, so callers that report every order walk them once.
     """
     n = instance.n_parties
     if mode is OrderMode.ASCENDING_OVERLAP:
@@ -157,13 +161,18 @@ def best_order(instance: ProductInstance, mode: OrderMode) -> tuple[Order, float
             raise ValueError(
                 f"exhaustive search over {n}! orders refused; max is {EXHAUSTIVE_MAX_PARTIES}"
             )
-        best: tuple[Order, float] | None = None
-        for perm in itertools.permutations(range(n)):
-            cost = run_protocol(instance, perm).expected_measurements
-            if best is None or cost < best[1]:
-                best = (perm, cost)
-        assert best is not None
-        return best
+
+        def rows():
+            for perm in itertools.permutations(range(n)):
+                result = run_protocol(instance, perm)
+                row = (perm, result.expected_measurements, result.p_success)
+                if table is not None:
+                    table.append(row)
+                yield row
+
+        # min keeps the first of equal minima: the lexicographically first order.
+        best, cost, _ = min(rows(), key=lambda row: row[1])
+        return best, cost
     raise ValueError(f"unknown order mode: {mode!r}")
 
 

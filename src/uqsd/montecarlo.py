@@ -1,10 +1,12 @@
 """Stochastic execution of the sequential protocol at the physical level.
 
-Each trial prepares one of the two product states according to the priors and
-feeds it through the per-party measurements, sampling outcomes either from
-POVM Born probabilities or by evolving with the ancilla unitary and measuring
-projectively.  Aggregation uses integer counters only, so results are
-bit-identical regardless of execution schedule.
+Both engines compile the protocol into one outcome table: for each
+non-skipped step, P(identify p, identify q, fail | truth).  The POVM engine
+fills it from Born probabilities, the Neumark engine by evolving each state
+with the ancilla unitary.  One vectorized sampler reads the table, drawing
+trials in blocks of BLOCK rows; block b draws from the stream seeded
+(seed, b).  Aggregation uses integer counters only, so results are
+bit-identical regardless of how blocks are scheduled.
 """
 
 from __future__ import annotations
@@ -18,11 +20,21 @@ import numpy as np
 
 from .locc import run_protocol
 from .pair_disc import build_povm, evolve_with_ancilla, neumark_model, optimal_strategy
-from .states import ProductInstance
+from .states import InternalFaultError, ProductInstance
 
 # Outcome probabilities below this are artifacts of float rounding on terms
 # that vanish identically; zeroing them keeps impossible branches impossible.
 _PROB_FLOOR = 1e-30
+
+# Trials per block.  Block b of a run draws its (rows, 1 + steps) uniform
+# matrix from np.random.default_rng((seed, b)), so the block, not the trial,
+# is the unit of reproducibility.
+BLOCK = 16_384
+
+# Most uniforms drawn in one call.  Deep instances draw a block's rows in
+# several calls; the generator fills rows in order, so the values are the
+# same as from one call and only peak memory changes.
+_DRAW_CAP = 1 << 20
 
 
 class Truth(enum.Enum):
@@ -39,6 +51,12 @@ class Conclusion(enum.Enum):
 class Engine(enum.Enum):
     POVM_SAMPLING = "povm"
     NEUMARK_EVOLUTION = "neumark"
+
+
+# Index order of the table's truth axis and outcome axis.
+_TRUTHS = (Truth.STATE_P, Truth.STATE_Q)
+_CONCLUSIONS = (Conclusion.IDENTIFIED_P, Conclusion.IDENTIFIED_Q, Conclusion.INCONCLUSIVE)
+_FAIL = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,98 +84,135 @@ class SimStats:
     success_stderr: float
 
 
-@dataclasses.dataclass(frozen=True)
-class _Plan:
-    engine: Engine
-    prior_r: float
-    # One entry per non-skipped step, in visiting order.  POVM entries hold
-    # cumulative thresholds (t1, t2) per truth; ancilla-evolution entries hold
-    # (inconclusive probability, p-branch probability given conclusive).
-    steps: tuple[tuple[float, float, float, float], ...]
-
-
 def _clipped(*values: float) -> list[float]:
     return [0.0 if v < _PROB_FLOOR else v for v in values]
 
 
-def _compile_plan(instance: ProductInstance, order: Sequence[int], engine: Engine) -> _Plan:
-    transcript = run_protocol(instance, order).transcript
-    steps = []
-    for rec in transcript:
+def _povm_row(pair, strat) -> list[list[float]]:
+    povm = build_povm(pair, strat)
+    row = []
+    for state in (pair.p, pair.q):
+        vec = state.amplitudes
+        probs = _clipped(
+            *(
+                max(0.0, float(np.real(np.vdot(vec, e @ vec))))
+                for e in (povm.e_p, povm.e_q, povm.e_fail)
+            )
+        )
+        total = sum(probs)
+        row.append([x / total for x in probs])
+    return row
+
+
+def _neumark_row(pair, strat) -> list[list[float]]:
+    model = neumark_model(pair, strat)
+    dim = pair.p.dim
+    row = []
+    for state in (pair.p, pair.q):
+        evolved = evolve_with_ancilla(model, state)
+        conclusive = evolved[model.s1_index * dim : (model.s1_index + 1) * dim]
+        fail_block = evolved[model.s2_index * dim : (model.s2_index + 1) * dim]
+        weights = np.abs(conclusive) ** 2
+        leaked = float(np.sum(weights[2:]))
+        if not leaked < 1e-24:
+            raise InternalFaultError(
+                f"conclusive branch leaves span{{|p1>, |q1>}}: weight {leaked!r} outside"
+            )
+        p_fail, w_p1, w_q1 = _clipped(
+            float(np.sum(np.abs(fail_block) ** 2)), weights[0], weights[1]
+        )
+        total = p_fail + w_p1 + w_q1
+        p_fail /= total
+        p_p1 = 0.5 if w_p1 + w_q1 == 0.0 else w_p1 / (w_p1 + w_q1)
+        row.append([(1.0 - p_fail) * p_p1, (1.0 - p_fail) * (1.0 - p_p1), p_fail])
+    return row
+
+
+def _outcome_table(instance: ProductInstance, order: Sequence[int], engine: Engine) -> np.ndarray:
+    """P(identify p, identify q, fail | truth), shape (steps, 2, 3).
+
+    One entry per non-skipped step in visiting order; the truth axis lists
+    p first.
+    """
+    if engine is Engine.POVM_SAMPLING:
+        compile_row = _povm_row
+    elif engine is Engine.NEUMARK_EVOLUTION:
+        compile_row = _neumark_row
+    else:
+        raise ValueError(f"unknown engine: {engine!r}")
+    rows = []
+    for rec in run_protocol(instance, order).transcript:
         if rec.skipped:
             continue
-        pair = instance.parties[rec.party_index]
         strat = optimal_strategy(rec.local_overlap, rec.priors_before)
-        if engine is Engine.POVM_SAMPLING:
-            povm = build_povm(pair, strat)
-            row = []
-            for state in (pair.p, pair.q):
-                vec = state.amplitudes
-                probs = _clipped(
-                    *(
-                        max(0.0, float(np.real(np.vdot(vec, e @ vec))))
-                        for e in (povm.e_p, povm.e_q, povm.e_fail)
-                    )
-                )
-                total = sum(probs)
-                row += [probs[0] / total, (probs[0] + probs[1]) / total]
-            steps.append(tuple(row))
-        elif engine is Engine.NEUMARK_EVOLUTION:
-            model = neumark_model(pair, strat)
-            dim = pair.p.dim
-            row = []
-            for state in (pair.p, pair.q):
-                evolved = evolve_with_ancilla(model, state)
-                conclusive = evolved[model.s1_index * dim : (model.s1_index + 1) * dim]
-                fail_block = evolved[model.s2_index * dim : (model.s2_index + 1) * dim]
-                weights = np.abs(conclusive) ** 2
-                # The conclusive branch must live in span{|p1>, |q1>}.
-                assert float(np.sum(weights[2:])) < 1e-24
-                p_fail, w_p1, w_q1 = _clipped(
-                    float(np.sum(np.abs(fail_block) ** 2)), weights[0], weights[1]
-                )
-                total = p_fail + w_p1 + w_q1
-                p_fail /= total
-                p_p1 = 0.5 if w_p1 + w_q1 == 0.0 else w_p1 / (w_p1 + w_q1)
-                row += [p_fail, p_p1]
-            steps.append(tuple(row))
-        else:
-            raise ValueError(f"unknown engine: {engine!r}")
-    return _Plan(engine=engine, prior_r=instance.priors.r, steps=tuple(steps))
+        rows.append(compile_row(instance.parties[rec.party_index], strat))
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 2, 3)
 
 
-def _run_trial(plan: _Plan, rng) -> RunOutcome:
-    truth_is_p = rng.random() < plan.prior_r
-    truth = Truth.STATE_P if truth_is_p else Truth.STATE_Q
-    conclusion = Conclusion.INCONCLUSIVE
-    used = 0
-    for step in plan.steps:
-        used += 1
-        if plan.engine is Engine.POVM_SAMPLING:
-            t1, t2 = (step[0], step[1]) if truth_is_p else (step[2], step[3])
-            u = rng.random()
-            if u < t1:
-                conclusion = Conclusion.IDENTIFIED_P
-                break
-            if u < t2:
-                conclusion = Conclusion.IDENTIFIED_Q
-                break
-        else:
-            p_fail, p_p1 = (step[0], step[1]) if truth_is_p else (step[2], step[3])
-            if rng.random() >= p_fail:
-                conclusive_is_p = rng.random() < p_p1
-                conclusion = (
-                    Conclusion.IDENTIFIED_P if conclusive_is_p else Conclusion.IDENTIFIED_Q
-                )
-                break
-    return RunOutcome(truth=truth, conclusion=conclusion, measurements_used=used)
+def _sample(table: np.ndarray, prior_r: float, u: np.ndarray):
+    """Run one trial per row of the uniform matrix u, shape (n, 1 + steps).
+
+    Column 0 picks the truth (p when below prior_r); column k picks step k's
+    outcome against the cumulative thresholds of its table row.  Returns
+    integer arrays (truth index, conclusion index, measurements used).
+    """
+    n, steps = u.shape[0], u.shape[1] - 1
+    truth = (u[:, 0] >= prior_r).astype(np.intp)
+    # Identify p below the first threshold, q below the second, else fail.
+    # A zero entry makes an empty interval, so impossible outcomes stay
+    # impossible.
+    thresholds = np.cumsum(table[:, :, :2], axis=2)[:, truth].transpose(1, 0, 2)
+    outcome = np.full((n, steps + 1), _FAIL, dtype=np.intp)
+    outcome[:, :steps] = (u[:, 1:, None] >= thresholds).sum(axis=2)
+    # The first conclusive step ends the trial; the extra last column stands
+    # for running out of steps.
+    ends = outcome != _FAIL
+    ends[:, steps] = True
+    stop = ends.argmax(axis=1)
+    conclusion = outcome[np.arange(n), stop]
+    used = np.minimum(stop + 1, steps)
+    return truth, conclusion, used
+
+
+def _tally(table: np.ndarray, prior_r: float, trials: int, seed: int) -> SimStats:
+    width = 1 + len(table)
+    rows_per_draw = max(1, _DRAW_CAP // width)
+    # cells[truth * 3 + conclusion] counts trials per (truth, conclusion).
+    cells = np.zeros(6, dtype=np.int64)
+    measurements = 0
+    for block, start in enumerate(range(0, trials, BLOCK)):
+        rng = np.random.default_rng((seed, block))
+        left = min(BLOCK, trials - start)
+        while left:
+            take = min(left, rows_per_draw)
+            truth, conclusion, used = _sample(table, prior_r, rng.random((take, width)))
+            cells += np.bincount(3 * truth + conclusion, minlength=6)
+            measurements += int(used.sum())
+            left -= take
+    (p_p, p_q, _), (q_p, q_q, _) = cells.reshape(2, 3).tolist()
+    rate = (p_p + q_q) / trials
+    return SimStats(
+        trials=trials,
+        success_rate=rate,
+        misidentifications=p_q + q_p,
+        mean_measurements=measurements / trials,
+        success_stderr=math.sqrt(rate * (1.0 - rate) / trials),
+    )
 
 
 def single_trial(
     instance: ProductInstance, order: Sequence[int], engine: Engine, rng_stream
 ) -> RunOutcome:
-    """Run one physical trial, drawing randomness from rng_stream."""
-    return _run_trial(_compile_plan(instance, order, engine), rng_stream)
+    """Run one physical trial, drawing one sampler row from rng_stream."""
+    table = _outcome_table(instance, order, engine)
+    truth, conclusion, used = _sample(
+        table, instance.priors.r, rng_stream.random((1, 1 + len(table)))
+    )
+    return RunOutcome(
+        truth=_TRUTHS[truth[0]],
+        conclusion=_CONCLUSIONS[conclusion[0]],
+        measurements_used=int(used[0]),
+    )
 
 
 def simulate(
@@ -169,24 +224,13 @@ def simulate(
 ) -> SimStats:
     """Aggregate many independent trials.
 
-    Trial i draws from the stream seeded (seed, i), so the statistics are
-    reproducible and independent of how trials would be scheduled.
+    Trials run in blocks of BLOCK; block b draws from the stream seeded
+    (seed, b), so the statistics are reproducible and independent of how
+    blocks would be scheduled, and a run of n trials is the first n trials
+    of any longer run with the same seed.  Misidentifications are counted
+    from the sampled (truth, conclusion) pairs.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    plan = _compile_plan(instance, order, engine)
-    n_conclusive = 0
-    total_measurements = 0
-    for i in range(trials):
-        outcome = _run_trial(plan, np.random.default_rng((seed, i)))
-        if outcome.conclusion is not Conclusion.INCONCLUSIVE:
-            n_conclusive += 1
-        total_measurements += outcome.measurements_used
-    rate = n_conclusive / trials
-    return SimStats(
-        trials=trials,
-        success_rate=rate,
-        misidentifications=0,
-        mean_measurements=total_measurements / trials,
-        success_stderr=math.sqrt(rate * (1.0 - rate) / trials),
-    )
+    table = _outcome_table(instance, order, engine)
+    return _tally(table, instance.priors.r, trials, seed)

@@ -214,25 +214,13 @@ def build_povm(pair: LocalPair, strategy: Strategy) -> Povm:
     return Povm(e_p=e_p, e_q=e_q, e_fail=e_fail)
 
 
-def _complete_orthonormal(columns: list[np.ndarray], total: int) -> np.ndarray:
-    # Extend the given orthonormal columns to a full basis by Gram-Schmidt
-    # over the canonical basis vectors in index order (two projection passes
-    # for numerical orthogonality).
-    basis = list(columns)
-    for j in range(total):
-        if len(basis) == total:
-            break
-        cand = np.zeros(total, dtype=np.complex128)
-        cand[j] = 1.0
-        for _ in range(2):
-            for b in basis:
-                cand = cand - b * np.vdot(b, cand)
-        norm = np.linalg.norm(cand)
-        if norm > 1e-6:
-            basis.append(cand / norm)
-    if len(basis) != total:
-        raise RuntimeError("orthonormal completion failed")  # unreachable
-    return np.column_stack(basis)
+def _complete_orthonormal(*columns: np.ndarray) -> np.ndarray:
+    # Extend the given orthonormal columns to a full basis.  The complete QR
+    # factor of the columns is unitary, and its trailing columns span their
+    # orthogonal complement; the given columns are kept exactly.
+    given = np.column_stack(columns)
+    q, _ = np.linalg.qr(given, mode="complete")
+    return np.column_stack([given, q[:, given.shape[1] :]])
 
 
 def neumark_model(pair: LocalPair, strategy: Strategy) -> NeumarkModel:
@@ -258,39 +246,42 @@ def neumark_model(pair: LocalPair, strategy: Strategy) -> NeumarkModel:
     overlap = complex(np.vdot(pair.p.amplitudes, pair.q.amplitudes))
     fail_phase = overlap / c if c > 0.0 else 1.0 + 0.0j
 
-    p1 = np.zeros(dim, dtype=np.complex128)
-    p1[0] = 1.0
-    q1 = np.zeros(dim, dtype=np.complex128)
-    q1[1] = 1.0
-    p2 = p1
-
+    # Vectors on ancilla (x) system: ancilla state k owns entries
+    # k*dim .. (k+1)*dim - 1.  p1 = p2 = e_0 and q1 = e_1 on the system.
     s0, s1, s2 = 0, 0, 1
-    anc = np.eye(2, dtype=np.complex128)
-    x1 = np.kron(anc[s0], pair.p.amplitudes)
-    x2 = np.kron(anc[s0], pair.q.amplitudes)
-    y1 = alpha * np.kron(anc[s1], p1) + beta * np.kron(anc[s2], p2)
-    y2 = gamma * np.kron(anc[s1], q1) + delta * fail_phase * np.kron(anc[s2], p2)
-
     total = 2 * dim
+    x1 = np.zeros(total, dtype=np.complex128)
+    x1[s0 * dim : (s0 + 1) * dim] = pair.p.amplitudes
+    x2 = np.zeros(total, dtype=np.complex128)
+    x2[s0 * dim : (s0 + 1) * dim] = pair.q.amplitudes
+    y1 = np.zeros(total, dtype=np.complex128)
+    y1[s1 * dim] = alpha
+    y1[s2 * dim] = beta
+    y2 = np.zeros(total, dtype=np.complex128)
+    y2[s1 * dim + 1] = gamma
+    y2[s2 * dim] = delta * fail_phase
+
     v2 = _orthogonal_unit(x2, x1)  # c < 1 keeps this well defined
     w2 = _orthogonal_unit(y2, y1)
-    v_basis = _complete_orthonormal([x1, v2], total)
-    w_basis = _complete_orthonormal([y1, w2], total)
+    v_basis = _complete_orthonormal(x1, v2)
+    w_basis = _complete_orthonormal(y1, w2)
     unitary = w_basis @ v_basis.conj().T
     unitary.setflags(write=False)
+    system_basis = np.eye(dim, dtype=np.complex128)
+    p1 = PureState(dim, system_basis[0])
+    q1 = PureState(dim, system_basis[1])
     return NeumarkModel(
         unitary=unitary,
         s0_index=s0,
         s1_index=s1,
         s2_index=s2,
-        conclusive_basis=(PureState.normalized(p1), PureState.normalized(q1)),
-        fail_state_p2=PureState.normalized(p2),
+        conclusive_basis=(p1, q1),
+        fail_state_p2=p1,
         fail_phase=fail_phase,
     )
 
 
 def evolve_with_ancilla(model: NeumarkModel, state: PureState) -> np.ndarray:
     """Apply the dilation unitary to (ancilla s0) (x) |state>."""
-    anc = np.zeros(2, dtype=np.complex128)
-    anc[model.s0_index] = 1.0
-    return model.unitary @ np.kron(anc, state.amplitudes)
+    dim = state.dim
+    return model.unitary[:, model.s0_index * dim : (model.s0_index + 1) * dim] @ state.amplitudes

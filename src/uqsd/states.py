@@ -13,6 +13,14 @@ NORM_TOL = 1e-12
 PROB_TOL = 1e-9
 
 
+class InternalFaultError(RuntimeError):
+    """A computed quantity broke an invariant the library guarantees.
+
+    This is a fault in uqsd, not in its input, so it is deliberately not a
+    ValueError.
+    """
+
+
 def _as_unit_vector(amplitudes) -> np.ndarray:
     """Coerce to a read-only complex vector, renormalizing only if needed.
 
@@ -26,6 +34,8 @@ def _as_unit_vector(amplitudes) -> np.ndarray:
     norm = np.linalg.norm(vec)
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
+    if not np.isfinite(norm):
+        raise ValueError("amplitudes must be finite")
     if abs(norm - 1.0) > 1e-13:
         vec = vec / norm
     vec.setflags(write=False)
@@ -47,6 +57,8 @@ class PureState:
             raise ValueError(
                 f"expected {self.dim} amplitudes, got shape {vec.shape}"
             )
+        if not np.isfinite(vec).all():
+            raise ValueError("amplitudes must be finite")
         norm_sq = float(np.sum(np.abs(vec) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a_i|^2 = {norm_sq!r}")
@@ -105,7 +117,8 @@ class LocalPair:
             raise ValueError(
                 f"pair states must share a dimension: {self.p.dim} vs {self.q.dim}"
             )
-        if abs(self.overlap_c - _snapped_overlap(self.p, self.q)) > NORM_TOL:
+        # Written so that a NaN overlap fails the check.
+        if not abs(self.overlap_c - _snapped_overlap(self.p, self.q)) <= NORM_TOL:
             raise ValueError(
                 f"cached overlap {self.overlap_c!r} disagrees with recomputation"
             )

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import uqsd.cli as cli
+import uqsd.locc as locc
 from uqsd.cli import (
     _parse_scenario_dict,
     cmd_verify,
@@ -412,3 +413,48 @@ def test_module_is_runnable_as_a_script(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["p_success"] == pytest.approx(0.75, abs=1e-12)
+
+
+def test_nan_amplitudes_are_rejected_naming_the_field(tmp_path, capsys):
+    # json.load accepts the non-standard NaN token, so the parser has to
+    # refuse it; before, `sweep` exited 0 with a bare NaN in its report.
+    path = tmp_path / "nan.json"
+    path.write_text(
+        '{"priors": {"r": 0.5},'
+        ' "explicit": {"parties": [{"u": [[NaN, 0], [0, 0]], "v": [[0.6, 0], [0.8, 0]]}]},'
+        ' "sweep": {"c": [0.5], "r": [0.5]}}'
+    )
+    code, out, err = run_cli(capsys, "sweep", "--scenario", str(path))
+    assert code == 1
+    assert out == ""
+    assert "scenario field 'explicit.parties[0].u'" in err
+    assert "finite" in err
+
+
+def test_order_walks_each_visiting_order_once(tmp_path, capsys, monkeypatch):
+    # Four identical parties make every order cost exactly the same, so the
+    # report must keep best_order's tie-break (the first order in
+    # permutation order), and the protocol runs once per order plus once for
+    # the ascending heuristic.
+    party = {"u": [[1.0, 0.0], [0.0, 0.0]], "v": [[0.6, 0.0], [0.8, 0.0]]}
+    path = write_scenario(
+        tmp_path, {"priors": {"r": 0.3}, "explicit": {"parties": [party] * 4}}
+    )
+    expected_best = cli.best_order(parse_scenario(path).instance, cli.OrderMode.EXHAUSTIVE)
+    calls = []
+
+    def counting(real):
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        return counted
+
+    monkeypatch.setattr(cli, "run_protocol", counting(cli.run_protocol))
+    monkeypatch.setattr(locc, "run_protocol", counting(locc.run_protocol))
+    code, out, _ = run_cli(capsys, "order", "--scenario", path)
+    assert code == 0
+    assert len(calls) == math.factorial(4) + 1
+    ex = json.loads(out)["exhaustive"]
+    assert ex["best_order"] == [0, 1, 2, 3]
+    assert (tuple(ex["best_order"]), ex["best_cost"]) == expected_best

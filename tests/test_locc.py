@@ -255,3 +255,20 @@ def test_measurement_count_distribution_all_skipped():
     assert measurement_count_distribution(result) == ((0, 1.0),)
     assert result.expected_measurements == 0.0
     assert result.p_success == 0.0
+
+
+def test_best_order_exhaustive_table_lists_every_order_once():
+    tied = state_pair_with_overlap(0.4, 2, 0)
+    low = state_pair_with_overlap(0.1, 2, 1)
+    inst = ProductInstance((tied, tied, low, tied), Priors(0.3, 0.7))
+    table = []
+    best, cost = best_order(inst, OrderMode.EXHAUSTIVE, table=table)
+    perms = list(itertools.permutations(range(4)))
+    assert [row[0] for row in table] == perms
+    for perm, e_count, p_success in table:
+        result = run_protocol(inst, perm)
+        assert (e_count, p_success) == (result.expected_measurements, result.p_success)
+    # The first order, in permutation order, that reaches the minimum.
+    first = next(row for row in table if row[1] == min(r[1] for r in table))
+    assert (best, cost) == first[:2]
+    assert best == (2, 0, 1, 3)

@@ -1,11 +1,17 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import uqsd.montecarlo as mc
 from uqsd import (
     Conclusion,
     Engine,
+    InternalFaultError,
     Priors,
     ProductInstance,
     RunOutcome,
@@ -119,3 +125,137 @@ def test_degenerate_parties_cost_no_measurements():
     inst = _abstract_instance([1.0, 0.5], 0.5)
     stats = simulate(inst, (0, 1), 2000, 9, Engine.POVM_SAMPLING)
     assert stats.mean_measurements == 1.0  # only the informative party measures
+
+
+# --- The outcome table and the block sampler -------------------------------
+
+
+def _counts(stats):
+    # Integer tallies behind the rates: correct conclusions, measurements.
+    return (
+        round(stats.success_rate * stats.trials),
+        round(stats.mean_measurements * stats.trials),
+    )
+
+
+def test_misidentifications_are_counted_from_the_sampler(monkeypatch):
+    # A table whose only step identifies p whatever the truth: every trial
+    # that prepared q is misidentified, and simulate must say so.
+    wrong = np.array([[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]])
+    monkeypatch.setattr(mc, "_outcome_table", lambda *args: wrong)
+    inst = _abstract_instance([0.5], 0.7)
+    stats = simulate(inst, (0,), 5000, 4, Engine.POVM_SAMPLING)
+    correct, measurements = _counts(stats)
+    assert stats.misidentifications > 0
+    assert correct + stats.misidentifications == stats.trials
+    assert measurements == stats.trials
+    # About 30 % of the preparations are q.
+    assert abs(stats.misidentifications / stats.trials - 0.3) < 0.05
+
+
+@pytest.mark.parametrize("engine", list(Engine))
+def test_block_is_the_unit_of_reproducibility(engine):
+    inst = _abstract_instance([0.5, 0.7, 0.3], 0.4)
+    order, seed = (0, 1, 2), 13
+    full = simulate(inst, order, mc.BLOCK + 7, seed, engine)
+    assert full == simulate(inst, order, mc.BLOCK + 7, seed, engine)
+    head = simulate(inst, order, mc.BLOCK, seed, engine)
+    # The 7 trials past the first block are the first rows of stream
+    # (seed, 1), which single_trial reads one row at a time.
+    rng = np.random.default_rng((seed, 1))
+    tail = [single_trial(inst, order, engine, rng) for _ in range(7)]
+    head_correct, head_measurements = _counts(head)
+    full_correct, full_measurements = _counts(full)
+    assert full_correct == head_correct + sum(
+        o.conclusion is not Conclusion.INCONCLUSIVE for o in tail
+    )
+    assert full_measurements == head_measurements + sum(o.measurements_used for o in tail)
+
+
+def test_single_trial_is_a_row_of_the_simulate_stream():
+    inst = _abstract_instance([0.5, 0.6], 0.5)
+    for seed in range(40):
+        rng = np.random.default_rng((seed, 0))
+        outcome = single_trial(inst, (0, 1), Engine.POVM_SAMPLING, rng)
+        stats = simulate(inst, (0, 1), 1, seed, Engine.POVM_SAMPLING)
+        assert stats.success_rate == (outcome.conclusion is not Conclusion.INCONCLUSIVE)
+        assert stats.mean_measurements == outcome.measurements_used
+
+
+def test_row_chunked_draws_match_one_draw(monkeypatch):
+    inst = _abstract_instance([0.5, 0.7, 0.3, 0.8], 0.6)
+    order = (3, 1, 0, 2)
+    whole = simulate(inst, order, mc.BLOCK + 100, 21, Engine.POVM_SAMPLING)
+    # Rows of 5 uniforms drawn 3 rows at a time, across a block boundary.
+    monkeypatch.setattr(mc, "_DRAW_CAP", 15)
+    chunked = simulate(inst, order, mc.BLOCK + 100, 21, Engine.POVM_SAMPLING)
+    assert chunked == whole
+
+
+def test_povm_and_neumark_tables_agree():
+    for i in range(50):
+        inst = random_instance(1 + i % 4, 2 + i % 3, (515, i))
+        order = tuple(range(inst.n_parties))
+        povm = mc._outcome_table(inst, order, Engine.POVM_SAMPLING)
+        neumark = mc._outcome_table(inst, order, Engine.NEUMARK_EVOLUTION)
+        assert povm.shape == neumark.shape == (inst.n_parties, 2, 3)
+        np.testing.assert_allclose(povm, neumark, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(povm.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("engine", list(Engine))
+def test_table_fail_entries_match_the_protocol(engine):
+    for i in range(30):
+        base = random_instance(2 + i % 3, 2 + i % 2, (525, i))
+        # A coinciding pair is skipped and gets no table row.
+        pairs = base.parties + (state_pair_with_overlap(1.0, 2, (525, i)),)
+        inst = ProductInstance(pairs, base.priors)
+        order = tuple(reversed(range(inst.n_parties)))
+        table = mc._outcome_table(inst, order, engine)
+        steps = [rec for rec in run_protocol(inst, order).transcript if not rec.skipped]
+        assert len(table) == len(steps)
+        for row, rec in zip(table, steps):
+            p_fail = rec.priors_before.r * row[0, 2] + rec.priors_before.s * row[1, 2]
+            assert abs(p_fail - (1.0 - rec.p_conclusive_given_reached)) <= 1e-12
+            # Contradicting the preparation is impossible up to rounding.
+            assert row[0, 1] <= 1e-15 and row[1, 0] <= 1e-15
+
+
+_LEAK_SCRIPT = r"""
+import sys
+
+import numpy as np
+
+import uqsd.montecarlo as mc
+from uqsd import InternalFaultError, Priors, ProductInstance, state_pair_with_overlap
+
+real = mc.evolve_with_ancilla
+
+
+def leaky(model, state):
+    evolved = np.array(real(model, state))
+    evolved[2] += 1e-3  # weight on |s1>|e_2>, outside span{|p1>, |q1>}
+    return evolved
+
+
+mc.evolve_with_ancilla = leaky
+inst = ProductInstance((state_pair_with_overlap(0.5, 3, 0),), Priors(0.5, 0.5))
+try:
+    mc.simulate(inst, (0,), 10, 0, mc.Engine.NEUMARK_EVOLUTION)
+except InternalFaultError as exc:
+    print(exc)
+    sys.exit(0 if sys.flags.optimize else 3)
+sys.exit(4)
+"""
+
+
+def test_neumark_span_check_survives_python_optimize():
+    assert not issubclass(InternalFaultError, ValueError)
+    src = pathlib.Path(mc.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _LEAK_SCRIPT], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "span" in proc.stdout

@@ -163,3 +163,18 @@ def test_random_instance_validation():
 def test_product_instance_rejects_empty():
     with pytest.raises(ValueError):
         ProductInstance(parties=(), priors=Priors(0.5, 0.5))
+
+
+def test_pure_state_rejects_non_finite_amplitudes():
+    for bad in ([np.nan, 0.0], [np.inf, 0.0], [1.0, complex(0.0, np.nan)]):
+        with pytest.raises(ValueError, match="finite"):
+            PureState(2, np.array(bad, dtype=np.complex128))
+        with pytest.raises(ValueError):
+            PureState.normalized(bad)
+
+
+def test_local_pair_rejects_nan_overlap():
+    a = random_pure_state(2, 1)
+    b = random_pure_state(2, 2)
+    with pytest.raises(ValueError):
+        LocalPair(p=a, q=b, overlap_c=float("nan"))
