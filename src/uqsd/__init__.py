@@ -40,22 +40,14 @@ from .locc import (
     ProtocolResult,
     StepRecord,
     best_order,
+    checked_order,
     global_optimum,
     global_overlap,
     group,
     measurement_count_distribution,
     run_protocol,
-    verify_local_equals_global,
 )
-from .montecarlo import (
-    Conclusion,
-    Engine,
-    RunOutcome,
-    SimStats,
-    simulate,
-    single_trial,
-    Truth,
-)
+from .montecarlo import Engine, SimStats, simulate
 
 __version__ = "0.1.0"
 
@@ -91,16 +83,12 @@ __all__ = [
     "global_overlap",
     "global_optimum",
     "run_protocol",
-    "verify_local_equals_global",
+    "checked_order",
     "best_order",
     "group",
     "measurement_count_distribution",
-    "Truth",
-    "Conclusion",
     "Engine",
-    "RunOutcome",
     "SimStats",
-    "single_trial",
     "simulate",
     "__version__",
 ]

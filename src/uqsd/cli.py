@@ -2,7 +2,7 @@
 
 Commands print one JSON document (or CSV for `sweep --csv`) to stdout.  Exit
 codes: 0 on success, 1 on any input problem, 2 when the `verify` property
-suite finds a violation.
+suite finds a violation, 3 on an internal fault (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import sys
+import traceback
 from typing import Any
 
 import numpy as np
@@ -21,6 +22,7 @@ from . import __version__
 from .locc import (
     EXHAUSTIVE_MAX_PARTIES,
     best_order,
+    checked_order,
     global_optimum,
     global_overlap,
     group,
@@ -46,7 +48,7 @@ DEFAULT_SEED = 0
 
 
 class ScenarioError(ValueError):
-    """A scenario file (or flag standing in for one) could not be used."""
+    """A scenario file (or flag standing in for one of its fields) could not be used."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -63,12 +65,16 @@ def _fail(field: str, problem: str):
     raise ScenarioError(f"scenario field '{field}': {problem}")
 
 
-def _get_number(doc: dict, field: str, default=None):
-    value = doc.get(field.rsplit(".", 1)[-1], default)
-    if value is default:
-        return default
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        _fail(field, f"expected a number, got {value!r}")
+def _number(value, field: str, lo: float, hi: float) -> float:
+    # NaN fails the range test, so finite bounds also reject non-finite input.
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not lo <= value <= hi:
+        _fail(field, f"expected a number in [{lo:g}, {hi:g}], got {value!r}")
+    return float(value)
+
+
+def _integer(value, field: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        _fail(field, f"expected an integer >= {minimum}, got {value!r}")
     return value
 
 
@@ -97,12 +103,10 @@ def _parse_priors(doc: dict) -> Priors:
     block = doc.get("priors")
     if not isinstance(block, dict):
         _fail("priors", "required object with key 'r' (and optionally 's')")
-    r = _get_number(block, "priors.r")
-    if r is None:
-        _fail("priors.r", "required")
-    s = _get_number(block, "priors.s", default=1.0 - r)
+    r = _number(block.get("r"), "priors.r", 0.0, 1.0)
+    s = _number(block.get("s", 1.0 - r), "priors.s", 0.0, 1.0)
     try:
-        return Priors(float(r), float(s))
+        return Priors(r, s)
     except ValueError as exc:
         _fail("priors", str(exc))
 
@@ -119,20 +123,16 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
         overlaps = block.get("overlaps")
         if not isinstance(overlaps, list) or not overlaps:
             _fail("abstract.overlaps", "required non-empty list of numbers")
-        dim = block.get("dim", 2)
-        seed = block.get("seed", 0)
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 2:
-            _fail("abstract.dim", f"expected an integer >= 2, got {dim!r}")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            _fail("abstract.seed", f"expected an integer, got {seed!r}")
-        pairs = []
-        for i, c in enumerate(overlaps):
-            if isinstance(c, bool) or not isinstance(c, (int, float)) or not 0.0 <= c <= 1.0:
-                _fail(f"abstract.overlaps[{i}]", f"expected a number in [0, 1], got {c!r}")
-            # Canonicalize to concrete state vectors so every command runs
-            # through the same physical layer as an explicit scenario.
-            pairs.append(state_pair_with_overlap(float(c), dim, (seed, i)))
-        return tuple(pairs)
+        dim = _integer(block.get("dim", 2), "abstract.dim", 2)
+        seed = _integer(block.get("seed", 0), "abstract.seed", 0)
+        # Canonicalize to concrete state vectors so every command runs
+        # through the same physical layer as an explicit scenario.
+        return tuple(
+            state_pair_with_overlap(
+                _number(c, f"abstract.overlaps[{i}]", 0.0, 1.0), dim, (seed, i)
+            )
+            for i, c in enumerate(overlaps)
+        )
     block = doc["explicit"]
     if not isinstance(block, dict):
         _fail("explicit", "expected an object")
@@ -151,9 +151,10 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
     return tuple(pairs)
 
 
-def _parse_scenario_dict(doc: Any) -> Scenario:
+def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(f"scenario root must be an object, got {type(doc).__name__}")
+    doc = {**doc, **flags}
     known = {"priors", "abstract", "explicit", "order", "trials", "seed", "engine", "sweep"}
     for key in doc:
         if key not in known:
@@ -165,55 +166,48 @@ def _parse_scenario_dict(doc: Any) -> Scenario:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    order = None
-    if doc.get("order") is not None:
-        raw = doc["order"]
-        if not isinstance(raw, list) or any(
-            isinstance(i, bool) or not isinstance(i, int) for i in raw
-        ):
-            _fail("order", f"expected a list of integers, got {raw!r}")
-        if sorted(raw) != list(range(len(pairs))):
-            _fail("order", f"{raw} is not a permutation of 0..{len(pairs) - 1}")
-        order = tuple(raw)
+    order = doc.get("order")
+    if order is not None:
+        try:
+            order = checked_order(order, len(pairs))
+        except ValueError as exc:
+            _fail("order", str(exc))
 
-    trials = doc.get("trials", DEFAULT_TRIALS)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-        _fail("trials", f"expected a positive integer, got {trials!r}")
-    seed = doc.get("seed", DEFAULT_SEED)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        _fail("seed", f"expected an integer, got {seed!r}")
     engine_name = doc.get("engine", "povm")
-    if engine_name not in _ENGINES:
+    if not isinstance(engine_name, str) or engine_name not in _ENGINES:
         _fail("engine", f"expected 'povm' or 'neumark', got {engine_name!r}")
 
     sweep = doc.get("sweep")
     if sweep is not None:
         if not isinstance(sweep, dict):
             _fail("sweep", "expected an object with keys 'c' and 'r'")
+        grid = {}
         for axis in ("c", "r"):
             values = sweep.get(axis)
             if not isinstance(values, list) or not values:
                 _fail(f"sweep.{axis}", "required non-empty list of numbers")
-            for j, x in enumerate(values):
-                if isinstance(x, bool) or not isinstance(x, (int, float)):
-                    _fail(f"sweep.{axis}[{j}]", f"expected a number, got {x!r}")
-                if axis == "c" and not 0.0 <= x <= 1.0:
-                    _fail(f"sweep.c[{j}]", f"overlap {x!r} outside [0, 1]")
-                if axis == "r" and not 0.0 <= x <= 1.0:
-                    _fail(f"sweep.r[{j}]", f"prior {x!r} outside [0, 1]")
-        sweep = {"c": [float(x) for x in sweep["c"]], "r": [float(x) for x in sweep["r"]]}
+            grid[axis] = [
+                _number(x, f"sweep.{axis}[{j}]", 0.0, 1.0) for j, x in enumerate(values)
+            ]
+        sweep = grid
 
     return Scenario(
         instance=instance,
         order=order,
-        trials=trials,
-        seed=seed,
+        trials=_integer(doc.get("trials", DEFAULT_TRIALS), "trials", 1),
+        seed=_integer(doc.get("seed", DEFAULT_SEED), "seed", 0),
         engine=_ENGINES[engine_name],
         sweep=sweep,
     )
 
 
-def parse_scenario(path: str) -> Scenario:
+def parse_scenario(path: str, **flags) -> Scenario:
+    """Read and validate a scenario file.
+
+    `flags` (order, trials, seed, engine) replace the top-level fields of
+    the same name before validation, so a flag is checked exactly like the
+    field it stands in for.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -223,7 +217,7 @@ def parse_scenario(path: str) -> Scenario:
         raise ScenarioError(
             f"scenario file {path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    return _parse_scenario_dict(doc)
+    return _parse_scenario_dict(doc, **flags)
 
 
 def _instance_to_dict(instance: ProductInstance) -> dict:
@@ -248,7 +242,7 @@ def serialize_scenario(scenario: Scenario) -> dict:
         "order": None if scenario.order is None else list(scenario.order),
         "trials": scenario.trials,
         "seed": scenario.seed,
-        "engine": next(k for k, v in _ENGINES.items() if v is scenario.engine),
+        "engine": scenario.engine.value,
         "sweep": scenario.sweep,
     }
 
@@ -391,24 +385,21 @@ _VERIFY_TOLERANCES = {
 }
 
 
-def cmd_verify(seed: int, count: int, tolerances: dict | None = None) -> tuple[dict, bool]:
+def cmd_verify(seed: int, count: int) -> tuple[dict, bool]:
     """Run the property suite on `count` random instances per property.
 
     Returns the report and whether every property stayed within tolerance.
-    `tolerances` overrides individual property tolerances (used to exercise
-    the failure path).
     """
-    if count < 1:
-        raise ScenarioError(f"count must be positive, got {count}")
-    tol = dict(_VERIFY_TOLERANCES)
-    tol.update(tolerances or {})
+    seed = _integer(seed, "seed", 0)
+    count = _integer(count, "trials", 1)
     properties: dict[str, dict] = {}
 
     def record(name: str, deviation: float, worst):
+        tol = _VERIFY_TOLERANCES[name]
         entry = {
             "max_deviation": deviation,
-            "tolerance": tol[name],
-            "pass": bool(deviation <= tol[name]),
+            "tolerance": tol,
+            "pass": bool(deviation <= tol),
         }
         if not entry["pass"]:
             entry["worst"] = worst
@@ -544,6 +535,15 @@ def cmd_sweep(scenario: Scenario, csv: bool = False) -> tuple[dict | None, list[
     return _report("sweep", scenario, {"rows": rows}), []
 
 
+def _int_list(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}"
+        ) from None
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; remap onto the
     # input-error path (exit 1) instead.
@@ -568,13 +568,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add("optimum", "closed-form optimum for the scenario's global overlap")
 
     p = add("protocol", "run the sequential protocol and print the transcript")
-    p.add_argument("--order", help="comma-separated visiting order, e.g. 2,0,1")
+    p.add_argument("--order", type=_int_list, help="comma-separated visiting order, e.g. 2,0,1")
 
     p = add("simulate", "Monte Carlo the protocol and compare with the analytic values")
-    p.add_argument("--order", help="comma-separated visiting order")
+    p.add_argument("--order", type=_int_list, help="comma-separated visiting order")
     p.add_argument("--trials", type=int, help="number of trials (default from scenario)")
     p.add_argument("--seed", type=int, help="simulation seed (default from scenario)")
-    p.add_argument("--engine", choices=sorted(_ENGINES), help="sampling engine")
+    p.add_argument("--engine", help="sampling engine: povm or neumark")
 
     p = add("order", "best visiting order: ascending heuristic plus exhaustive table")
     p.add_argument("--exhaustive", action="store_true", help="require the exhaustive search")
@@ -589,37 +589,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    updates: dict[str, Any] = {}
-    if getattr(args, "order", None):
-        try:
-            order = tuple(int(tok) for tok in args.order.split(","))
-        except ValueError as exc:
-            raise ScenarioError(f"--order must be a comma list of integers: {exc}") from exc
-        n = scenario.instance.n_parties
-        if sorted(order) != list(range(n)):
-            raise ScenarioError(f"--order {args.order} is not a permutation of 0..{n - 1}")
-        updates["order"] = order
-    if getattr(args, "trials", None) is not None:
-        if args.trials < 1:
-            raise ScenarioError(f"--trials must be positive, got {args.trials}")
-        updates["trials"] = args.trials
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "engine", None):
-        updates["engine"] = _ENGINES[args.engine]
-    return dataclasses.replace(scenario, **updates) if updates else scenario
+# Flags that stand in for the scenario field of the same name.
+_FIELD_FLAGS = ("order", "trials", "seed", "engine")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command == "verify":
             report, ok = cmd_verify(args.seed, args.trials)
             _emit(report)
             return 0 if ok else 2
-        scenario = _apply_overrides(parse_scenario(args.scenario), args)
+        flags = {k: v for k, v in vars(args).items() if k in _FIELD_FLAGS and v is not None}
+        scenario = parse_scenario(args.scenario, **flags)
         if args.command == "optimum":
             _emit(cmd_optimum(scenario))
         elif args.command == "protocol":
@@ -638,9 +620,10 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception:
+        # Anything else is a fault in uqsd, not in its input.
+        traceback.print_exc()
+        return 3
 
 
 def entry():

@@ -52,11 +52,18 @@ class ProtocolResult:
     transcript: tuple[StepRecord, ...]
 
 
-def _checked_order(order: Sequence[int], n: int) -> Order:
-    order = tuple(int(i) for i in order)
-    if sorted(order) != list(range(n)):
-        raise ValueError(f"{order} is not a permutation of 0..{n - 1}")
-    return order
+def checked_order(order: Sequence[int], n: int) -> Order:
+    """`order` as a tuple if it is a permutation of 0..n-1, else ValueError.
+
+    Entries must be integers: a bool, float or str is rejected, not coerced.
+    """
+    if (
+        not isinstance(order, Sequence)
+        or any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in order)
+        or sorted(order) != list(range(n))
+    ):
+        raise ValueError(f"{order!r} is not a permutation of 0..{n - 1}")
+    return tuple(int(i) for i in order)
 
 
 def global_overlap(instance: ProductInstance) -> float:
@@ -79,7 +86,7 @@ def run_protocol(instance: ProductInstance, order: Sequence[int]) -> ProtocolRes
     their optimal measurement is vacuous.  A party with overlap 0 concludes
     with certainty; any remaining steps are recorded but unreachable.
     """
-    order = _checked_order(order, instance.n_parties)
+    order = checked_order(order, instance.n_parties)
     priors = instance.priors
     p_reach = 1.0
     p_success = 0.0
@@ -112,11 +119,6 @@ def run_protocol(instance: ProductInstance, order: Sequence[int]) -> ProtocolRes
         expected_measurements=expected,
         transcript=tuple(records),
     )
-
-
-def verify_local_equals_global(instance: ProductInstance, order: Sequence[int]) -> float:
-    """|sequential-protocol success - joint-measurement optimum|."""
-    return abs(run_protocol(instance, order).p_success - global_optimum(instance))
 
 
 def measurement_count_distribution(result: ProtocolResult) -> tuple[tuple[int, float], ...]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .locc import run_protocol
 from .pair_disc import build_povm, evolve_with_ancilla, neumark_model, optimal_strategy
-from .states import InternalFaultError, ProductInstance
+from .states import NORM_TOL, InternalFaultError, ProductInstance
 
 # Outcome probabilities below this are artifacts of float rounding on terms
 # that vanish identically; zeroing them keeps impossible branches impossible.
@@ -37,42 +37,14 @@ BLOCK = 16_384
 _DRAW_CAP = 1 << 20
 
 
-class Truth(enum.Enum):
-    STATE_P = "p"
-    STATE_Q = "q"
-
-
-class Conclusion(enum.Enum):
-    IDENTIFIED_P = "p"
-    IDENTIFIED_Q = "q"
-    INCONCLUSIVE = "inconclusive"
-
-
 class Engine(enum.Enum):
     POVM_SAMPLING = "povm"
     NEUMARK_EVOLUTION = "neumark"
 
 
-# Index order of the table's truth axis and outcome axis.
-_TRUTHS = (Truth.STATE_P, Truth.STATE_Q)
-_CONCLUSIONS = (Conclusion.IDENTIFIED_P, Conclusion.IDENTIFIED_Q, Conclusion.INCONCLUSIVE)
+# Index of the fail outcome on the table's outcome axis (identify p, identify
+# q, fail); the truth axis lists p first.
 _FAIL = 2
-
-
-@dataclasses.dataclass(frozen=True)
-class RunOutcome:
-    """One trial: what was prepared, what was concluded, at what cost."""
-
-    truth: Truth
-    conclusion: Conclusion
-    measurements_used: int
-
-    def __post_init__(self):
-        # A conclusive answer must never contradict the preparation.
-        if self.conclusion is Conclusion.IDENTIFIED_P and self.truth is not Truth.STATE_P:
-            raise AssertionError("misidentification: concluded p, prepared q")
-        if self.conclusion is Conclusion.IDENTIFIED_Q and self.truth is not Truth.STATE_Q:
-            raise AssertionError("misidentification: concluded q, prepared p")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,8 +82,7 @@ def _neumark_row(pair, strat) -> list[list[float]]:
     row = []
     for state in (pair.p, pair.q):
         evolved = evolve_with_ancilla(model, state)
-        conclusive = evolved[model.s1_index * dim : (model.s1_index + 1) * dim]
-        fail_block = evolved[model.s2_index * dim : (model.s2_index + 1) * dim]
+        conclusive, fail_block = evolved[:dim], evolved[dim:]
         weights = np.abs(conclusive) ** 2
         leaked = float(np.sum(weights[2:]))
         if not leaked < 1e-24:
@@ -132,7 +103,8 @@ def _outcome_table(instance: ProductInstance, order: Sequence[int], engine: Engi
     """P(identify p, identify q, fail | truth), shape (steps, 2, 3).
 
     One entry per non-skipped step in visiting order; the truth axis lists
-    p first.
+    p first.  The entries that contradict the truth are exactly 0, so no
+    uniform, not even 0.0, can misidentify.
     """
     if engine is Engine.POVM_SAMPLING:
         compile_row = _povm_row
@@ -146,7 +118,13 @@ def _outcome_table(instance: ProductInstance, order: Sequence[int], engine: Engi
             continue
         strat = optimal_strategy(rec.local_overlap, rec.priors_before)
         rows.append(compile_row(instance.parties[rec.party_index], strat))
-    return np.array(rows, dtype=np.float64).reshape(len(rows), 2, 3)
+    table = np.array(rows, dtype=np.float64).reshape(len(rows), 2, 3)
+    # P(identify q | p) and P(identify p | q): rounding residues at most.
+    cross = table[:, [0, 1], [1, 0]]
+    if not (cross <= NORM_TOL).all():
+        raise InternalFaultError(f"outcome table misidentifies with probability {cross.max()!r}")
+    table[:, [0, 1], [1, 0]] = 0.0
+    return table
 
 
 def _sample(table: np.ndarray, prior_r: float, u: np.ndarray):
@@ -197,21 +175,6 @@ def _tally(table: np.ndarray, prior_r: float, trials: int, seed: int) -> SimStat
         misidentifications=p_q + q_p,
         mean_measurements=measurements / trials,
         success_stderr=math.sqrt(rate * (1.0 - rate) / trials),
-    )
-
-
-def single_trial(
-    instance: ProductInstance, order: Sequence[int], engine: Engine, rng_stream
-) -> RunOutcome:
-    """Run one physical trial, drawing one sampler row from rng_stream."""
-    table = _outcome_table(instance, order, engine)
-    truth, conclusion, used = _sample(
-        table, instance.priors.r, rng_stream.random((1, 1 + len(table)))
-    )
-    return RunOutcome(
-        truth=_TRUTHS[truth[0]],
-        conclusion=_CONCLUSIONS[conclusion[0]],
-        measurements_used=int(used[0]),
     )
 
 

@@ -69,18 +69,17 @@ class Povm:
 class NeumarkModel:
     """Measurement realized as a unitary on ancilla (x) system.
 
-    The ancilla qubit starts in basis state s0_index.  After the unitary, a
-    projective ancilla measurement distinguishes s1_index (conclusive) from
-    s2_index (inconclusive); on the conclusive branch the system is measured
-    in a basis whose first two vectors are conclusive_basis.  On the
-    inconclusive branch both hypotheses collapse onto fail_state_p2 up to the
-    phase factor fail_phase carried by the second hypothesis.
+    The ancilla qubit starts in basis state 0.  After the unitary, a
+    projective ancilla measurement distinguishes 0 (conclusive) from 1
+    (inconclusive), so an evolved vector's first dim entries are the
+    conclusive branch and the rest the inconclusive one.  On the conclusive
+    branch the system is measured in a basis whose first two vectors are
+    conclusive_basis.  On the inconclusive branch both hypotheses collapse
+    onto fail_state_p2 up to the phase factor fail_phase carried by the
+    second hypothesis.
     """
 
     unitary: np.ndarray
-    s0_index: int
-    s1_index: int
-    s2_index: int
     conclusive_basis: tuple[PureState, PureState]
     fail_state_p2: PureState
     fail_phase: complex
@@ -226,8 +225,8 @@ def _complete_orthonormal(*columns: np.ndarray) -> np.ndarray:
 def neumark_model(pair: LocalPair, strategy: Strategy) -> NeumarkModel:
     """Unitary-plus-ancilla realization of the discrimination measurement.
 
-    The unitary maps (ancilla s0) (x) |p> to
-    sqrt(1-fail_p) |s1>|p1> + sqrt(fail_p) |s2>|p2> and analogously for |q>,
+    The unitary maps |0> (x) |p> (ancilla first) to
+    sqrt(1-fail_p) |0>|p1> + sqrt(fail_p) |1>|p2> and analogously for |q>,
     with all four amplitudes real nonnegative; the complex phase of <p|q> is
     carried entirely by fail_phase on the second hypothesis' failure state.
     """
@@ -247,19 +246,20 @@ def neumark_model(pair: LocalPair, strategy: Strategy) -> NeumarkModel:
     fail_phase = overlap / c if c > 0.0 else 1.0 + 0.0j
 
     # Vectors on ancilla (x) system: ancilla state k owns entries
-    # k*dim .. (k+1)*dim - 1.  p1 = p2 = e_0 and q1 = e_1 on the system.
-    s0, s1, s2 = 0, 0, 1
+    # k*dim .. (k+1)*dim - 1.  The input and the conclusive branch use
+    # ancilla state 0, the inconclusive branch state 1; p1 = p2 = e_0 and
+    # q1 = e_1 on the system.
     total = 2 * dim
     x1 = np.zeros(total, dtype=np.complex128)
-    x1[s0 * dim : (s0 + 1) * dim] = pair.p.amplitudes
+    x1[:dim] = pair.p.amplitudes
     x2 = np.zeros(total, dtype=np.complex128)
-    x2[s0 * dim : (s0 + 1) * dim] = pair.q.amplitudes
+    x2[:dim] = pair.q.amplitudes
     y1 = np.zeros(total, dtype=np.complex128)
-    y1[s1 * dim] = alpha
-    y1[s2 * dim] = beta
+    y1[0] = alpha
+    y1[dim] = beta
     y2 = np.zeros(total, dtype=np.complex128)
-    y2[s1 * dim + 1] = gamma
-    y2[s2 * dim] = delta * fail_phase
+    y2[1] = gamma
+    y2[dim] = delta * fail_phase
 
     v2 = _orthogonal_unit(x2, x1)  # c < 1 keeps this well defined
     w2 = _orthogonal_unit(y2, y1)
@@ -272,9 +272,6 @@ def neumark_model(pair: LocalPair, strategy: Strategy) -> NeumarkModel:
     q1 = PureState(dim, system_basis[1])
     return NeumarkModel(
         unitary=unitary,
-        s0_index=s0,
-        s1_index=s1,
-        s2_index=s2,
         conclusive_basis=(p1, q1),
         fail_state_p2=p1,
         fail_phase=fail_phase,
@@ -282,6 +279,5 @@ def neumark_model(pair: LocalPair, strategy: Strategy) -> NeumarkModel:
 
 
 def evolve_with_ancilla(model: NeumarkModel, state: PureState) -> np.ndarray:
-    """Apply the dilation unitary to (ancilla s0) (x) |state>."""
-    dim = state.dim
-    return model.unitary[:, model.s0_index * dim : (model.s0_index + 1) * dim] @ state.amplitudes
+    """Apply the dilation unitary to (ancilla 0) (x) |state>."""
+    return model.unitary[:, : state.dim] @ state.amplitudes

@@ -232,9 +232,9 @@ def test_acceptance_06_measurement_layer_soundness():
                 (pair.p, strat.fail_p, 0),
                 (pair.q, strat.fail_q, 1),
             ):
-                blocks = evolve_with_ancilla(model, truth).reshape(2, dim)
-                conclusive = blocks[model.s1_index]
-                fail = blocks[model.s2_index]
+                evolved = evolve_with_ancilla(model, truth)
+                conclusive = evolved[:dim]
+                fail = evolved[dim:]
                 got = [
                     abs(np.vdot(model.conclusive_basis[0].amplitudes, conclusive)) ** 2,
                     abs(np.vdot(model.conclusive_basis[1].amplitudes, conclusive)) ** 2,

@@ -11,6 +11,7 @@ import pytest
 
 import uqsd.cli as cli
 import uqsd.locc as locc
+from uqsd import InternalFaultError
 from uqsd.cli import (
     _parse_scenario_dict,
     cmd_verify,
@@ -96,6 +97,43 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
         ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "engine": "magic"}, "engine"),
         ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": {"c": [0.5]}}, "sweep"),
         ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "bogus": 1}, "bogus"),
+        # Negative seeds used to reach numpy, and a list engine to crash.
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "seed": -1}, "'seed'"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5], "seed": -1}}, "abstract.seed"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "engine": []}, "engine"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "engine": None}, "engine"),
+        # Wrong types in number and integer fields.
+        ({"priors": {"r": None}, "abstract": {"overlaps": [0.5]}}, "priors.r"),
+        ({"priors": {"r": "x"}, "abstract": {"overlaps": [0.5]}}, "priors.r"),
+        ({"priors": {"r": True}, "abstract": {"overlaps": [0.5]}}, "priors.r"),
+        ({"priors": {"r": 0.5, "s": "x"}, "abstract": {"overlaps": [0.5]}}, "priors.s"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [None]}}, "overlaps[0]"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [True]}}, "overlaps[0]"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": ["x"]}}, "overlaps[0]"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5], "dim": 2.5}}, "dim"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5], "dim": True}}, "dim"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5], "seed": None}}, "abstract.seed"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5], "seed": "x"}}, "abstract.seed"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "trials": None}, "trials"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "trials": "x"}, "trials"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "trials": 2.5}, "trials"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "trials": True}, "trials"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "seed": None}, "'seed'"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "seed": "x"}, "'seed'"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "seed": 2.5}, "'seed'"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "seed": True}, "'seed'"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "order": [0.0]}, "order"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "order": [True]}, "order"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "order": ["0"]}, "order"),
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "order": 0}, "order"),
+        (
+            {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": {"c": [None]}},
+            "sweep.c[0]",
+        ),
+        (
+            {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": {"c": [0], "r": [2]}},
+            "sweep.r[0]",
+        ),
     ],
 )
 def test_invalid_scenarios_exit_one(tmp_path, capsys, doc, fragment):
@@ -212,6 +250,64 @@ def test_bad_order_override_is_an_input_error(tripartite_path, capsys):
     assert "permutation" in err
 
 
+def test_file_and_flag_orders_share_one_validator(tmp_path, tripartite_path, capsys):
+    doc = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5, 0.5]}, "order": [0.9, 1.2]}
+    code, out, err = run_cli(capsys, "protocol", "--scenario", write_scenario(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert "scenario field 'order'" in err and "permutation" in err
+
+    code, out, err = run_cli(
+        capsys, "simulate", "--scenario", tripartite_path, "--order", "1,1,0"
+    )
+    assert (code, out) == (1, "")
+    assert "scenario field 'order'" in err and "permutation" in err
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["simulate", "--seed", "-1"], "'seed'"),
+        (["sweep", "--seed", "-1"], "'seed'"),
+        (["simulate", "--trials", "0"], "'trials'"),
+        (["simulate", "--engine", "magic"], "'engine'"),
+        (["verify", "--seed", "-1"], "'seed'"),
+        (["verify", "--trials", "0"], "'trials'"),
+    ],
+)
+def test_bad_flags_exit_one_naming_the_field(tmp_path, capsys, argv, fragment):
+    doc = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": {"c": [0], "r": [0]}}
+    if argv[0] != "verify":
+        argv = [argv[0], "--scenario", write_scenario(tmp_path, doc), *argv[1:]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert f"scenario field {fragment}" in err
+
+
+def test_flags_override_invalid_file_fields(tmp_path, capsys):
+    # A flag replaces its field before validation, in the same single pass.
+    doc = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5, 0.5]}, "trials": 0, "seed": -3}
+    path = write_scenario(tmp_path, doc)
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", path, "--trials", "50", "--seed", "2")
+    assert code == 0
+    assert json.loads(out)["scenario"]["trials"] == 50
+
+
+@pytest.mark.parametrize("fault", [InternalFaultError("broken invariant"), ValueError("oops")])
+def test_internal_faults_exit_three(tripartite_path, capsys, monkeypatch, fault):
+    def broken(*args):
+        raise fault
+
+    monkeypatch.setattr(cli, "run_protocol", broken)
+    code, out, err = run_cli(capsys, "protocol", "--scenario", tripartite_path)
+    assert (code, out) == (3, "")
+    assert "Traceback" in err and str(fault) in err
+
+    # Bad input still exits 1 with the fault in place.
+    code, _, err = run_cli(capsys, "protocol", "--scenario", tripartite_path, "--order", "0")
+    assert code == 1
+    assert "Traceback" not in err
+
+
 def test_simulate_report_is_statistically_consistent(tmp_path, capsys):
     path = write_scenario(
         tmp_path,
@@ -319,8 +415,9 @@ def test_verify_violation_exits_with_status_two(capsys, monkeypatch):
     assert set(entry["worst"]) == {"c", "r"}
 
 
-def test_verify_failure_records_the_worst_case():
-    report, ok = cmd_verify(5, 10, tolerances={"closed_form_vs_oracle": -1.0})
+def test_verify_failure_records_the_worst_case(monkeypatch):
+    monkeypatch.setitem(cli._VERIFY_TOLERANCES, "closed_form_vs_oracle", -1.0)
+    report, ok = cmd_verify(5, 10)
     assert not ok
     entry = report["properties"]["closed_form_vs_oracle"]
     assert entry["pass"] is False

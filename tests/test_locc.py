@@ -19,7 +19,6 @@ from uqsd import (
     random_instance,
     run_protocol,
     state_pair_with_overlap,
-    verify_local_equals_global,
 )
 
 
@@ -89,12 +88,10 @@ def test_run_protocol_orthogonal_party_ends_the_chain():
 
 def test_run_protocol_rejects_bad_order():
     inst = _abstract_instance([0.5, 0.5], 0.5)
-    with pytest.raises(ValueError):
-        run_protocol(inst, (0, 0))
-    with pytest.raises(ValueError):
-        run_protocol(inst, (0,))
-    with pytest.raises(ValueError):
-        run_protocol(inst, (0, 1, 2))
+    # Nothing is coerced: (0.9, 1.2) would truncate to the valid (0, 1).
+    for order in [(0, 0), (0,), (0, 1, 2), (0.9, 1.2), (True, False), ("0", "1"), 1, None]:
+        with pytest.raises(ValueError, match="permutation"):
+            run_protocol(inst, order)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -105,8 +102,9 @@ def test_run_protocol_rejects_bad_order():
 )
 def test_every_order_attains_the_global_optimum(n, dim, seed):
     inst = random_instance(n, dim, seed)
+    target = global_optimum(inst)
     for order in itertools.permutations(range(n)):
-        assert verify_local_equals_global(inst, order) < 1e-12
+        assert abs(run_protocol(inst, order).p_success - target) < 1e-12
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

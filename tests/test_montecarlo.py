@@ -9,18 +9,14 @@ import pytest
 
 import uqsd.montecarlo as mc
 from uqsd import (
-    Conclusion,
     Engine,
     InternalFaultError,
     Priors,
     ProductInstance,
-    RunOutcome,
-    Truth,
     measurement_count_distribution,
     random_instance,
     run_protocol,
     simulate,
-    single_trial,
     state_pair_with_overlap,
 )
 
@@ -33,39 +29,22 @@ def _abstract_instance(overlaps, r, seed=0):
 
 
 def test_orthogonal_states_conclude_immediately():
+    # Every trial is settled, correctly, by the first party.
     inst = _abstract_instance([0.0, 0.0], 0.5)
-    for i in range(200):
-        outcome = single_trial(inst, (0, 1), Engine.POVM_SAMPLING, np.random.default_rng(i))
-        assert outcome.measurements_used == 1
-        assert outcome.conclusion is not Conclusion.INCONCLUSIVE
-        expected = (
-            Conclusion.IDENTIFIED_P
-            if outcome.truth is Truth.STATE_P
-            else Conclusion.IDENTIFIED_Q
-        )
-        assert outcome.conclusion is expected
+    for engine in Engine:
+        stats = simulate(inst, (0, 1), 200, 0, engine)
+        assert stats.success_rate == 1.0
+        assert stats.misidentifications == 0
+        assert stats.mean_measurements == 1.0
 
 
 def test_identical_states_never_conclude():
     inst = _abstract_instance([1.0, 1.0], 0.5)
     for engine in Engine:
-        outcome = single_trial(inst, (0, 1), engine, np.random.default_rng(0))
-        assert outcome.conclusion is Conclusion.INCONCLUSIVE
-        assert outcome.measurements_used == 0
-
-
-def test_run_outcome_rejects_misidentification():
-    with pytest.raises(AssertionError):
-        RunOutcome(truth=Truth.STATE_P, conclusion=Conclusion.IDENTIFIED_Q, measurements_used=1)
-    with pytest.raises(AssertionError):
-        RunOutcome(truth=Truth.STATE_Q, conclusion=Conclusion.IDENTIFIED_P, measurements_used=2)
-
-
-def test_single_trial_reproducible_for_fixed_stream():
-    inst = _abstract_instance([0.5, 0.7], 0.4)
-    a = single_trial(inst, (0, 1), Engine.NEUMARK_EVOLUTION, np.random.default_rng(42))
-    b = single_trial(inst, (0, 1), Engine.NEUMARK_EVOLUTION, np.random.default_rng(42))
-    assert a == b
+        stats = simulate(inst, (0, 1), 200, 0, engine)
+        assert stats.success_rate == 0.0
+        assert stats.misidentifications == 0
+        assert stats.mean_measurements == 0.0
 
 
 def test_simulate_is_deterministic():
@@ -160,26 +139,15 @@ def test_block_is_the_unit_of_reproducibility(engine):
     full = simulate(inst, order, mc.BLOCK + 7, seed, engine)
     assert full == simulate(inst, order, mc.BLOCK + 7, seed, engine)
     head = simulate(inst, order, mc.BLOCK, seed, engine)
-    # The 7 trials past the first block are the first rows of stream
-    # (seed, 1), which single_trial reads one row at a time.
-    rng = np.random.default_rng((seed, 1))
-    tail = [single_trial(inst, order, engine, rng) for _ in range(7)]
+    # The 7 trials past the first block are the first 7 rows of stream
+    # (seed, 1).
+    table = mc._outcome_table(inst, order, engine)
+    u = np.random.default_rng((seed, 1)).random((7, 1 + len(table)))
+    truth, conclusion, used = mc._sample(table, inst.priors.r, u)
     head_correct, head_measurements = _counts(head)
     full_correct, full_measurements = _counts(full)
-    assert full_correct == head_correct + sum(
-        o.conclusion is not Conclusion.INCONCLUSIVE for o in tail
-    )
-    assert full_measurements == head_measurements + sum(o.measurements_used for o in tail)
-
-
-def test_single_trial_is_a_row_of_the_simulate_stream():
-    inst = _abstract_instance([0.5, 0.6], 0.5)
-    for seed in range(40):
-        rng = np.random.default_rng((seed, 0))
-        outcome = single_trial(inst, (0, 1), Engine.POVM_SAMPLING, rng)
-        stats = simulate(inst, (0, 1), 1, seed, Engine.POVM_SAMPLING)
-        assert stats.success_rate == (outcome.conclusion is not Conclusion.INCONCLUSIVE)
-        assert stats.mean_measurements == outcome.measurements_used
+    assert full_correct == head_correct + int(np.sum(conclusion == truth))
+    assert full_measurements == head_measurements + int(used.sum())
 
 
 def test_row_chunked_draws_match_one_draw(monkeypatch):
@@ -217,8 +185,22 @@ def test_table_fail_entries_match_the_protocol(engine):
         for row, rec in zip(table, steps):
             p_fail = rec.priors_before.r * row[0, 2] + rec.priors_before.s * row[1, 2]
             assert abs(p_fail - (1.0 - rec.p_conclusive_given_reached)) <= 1e-12
-            # Contradicting the preparation is impossible up to rounding.
-            assert row[0, 1] <= 1e-15 and row[1, 0] <= 1e-15
+            # Contradicting the preparation is impossible.
+            assert row[0, 1] == 0.0 and row[1, 0] == 0.0
+
+
+@pytest.mark.parametrize("engine", list(Engine))
+def test_zero_step_uniform_never_misidentifies(engine):
+    # A step uniform of 0.0 falls below every positive threshold: with a
+    # rounding residue in a cross entry it would name the wrong state.
+    for i in range(30):
+        inst = random_instance(2 + i % 3, 2 + i % 2, (535, i))
+        table = mc._outcome_table(inst, tuple(range(inst.n_parties)), engine)
+        u = np.zeros((2, 1 + len(table)))
+        u[1, 0] = np.nextafter(1.0, 0.0)  # prepares q; row 0 prepares p
+        truth, conclusion, _ = mc._sample(table, inst.priors.r, u)
+        assert truth.tolist() == [0, 1]
+        assert conclusion[0] in (0, mc._FAIL) and conclusion[1] in (1, mc._FAIL)
 
 
 _LEAK_SCRIPT = r"""

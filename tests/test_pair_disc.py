@@ -265,7 +265,7 @@ def test_neumark_unitarity_and_branches(c, r, dim):
     )
     for state, fail_prob in ((pair.p, strat.fail_p), (pair.q, strat.fail_q)):
         evolved = evolve_with_ancilla(model, state)
-        block = evolved[model.s2_index * dim : (model.s2_index + 1) * dim]
+        block = evolved[dim:]
         assert abs(np.sum(np.abs(block) ** 2) - fail_prob) < 1e-12
     # isometries preserve inner products
     ev_p = evolve_with_ancilla(model, pair.p)
@@ -278,8 +278,8 @@ def test_neumark_failure_states_differ_by_the_overlap_phase():
     model = neumark_model(pair, strat)
     assert abs(abs(model.fail_phase) - 1.0) < 1e-12
     dim = pair.p.dim
-    block_p = evolve_with_ancilla(model, pair.p)[model.s2_index * dim :]
-    block_q = evolve_with_ancilla(model, pair.q)[model.s2_index * dim :]
+    block_p = evolve_with_ancilla(model, pair.p)[dim:]
+    block_q = evolve_with_ancilla(model, pair.q)[dim:]
     beta = math.sqrt(strat.fail_p)
     delta = math.sqrt(strat.fail_q)
     target = model.fail_state_p2.amplitudes
@@ -323,8 +323,8 @@ def test_povm_and_neumark_give_identical_born_probabilities(c, r):
     for state in (pair.p, pair.q):
         vec = state.amplitudes
         evolved = evolve_with_ancilla(model, state)
-        conclusive = evolved[model.s1_index * dim : (model.s1_index + 1) * dim]
-        fail_block = evolved[model.s2_index * dim : (model.s2_index + 1) * dim]
+        conclusive = evolved[:dim]
+        fail_block = evolved[dim:]
         born_povm = [
             float(np.real(np.vdot(vec, e @ vec)))
             for e in (povm.e_p, povm.e_q, povm.e_fail)
