@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
+import functools
 import json
 import math
 import sys
@@ -37,6 +37,8 @@ from .states import (
     Priors,
     ProductInstance,
     PureState,
+    _norm,
+    _unit,
     random_instance,
     state_pair_with_overlap,
 )
@@ -45,6 +47,9 @@ _ENGINES = {"povm": Engine.POVM_SAMPLING, "neumark": Engine.NEUMARK_EVOLUTION}
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
+# Largest `abstract.dim`: the Neumark engine builds a (2 * dim)^2 complex
+# unitary per party, 64 MiB at this size.
+MAX_ABSTRACT_DIM = 1024
 
 
 class ScenarioError(ValueError):
@@ -72,9 +77,15 @@ def _number(value, field: str, lo: float, hi: float) -> float:
     return float(value)
 
 
-def _integer(value, field: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        _fail(field, f"expected an integer >= {minimum}, got {value!r}")
+def _integer(value, field: str, minimum: int, maximum: int | None = None) -> int:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or value < minimum
+        or (maximum is not None and value > maximum)
+    ):
+        expected = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+        _fail(field, f"expected an integer {expected}, got {value!r}")
     return value
 
 
@@ -90,11 +101,11 @@ def _amplitudes_from_json(entries, field: str) -> PureState:
         ):
             _fail(f"{field}[{j}]", f"expected [re, im], got {pair!r}")
         vec[j] = complex(pair[0], pair[1])
-    norm = float(np.linalg.norm(vec))
+    norm = _norm(vec)
     if abs(norm - 1.0) > 1e-6:
         _fail(field, f"amplitudes have norm {norm!r}; expected a unit vector")
     try:
-        return PureState.normalized(vec)
+        return PureState(vec.size, _unit(vec, norm))
     except ValueError as exc:  # e.g. NaN amplitudes, whose norm passes the test above
         _fail(field, str(exc))
 
@@ -123,7 +134,7 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
         overlaps = block.get("overlaps")
         if not isinstance(overlaps, list) or not overlaps:
             _fail("abstract.overlaps", "required non-empty list of numbers")
-        dim = _integer(block.get("dim", 2), "abstract.dim", 2)
+        dim = _integer(block.get("dim", 2), "abstract.dim", 2, MAX_ABSTRACT_DIM)
         seed = _integer(block.get("seed", 0), "abstract.seed", 0)
         # Canonicalize to concrete state vectors so every command runs
         # through the same physical layer as an explicit scenario.
@@ -427,8 +438,10 @@ def cmd_verify(seed: int, count: int) -> tuple[dict, bool]:
         dim = 2 + i % 2
         instance = random_instance(n, dim, (seed, 1, i))
         target = global_optimum(instance)
-        for perm in itertools.permutations(range(n)):
-            dev = abs(run_protocol(instance, perm).p_success - target)
+        rows = []
+        best_order(instance, OrderMode.EXHAUSTIVE, table=rows)
+        for perm, _, p_success in rows:
+            dev = abs(p_success - target)
             if dev > worst_dev:
                 worst_dev, worst_case = dev, {
                     "instance": _instance_to_dict(instance),
@@ -551,6 +564,7 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="uqsd",

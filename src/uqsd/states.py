@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -21,25 +22,43 @@ class InternalFaultError(RuntimeError):
     """
 
 
-def _as_unit_vector(amplitudes) -> np.ndarray:
-    """Coerce to a read-only complex vector, renormalizing only if needed.
+def _norm_sq(vec: np.ndarray) -> float:
+    re, im = vec.real, vec.imag
+    return float(re.dot(re) + im.dot(im))
+
+
+def _norm(vec: np.ndarray) -> float:
+    """Euclidean norm of a complex vector, bit-identical to np.linalg.norm.
+
+    np.linalg.norm computes sqrt(re.re + im.im) for complex input; this does
+    the same arithmetic without its argument handling.
+    """
+    return math.sqrt(_norm_sq(vec))
+
+
+def _unit(vec: np.ndarray, norm: float) -> np.ndarray:
+    """`vec` (owned by the caller) scaled to unit norm and made read-only.
 
     The renormalization is skipped when the norm is already 1 up to a few ulp,
     so the operation is idempotent: normalizing twice is bit-identical to
     normalizing once.
     """
-    vec = np.array(amplitudes, dtype=np.complex128)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ValueError("amplitudes must be a non-empty 1-D sequence")
-    norm = np.linalg.norm(vec)
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    if not np.isfinite(norm):
+    if not math.isfinite(norm):
         raise ValueError("amplitudes must be finite")
     if abs(norm - 1.0) > 1e-13:
         vec = vec / norm
     vec.setflags(write=False)
     return vec
+
+
+def _as_unit_vector(amplitudes) -> np.ndarray:
+    """Coerce to a read-only complex unit vector, renormalizing only if needed."""
+    vec = np.array(amplitudes, dtype=np.complex128)
+    if vec.ndim != 1 or vec.size == 0:
+        raise ValueError("amplitudes must be a non-empty 1-D sequence")
+    return _unit(vec, _norm(vec))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -57,9 +76,10 @@ class PureState:
             raise ValueError(
                 f"expected {self.dim} amplitudes, got shape {vec.shape}"
             )
-        if not np.isfinite(vec).all():
+        norm_sq = _norm_sq(vec)
+        # A non-finite entry makes norm_sq non-finite, so only then scan.
+        if not math.isfinite(norm_sq) and not np.isfinite(vec).all():
             raise ValueError("amplitudes must be finite")
-        norm_sq = float(np.sum(np.abs(vec) ** 2))
         if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |a_i|^2 = {norm_sq!r}")
         vec.setflags(write=False)
@@ -182,12 +202,13 @@ def state_pair_with_overlap(c: float, dim: int, seed) -> LocalPair:
     while True:
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         resid = raw - p_vec * np.vdot(p_vec, raw)
-        if np.linalg.norm(resid) > 1e-6:
+        norm = _norm(resid)
+        if norm > 1e-6:
             break
-    t_vec = _as_unit_vector(resid)
+    t_vec = _unit(resid, norm)
     phase = np.exp(2j * np.pi * rng.random())
     q_vec = _as_unit_vector(phase * (c * p_vec + np.sqrt(1.0 - c * c) * t_vec))
-    return LocalPair.from_states(PureState.normalized(p_vec), PureState.normalized(q_vec))
+    return LocalPair.from_states(PureState(dim, p_vec), PureState(dim, q_vec))
 
 
 def random_instance(n: int, dim: int, seed) -> ProductInstance:

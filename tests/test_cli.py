@@ -134,6 +134,12 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
             {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": {"c": [0], "r": [2]}},
             "sweep.r[0]",
         ),
+        # A huge dim used to fail inside numpy and exit 3 as an internal fault.
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5], "dim": 10**30}}, "abstract.dim"),
+        (
+            {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5], "dim": cli.MAX_ABSTRACT_DIM + 1}},
+            "abstract.dim",
+        ),
     ],
 )
 def test_invalid_scenarios_exit_one(tmp_path, capsys, doc, fragment):
@@ -531,27 +537,33 @@ def test_nan_amplitudes_are_rejected_naming_the_field(tmp_path, capsys):
 def test_order_walks_each_visiting_order_once(tmp_path, capsys, monkeypatch):
     # Four identical parties make every order cost exactly the same, so the
     # report must keep best_order's tie-break (the first order in
-    # permutation order), and the protocol runs once per order plus once for
-    # the ascending heuristic.
+    # permutation order).  The walk over the order tree steps each prefix
+    # once, sum_k n!/(n-k)! party steps, and the ascending heuristic is the
+    # only protocol run, n steps more.
+    n = 4
     party = {"u": [[1.0, 0.0], [0.0, 0.0]], "v": [[0.6, 0.0], [0.8, 0.0]]}
     path = write_scenario(
-        tmp_path, {"priors": {"r": 0.3}, "explicit": {"parties": [party] * 4}}
+        tmp_path, {"priors": {"r": 0.3}, "explicit": {"parties": [party] * n}}
     )
     expected_best = cli.best_order(parse_scenario(path).instance, cli.OrderMode.EXHAUSTIVE)
-    calls = []
+    steps, runs = [], []
 
-    def counting(real):
+    def counting(real, calls):
         def counted(*args):
             calls.append(args)
             return real(*args)
 
         return counted
 
-    monkeypatch.setattr(cli, "run_protocol", counting(cli.run_protocol))
-    monkeypatch.setattr(locc, "run_protocol", counting(locc.run_protocol))
+    monkeypatch.setattr(locc, "optimal_strategy", counting(locc.optimal_strategy, steps))
+    monkeypatch.setattr(cli, "run_protocol", counting(cli.run_protocol, runs))
+    monkeypatch.setattr(locc, "run_protocol", counting(locc.run_protocol, runs))
     code, out, _ = run_cli(capsys, "order", "--scenario", path)
     assert code == 0
-    assert len(calls) == math.factorial(4) + 1
+    walk_steps = sum(math.perm(n, k) for k in range(1, n + 1))
+    assert len(steps) == walk_steps + n
+    assert len(runs) == 1
     ex = json.loads(out)["exhaustive"]
+    assert len(ex["table"]) == math.factorial(n)
     assert ex["best_order"] == [0, 1, 2, 3]
     assert (tuple(ex["best_order"]), ex["best_cost"]) == expected_best

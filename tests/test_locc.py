@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqsd import (
@@ -227,6 +227,16 @@ def test_group_rejects_bad_partitions():
         group(inst, [[0, 1, 2], []])  # empty part
 
 
+@pytest.mark.parametrize(
+    "partition",
+    [[[0.9, 1], [2]], [[True, False], [2]], [["0", "1"], ["2"]], [[], [0, 1, 2]]],
+)
+def test_group_rejects_non_integer_or_empty_parts(partition):
+    # Entries are indices: a float, bool or str is rejected, not coerced.
+    with pytest.raises(ValueError):
+        group(random_instance(3, 2, 5), partition)
+
+
 def test_measurement_count_distribution_bipartite():
     inst = _abstract_instance([0.5, 0.5], 0.5)
     result = run_protocol(inst, (0, 1))
@@ -270,3 +280,48 @@ def test_best_order_exhaustive_table_lists_every_order_once():
     first = next(row for row in table if row[1] == min(r[1] for r in table))
     assert (best, cost) == first[:2]
     assert best == (2, 0, 1, 3)
+
+
+_EDGE_OVERLAPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
+_EDGE_PRIORS = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 1e-9, 1.0 - 1e-9, 0.97]),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(overlaps=st.lists(_EDGE_OVERLAPS, min_size=1, max_size=6), r=_EDGE_PRIORS)
+def test_exhaustive_walk_rows_equal_run_protocol(overlaps, r):
+    # The shared-prefix walk runs the same float operations in the same
+    # sequence as run_protocol, so every row is bit-identical, not close.
+    inst = _abstract_instance(overlaps, r)
+    table = []
+    best_order(inst, OrderMode.EXHAUSTIVE, table=table)
+    assert [row[0] for row in table] == list(itertools.permutations(range(len(overlaps))))
+    for perm, e_count, p_success in table:
+        result = run_protocol(inst, perm)
+        assert e_count == result.expected_measurements
+        assert p_success == result.p_success
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    overlaps=st.lists(
+        st.one_of(st.floats(min_value=1e-11, max_value=1e-4), st.floats(0.0, 1.0)),
+        min_size=2,
+        max_size=50,
+    ),
+    r=_EDGE_PRIORS,
+)
+@example(overlaps=[1e-7] * 50, r=0.3)
+def test_protocol_stays_finite_when_the_global_overlap_underflows(overlaps, r):
+    inst = _abstract_instance(overlaps, r)
+    result = run_protocol(inst, tuple(range(inst.n_parties)))
+    assert math.isfinite(result.p_success)
+    assert abs(result.p_success - global_optimum(inst)) <= 1e-12
+
+
+def test_underflow_example_really_underflows():
+    inst = _abstract_instance([1e-7] * 50, 0.3)
+    assert all(pair.overlap_c > 0.0 for pair in inst.parties)
+    assert global_overlap(inst) == 0.0

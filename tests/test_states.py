@@ -13,6 +13,7 @@ from uqsd import (
     random_pure_state,
     state_pair_with_overlap,
 )
+from uqsd.states import _as_unit_vector, _norm
 
 
 def test_inner_product_basis_vectors():
@@ -178,3 +179,58 @@ def test_local_pair_rejects_nan_overlap():
     b = random_pure_state(2, 2)
     with pytest.raises(ValueError):
         LocalPair(p=a, q=b, overlap_c=float("nan"))
+
+
+def test_fast_norm_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(2024)
+    for dim in range(1, 65):
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            for _ in range(4):
+                vec = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+                assert _norm(vec) == np.linalg.norm(vec)
+
+
+def _nonzero_vectors(max_dim):
+    parts = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
+    return st.integers(min_value=1, max_value=max_dim).flatmap(
+        lambda dim: st.lists(
+            st.tuples(parts, parts), min_size=dim, max_size=dim
+        ).map(lambda pairs: np.array([complex(a, b) for a, b in pairs]))
+    ).filter(lambda vec: np.linalg.norm(vec) >= 1e-3)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    vec=_nonzero_vectors(64),
+    where=st.integers(min_value=0),
+    bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+    imag=st.booleans(),
+)
+def test_pure_state_rejects_every_non_finite_amplitude(vec, where, bad, imag):
+    vec = vec / np.linalg.norm(vec)
+    i = where % vec.size
+    vec[i] = complex(vec[i].real, bad) if imag else complex(bad, vec[i].imag)
+    with pytest.raises(ValueError, match="finite"):
+        PureState(vec.size, vec)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    vec=_nonzero_vectors(64),
+    where=st.integers(min_value=0),
+    big=st.floats(min_value=1.4e154, max_value=1e308),
+)
+def test_pure_state_rejects_finite_amplitudes_whose_norm_overflows(vec, where, big):
+    vec = vec / np.linalg.norm(vec)
+    vec[where % vec.size] = big
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not normalized"):
+        PureState(vec.size, vec)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(vec=_nonzero_vectors(64))
+def test_states_round_trip_through_as_unit_vector_bit_identically(vec):
+    state = PureState.normalized(vec)
+    again = _as_unit_vector(state.amplitudes)
+    assert again.tobytes() == state.amplitudes.tobytes()
+    assert PureState(state.dim, again).amplitudes.tobytes() == again.tobytes()
