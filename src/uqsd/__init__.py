@@ -23,6 +23,7 @@ from .pair_disc import (
     DegeneratePairError,
     InconsistentStrategyError,
     NeumarkModel,
+    PairSpan,
     Povm,
     Regime,
     Strategy,
@@ -65,6 +66,7 @@ __all__ = [
     "random_instance",
     "Regime",
     "Strategy",
+    "PairSpan",
     "Povm",
     "NeumarkModel",
     "DegeneratePairError",

@@ -47,8 +47,9 @@ _ENGINES = {"povm": Engine.POVM_SAMPLING, "neumark": Engine.NEUMARK_EVOLUTION}
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
-# Largest `abstract.dim`: the Neumark engine builds a (2 * dim)^2 complex
-# unitary per party, 64 MiB at this size.
+# Largest `abstract.dim`.  Nothing computed grows faster than dim, but every
+# report embeds the scenario's amplitudes in explicit form, about 200 KB of
+# JSON per party at this size.
 MAX_ABSTRACT_DIM = 1024
 
 

@@ -3,8 +3,9 @@
 Both engines compile the protocol into one outcome table: for each
 non-skipped step, P(identify p, identify q, fail | truth).  The POVM engine
 fills it from Born probabilities, the Neumark engine by evolving each state
-with the ancilla unitary.  One vectorized sampler reads the table, drawing
-trials in blocks of BLOCK rows; block b draws from the stream seeded
+with the ancilla unitary, both in the two-dimensional span of the step's
+pair and for all steps at once.  One vectorized sampler reads the table,
+drawing trials in blocks of BLOCK rows; block b draws from the stream seeded
 (seed, b).  Aggregation uses integer counters only, so results are
 bit-identical regardless of how blocks are scheduled.
 """
@@ -19,7 +20,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .locc import run_protocol
-from .pair_disc import build_povm, evolve_with_ancilla, neumark_model, optimal_strategy
+from .pair_disc import build_povm, neumark_model, optimal_strategy
 from .states import NORM_TOL, InternalFaultError, ProductInstance
 
 # Outcome probabilities below this are artifacts of float rounding on terms
@@ -56,47 +57,29 @@ class SimStats:
     success_stderr: float
 
 
-def _clipped(*values: float) -> list[float]:
-    return [0.0 if v < _PROB_FLOOR else v for v in values]
+def _born_probabilities(steps) -> np.ndarray:
+    # <x|e|x> for each step's states x and POVM elements e, shape (steps, 2, 3).
+    povms = [build_povm(pair, strat) for pair, strat in steps]
+    states = np.array([povm.span.states for povm in povms])
+    elements = np.array([povm.elements for povm in povms])
+    return np.einsum("sti,soij,stj->sto", states.conj(), elements, states).real
 
 
-def _povm_row(pair, strat) -> list[list[float]]:
-    povm = build_povm(pair, strat)
-    row = []
-    for state in (pair.p, pair.q):
-        vec = state.amplitudes
-        probs = _clipped(
-            *(
-                max(0.0, float(np.real(np.vdot(vec, e @ vec))))
-                for e in (povm.e_p, povm.e_q, povm.e_fail)
-            )
+def _branch_weights(steps) -> np.ndarray:
+    # Weights of |0>|b0>, |0>|b1> and the ancilla-1 branch after each step's
+    # unitary, shape (steps, 2, 3).  The ancilla starts in 0, so only the
+    # unitary's first two columns act.
+    models = [neumark_model(pair, strat) for pair, strat in steps]
+    states = np.array([model.span.states for model in models])
+    unitaries = np.array([model.unitary for model in models])[:, :, :2]
+    weights = np.abs(np.einsum("sij,stj->sti", unitaries, states)) ** 2
+    gain = np.abs(weights.sum(axis=2) - (np.abs(states) ** 2).sum(axis=2))
+    if not (gain <= NORM_TOL).all():
+        raise InternalFaultError(
+            f"Neumark evolution is not unitary: it changes a norm^2 by {gain.max()!r}"
         )
-        total = sum(probs)
-        row.append([x / total for x in probs])
-    return row
-
-
-def _neumark_row(pair, strat) -> list[list[float]]:
-    model = neumark_model(pair, strat)
-    dim = pair.p.dim
-    row = []
-    for state in (pair.p, pair.q):
-        evolved = evolve_with_ancilla(model, state)
-        conclusive, fail_block = evolved[:dim], evolved[dim:]
-        weights = np.abs(conclusive) ** 2
-        leaked = float(np.sum(weights[2:]))
-        if not leaked < 1e-24:
-            raise InternalFaultError(
-                f"conclusive branch leaves span{{|p1>, |q1>}}: weight {leaked!r} outside"
-            )
-        p_fail, w_p1, w_q1 = _clipped(
-            float(np.sum(np.abs(fail_block) ** 2)), weights[0], weights[1]
-        )
-        total = p_fail + w_p1 + w_q1
-        p_fail /= total
-        p_p1 = 0.5 if w_p1 + w_q1 == 0.0 else w_p1 / (w_p1 + w_q1)
-        row.append([(1.0 - p_fail) * p_p1, (1.0 - p_fail) * (1.0 - p_p1), p_fail])
-    return row
+    fail = weights[:, :, 2:].sum(axis=2, keepdims=True)
+    return np.concatenate([weights[:, :, :2], fail], axis=2)
 
 
 def _outcome_table(instance: ProductInstance, order: Sequence[int], engine: Engine) -> np.ndarray:
@@ -107,18 +90,21 @@ def _outcome_table(instance: ProductInstance, order: Sequence[int], engine: Engi
     uniform, not even 0.0, can misidentify.
     """
     if engine is Engine.POVM_SAMPLING:
-        compile_row = _povm_row
+        compile_steps = _born_probabilities
     elif engine is Engine.NEUMARK_EVOLUTION:
-        compile_row = _neumark_row
+        compile_steps = _branch_weights
     else:
         raise ValueError(f"unknown engine: {engine!r}")
-    rows = []
-    for rec in run_protocol(instance, order).transcript:
-        if rec.skipped:
-            continue
-        strat = optimal_strategy(rec.local_overlap, rec.priors_before)
-        rows.append(compile_row(instance.parties[rec.party_index], strat))
-    table = np.array(rows, dtype=np.float64).reshape(len(rows), 2, 3)
+    steps = [
+        (instance.parties[rec.party_index], optimal_strategy(rec.local_overlap, rec.priors_before))
+        for rec in run_protocol(instance, order).transcript
+        if not rec.skipped
+    ]
+    if not steps:
+        return np.zeros((0, 2, 3))
+    probs = compile_steps(steps)
+    probs[probs < _PROB_FLOOR] = 0.0
+    table = probs / probs.sum(axis=2, keepdims=True)
     # P(identify q | p) and P(identify p | q): rounding residues at most.
     cross = table[:, [0, 1], [1, 0]]
     if not (cross <= NORM_TOL).all():

@@ -3,18 +3,22 @@
 Closed-form optimum and posterior update, an independent brute-force grid
 oracle, and two physical realizations of the optimal measurement: a
 three-element POVM on the system alone, and a unitary on system plus an
-ancilla qubit followed by projective measurements.
+ancilla qubit followed by projective measurements.  Both act only on the
+two-dimensional span of the pair's states, so they are built there, as
+2 x 2 and 4 x 4 matrices, with O(dim) work; the dim-sized operators are
+formed only on request, by embedding.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 
 import numpy as np
 
-from .states import NORM_TOL, PROB_TOL, LocalPair, Priors, PureState
+from .states import PROB_TOL, LocalPair, Priors, PureState
 
 
 class Regime(enum.Enum):
@@ -57,32 +61,79 @@ class Strategy:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class Povm:
-    """Three-outcome measurement: identify p, identify q, or give up."""
+class PairSpan:
+    """One pair's two states in an orthonormal basis of span{|p>, |q>}.
 
-    e_p: np.ndarray
-    e_q: np.ndarray
-    e_fail: np.ndarray
+    The basis is |b0> = |p> and |b1>, the unit part of |q> orthogonal to |p>.
+    In it |p> = (1, 0) and |q> = (c * phase, sqrt(1 - c^2)), where c is the
+    pair's cached overlap and phase = <p|q> / c (1 when c = 0), so a pair
+    whose overlap snapped to 0 is exactly orthogonal here.  `states` holds
+    these coordinates, one row per hypothesis.  Only `basis`, built on first
+    use, has dim entries.
+    """
+
+    pair: LocalPair
+    phase: complex
+    states: np.ndarray
+
+    @functools.cached_property
+    def basis(self) -> np.ndarray:
+        """The (dim, 2) array whose columns are |b0> and |b1>."""
+        p = self.pair.p.amplitudes
+        basis = np.column_stack([p, _orthogonal_unit(self.pair.q.amplitudes, p)])
+        basis.setflags(write=False)
+        return basis
+
+    def embed(self, op: np.ndarray, complement: float) -> np.ndarray:
+        """The dim x dim operator that acts as the 2 x 2 `op` on the span and
+        as `complement` times the identity on its orthogonal complement."""
+        b = self.basis
+        b_dag = b.conj().T
+        return b @ op @ b_dag + complement * (np.eye(len(b)) - b @ b_dag)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class Povm:
+    """Three-outcome measurement: identify p, identify q, or give up.
+
+    `elements` stacks e_p, e_q and e_fail as 2 x 2 matrices in the basis of
+    `span`; on the orthogonal complement of the span the measurement always
+    gives up.  `embedded` returns the dim x dim elements.
+    """
+
+    span: PairSpan
+    elements: np.ndarray
+
+    def embedded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """e_p, e_q and e_fail as dim x dim matrices on the whole system."""
+        e_p, e_q, e_fail = self.elements
+        return self.span.embed(e_p, 0.0), self.span.embed(e_q, 0.0), self.span.embed(e_fail, 1.0)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class NeumarkModel:
-    """Measurement realized as a unitary on ancilla (x) system.
+    """Measurement realized as a unitary on ancilla (x) span{|p>, |q>}.
 
-    The ancilla qubit starts in basis state 0.  After the unitary, a
-    projective ancilla measurement distinguishes 0 (conclusive) from 1
-    (inconclusive), so an evolved vector's first dim entries are the
-    conclusive branch and the rest the inconclusive one.  On the conclusive
-    branch the system is measured in a basis whose first two vectors are
-    conclusive_basis.  On the inconclusive branch both hypotheses collapse
-    onto fail_state_p2 up to the phase factor fail_phase carried by the
-    second hypothesis.
+    `unitary` is 4 x 4 with the ancilla first: entry 2a + k is ancilla state
+    a times basis vector |bk> of `span`.  The ancilla qubit starts in 0.
+    After the unitary, a projective ancilla measurement distinguishes 0
+    (conclusive) from 1 (inconclusive).  On the conclusive branch the system
+    is measured in the span basis: |b0> identifies p and |b1> identifies q.
+    On the inconclusive branch both hypotheses collapse onto |b0>, the second
+    up to the phase factor span.phase.  On the orthogonal complement of the
+    span the unitary is the identity; `embedded_unitary` returns it on
+    ancilla (x) the whole system.
     """
 
+    span: PairSpan
     unitary: np.ndarray
-    conclusive_basis: tuple[PureState, PureState]
-    fail_state_p2: PureState
-    fail_phase: complex
+
+    def embedded_unitary(self) -> np.ndarray:
+        """The (2 dim) x (2 dim) unitary, ancilla first."""
+        blocks = self.unitary.reshape(2, 2, 2, 2)  # out ancilla, out k, in ancilla, in k
+        return np.block(
+            [[self.span.embed(blocks[a, :, b, :], float(a == b)) for b in (0, 1)] for a in (0, 1)]
+        )
 
 
 def optimal_strategy(c: float, priors: Priors) -> Strategy:
@@ -185,50 +236,51 @@ def _orthogonal_unit(keep: np.ndarray, drop: np.ndarray) -> np.ndarray:
     return resid / np.linalg.norm(resid)
 
 
+def _span(pair: LocalPair) -> PairSpan:
+    c = pair.overlap_c
+    phase = (
+        complex(np.vdot(pair.p.amplitudes, pair.q.amplitudes)) / c if c > 0.0 else 1.0 + 0.0j
+    )
+    states = np.array([[1.0, 0.0], [c * phase, math.sqrt(1.0 - c * c)]], dtype=np.complex128)
+    states.setflags(write=False)
+    return PairSpan(pair, phase, states)
+
+
 def build_povm(pair: LocalPair, strategy: Strategy) -> Povm:
     """Three-element POVM realizing the given failure probabilities.
 
-    e_p is proportional to the projector onto the vector orthogonal to |q>
-    inside span{p, q}, scaled so <p|e_p|p> = 1 - fail_p; e_q symmetrically;
-    e_fail is the completion to the identity.  e_fail is positive
-    semidefinite exactly when fail_p * fail_q >= c^2.
+    In the span basis, e_p is (1 - fail_p) / (1 - c^2) times the projector
+    onto (sqrt(1 - c^2), -conj(c * phase)), the unit vector orthogonal to
+    |q>, so <p|e_p|p> = 1 - fail_p; e_q is (1 - fail_q) / (1 - c^2) times the
+    projector onto |b1>, orthogonal to |p>; e_fail is the completion to the
+    identity.  e_fail is positive semidefinite exactly when
+    fail_p * fail_q >= c^2.  At c = 0 the elements are diagonal and, for the
+    optimal strategy, e_fail is exactly 0.
     """
     c = pair.overlap_c
     if c >= 1.0:
         raise DegeneratePairError("identical hypothesis states admit no POVM")
-    p = pair.p.amplitudes
-    q = pair.q.amplitudes
-    dim = pair.p.dim
-    if c == 0.0:
-        e_p = (1.0 - strategy.fail_p) * np.outer(p, p.conj())
-        e_q = (1.0 - strategy.fail_q) * np.outer(q, q.conj())
-    else:
-        not_q = _orthogonal_unit(p, q)
-        not_p = _orthogonal_unit(q, p)
-        e_p = ((1.0 - strategy.fail_p) / (1.0 - c * c)) * np.outer(not_q, not_q.conj())
-        e_q = ((1.0 - strategy.fail_q) / (1.0 - c * c)) * np.outer(not_p, not_p.conj())
-    e_fail = np.eye(dim, dtype=np.complex128) - e_p - e_q
-    for m in (e_p, e_q, e_fail):
-        m.setflags(write=False)
-    return Povm(e_p=e_p, e_q=e_q, e_fail=e_fail)
-
-
-def _complete_orthonormal(*columns: np.ndarray) -> np.ndarray:
-    # Extend the given orthonormal columns to a full basis.  The complete QR
-    # factor of the columns is unitary, and its trailing columns span their
-    # orthogonal complement; the given columns are kept exactly.
-    given = np.column_stack(columns)
-    q, _ = np.linalg.qr(given, mode="complete")
-    return np.column_stack([given, q[:, given.shape[1] :]])
+    span = _span(pair)
+    z = c * span.phase
+    s = math.sqrt(1.0 - c * c)
+    a = (1.0 - strategy.fail_p) / (1.0 - c * c)
+    b = (1.0 - strategy.fail_q) / (1.0 - c * c)
+    e_p = [[a * s * s, -a * s * z], [-a * s * z.conjugate(), a * c * c]]
+    e_q = [[0.0, 0.0], [0.0, b]]
+    e_fail = [[1.0 - e_p[0][0], -e_p[0][1]], [-e_p[1][0], 1.0 - e_p[1][1] - b]]
+    elements = np.array([e_p, e_q, e_fail], dtype=np.complex128)
+    elements.setflags(write=False)
+    return Povm(span=span, elements=elements)
 
 
 def neumark_model(pair: LocalPair, strategy: Strategy) -> NeumarkModel:
     """Unitary-plus-ancilla realization of the discrimination measurement.
 
     The unitary maps |0> (x) |p> (ancilla first) to
-    sqrt(1-fail_p) |0>|p1> + sqrt(fail_p) |1>|p2> and analogously for |q>,
-    with all four amplitudes real nonnegative; the complex phase of <p|q> is
-    carried entirely by fail_phase on the second hypothesis' failure state.
+    y1 = sqrt(1-fail_p) |0>|b0> + sqrt(fail_p) |1>|b0> and |0> (x) |q> to
+    y2 = sqrt(1-fail_q) |0>|b1> + sqrt(fail_q) phase |1>|b0>, with all four
+    square roots real nonnegative; the complex phase of <p|q> is carried
+    entirely by the second hypothesis' failure state.
     """
     c = pair.overlap_c
     if c >= 1.0:
@@ -241,43 +293,31 @@ def neumark_model(pair: LocalPair, strategy: Strategy) -> NeumarkModel:
         raise InconsistentStrategyError(
             f"sqrt(fail_p * fail_q) = {beta * delta!r} but the overlap is {c!r}"
         )
-    dim = pair.p.dim
-    overlap = complex(np.vdot(pair.p.amplitudes, pair.q.amplitudes))
-    fail_phase = overlap / c if c > 0.0 else 1.0 + 0.0j
-
-    # Vectors on ancilla (x) system: ancilla state k owns entries
-    # k*dim .. (k+1)*dim - 1.  The input and the conclusive branch use
-    # ancilla state 0, the inconclusive branch state 1; p1 = p2 = e_0 and
-    # q1 = e_1 on the system.
-    total = 2 * dim
-    x1 = np.zeros(total, dtype=np.complex128)
-    x1[:dim] = pair.p.amplitudes
-    x2 = np.zeros(total, dtype=np.complex128)
-    x2[:dim] = pair.q.amplitudes
-    y1 = np.zeros(total, dtype=np.complex128)
-    y1[0] = alpha
-    y1[dim] = beta
-    y2 = np.zeros(total, dtype=np.complex128)
-    y2[1] = gamma
-    y2[dim] = delta * fail_phase
-
-    v2 = _orthogonal_unit(x2, x1)  # c < 1 keeps this well defined
-    w2 = _orthogonal_unit(y2, y1)
-    v_basis = _complete_orthonormal(x1, v2)
-    w_basis = _complete_orthonormal(y1, w2)
-    unitary = w_basis @ v_basis.conj().T
-    unitary.setflags(write=False)
-    system_basis = np.eye(dim, dtype=np.complex128)
-    p1 = PureState(dim, system_basis[0])
-    q1 = PureState(dim, system_basis[1])
-    return NeumarkModel(
-        unitary=unitary,
-        conclusive_basis=(p1, q1),
-        fail_state_p2=p1,
-        fail_phase=fail_phase,
+    span = _span(pair)
+    phase = span.phase
+    # |0>|b0> is |p> and |0>|b1> the unit part of |q> orthogonal to |p>, so
+    # the unitary's columns are y1, the unit part w2 of y2 orthogonal to y1,
+    # and a completion.  y1 and y2 lie in the first three coordinates, where
+    # conj(y1 x y2) is orthogonal to both; the fourth is left alone.
+    g = beta * delta * phase  # <y1|y2>, which is <p|q> up to rounding
+    w2 = (-g * alpha, gamma, delta * phase - g * beta)
+    w2_norm = math.sqrt(sum(abs(x) ** 2 for x in w2))
+    w3 = (-beta * gamma, -alpha * delta * phase.conjugate(), alpha * gamma)
+    w3_norm = math.sqrt(sum(abs(x) ** 2 for x in w3))
+    unitary = np.array(
+        [
+            [alpha, w2[0] / w2_norm, w3[0] / w3_norm, 0.0],
+            [0.0, w2[1] / w2_norm, w3[1] / w3_norm, 0.0],
+            [beta, w2[2] / w2_norm, w3[2] / w3_norm, 0.0],
+            [0.0, 0.0, 0.0, 1.0],
+        ],
+        dtype=np.complex128,
     )
+    unitary.setflags(write=False)
+    return NeumarkModel(span=span, unitary=unitary)
 
 
 def evolve_with_ancilla(model: NeumarkModel, state: PureState) -> np.ndarray:
-    """Apply the dilation unitary to (ancilla 0) (x) |state>."""
-    return model.unitary[:, : state.dim] @ state.amplitudes
+    """Apply the dilation unitary to (ancilla 0) (x) |state> on the whole
+    system; the first dim entries are the conclusive branch."""
+    return model.embedded_unitary()[:, : state.dim] @ state.amplitudes

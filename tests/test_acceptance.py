@@ -185,7 +185,8 @@ def test_acceptance_05_failure_posteriors():
 def test_acceptance_06_measurement_layer_soundness():
     # 200 random pairs: POVM elements positive semidefinite, complete, and
     # silent on the wrong hypothesis; dilation unitaries unitary to 1e-12
-    # with branch probabilities matching the strategy.
+    # with branch probabilities matching the strategy.  Both are checked as
+    # dim-sized operators, embedded from the pair's span into the system.
     ok = False
     try:
         rng = np.random.default_rng(606)
@@ -200,8 +201,8 @@ def test_acceptance_06_measurement_layer_soundness():
             pair = state_pair_with_overlap(float(rng.random()), dim, (606, i))
             r = float(rng.random())
             strat = optimal_strategy(pair.overlap_c, Priors(r, 1.0 - r))
-            povm = build_povm(pair, strat)
-            elements = (povm.e_p, povm.e_q, povm.e_fail)
+            elements = build_povm(pair, strat).embedded()
+            e_p, e_q, e_fail = elements
             worst_complete = max(
                 worst_complete, float(np.abs(sum(elements) - np.eye(dim)).max())
             )
@@ -212,19 +213,18 @@ def test_acceptance_06_measurement_layer_soundness():
             def born(element, state):
                 return float(np.real(np.vdot(state.amplitudes, element @ state.amplitudes)))
 
-            worst_cross = max(
-                worst_cross, born(povm.e_p, pair.q), born(povm.e_q, pair.p)
-            )
+            worst_cross = max(worst_cross, born(e_p, pair.q), born(e_q, pair.p))
             worst_born = max(
                 worst_born,
-                abs(born(povm.e_p, pair.p) - (1.0 - strat.fail_p)),
-                abs(born(povm.e_q, pair.q) - (1.0 - strat.fail_q)),
-                abs(born(povm.e_fail, pair.p) - strat.fail_p),
-                abs(born(povm.e_fail, pair.q) - strat.fail_q),
+                abs(born(e_p, pair.p) - (1.0 - strat.fail_p)),
+                abs(born(e_q, pair.q) - (1.0 - strat.fail_q)),
+                abs(born(e_fail, pair.p) - strat.fail_p),
+                abs(born(e_fail, pair.q) - strat.fail_q),
             )
 
             model = neumark_model(pair, strat)
-            u = model.unitary
+            u = model.embedded_unitary()
+            conclusive_basis = model.span.basis.T
             worst_unitary = max(
                 worst_unitary, float(np.abs(u.conj().T @ u - np.eye(2 * dim)).max())
             )
@@ -236,8 +236,8 @@ def test_acceptance_06_measurement_layer_soundness():
                 conclusive = evolved[:dim]
                 fail = evolved[dim:]
                 got = [
-                    abs(np.vdot(model.conclusive_basis[0].amplitudes, conclusive)) ** 2,
-                    abs(np.vdot(model.conclusive_basis[1].amplitudes, conclusive)) ** 2,
+                    abs(np.vdot(conclusive_basis[0], conclusive)) ** 2,
+                    abs(np.vdot(conclusive_basis[1], conclusive)) ** 2,
                     float(np.real(np.vdot(fail, fail))),
                 ]
                 want = [0.0, 0.0, fail_prob]
@@ -296,10 +296,12 @@ def test_acceptance_07_simulation_matches_analytics():
 
 
 def test_acceptance_08_ascending_order_minimizes_measurements():
-    # 200 random flat-prior instances (n up to 6): visiting parties in
-    # ascending overlap order achieves the exhaustive minimum expected
-    # measurement count to 1e-12.  For unequal priors the heuristic is not
-    # guaranteed; the observed agreement rate is reported for information.
+    # 200 random flat-prior instances and 100 with random unequal priors (n
+    # up to 6): visiting parties in ascending overlap order achieves the
+    # exhaustive minimum expected measurement count to 1e-12.  The expected
+    # count is a sum over steps of the joint failure probability of the
+    # parties before it, which increases with their product overlap, so the
+    # ascending order minimizes every term at once, whatever the priors.
     ok = False
     try:
         worst = 0.0
@@ -309,18 +311,17 @@ def test_acceptance_08_ascending_order_minimizes_measurements():
             _, asc_cost = best_order(inst, OrderMode.ASCENDING_OVERLAP)
             _, best_cost = best_order(inst, OrderMode.EXHAUSTIVE)
             worst = max(worst, asc_cost - best_cost)
-        agree = 0
+        worst_unequal = 0.0
         for i in range(100):
             inst = random_instance(2 + i % 5, 2, (818, i))
             _, asc_cost = best_order(inst, OrderMode.ASCENDING_OVERLAP)
             _, best_cost = best_order(inst, OrderMode.EXHAUSTIVE)
-            agree += asc_cost - best_cost <= 1e-12
-        print(
-            f"\nACCEPTANCE 08 INFO ascending order matches the exhaustive optimum"
-            f" on {agree}/100 unequal-prior instances"
+            worst_unequal = max(worst_unequal, asc_cost - best_cost)
+        ok = worst <= 1e-12 and worst_unequal <= 1e-12
+        assert ok, (
+            f"worst excess expected count {worst:.3e} (flat priors),"
+            f" {worst_unequal:.3e} (unequal priors)"
         )
-        ok = worst <= 1e-12
-        assert ok, f"worst excess expected count {worst:.3e}"
     finally:
         _verdict(8, ok)
 

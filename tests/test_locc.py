@@ -16,6 +16,7 @@ from uqsd import (
     global_overlap,
     group,
     measurement_count_distribution,
+    optimal_strategy,
     random_instance,
     run_protocol,
     state_pair_with_overlap,
@@ -302,6 +303,24 @@ def test_exhaustive_walk_rows_equal_run_protocol(overlaps, r):
         result = run_protocol(inst, perm)
         assert e_count == result.expected_measurements
         assert p_success == result.p_success
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(overlaps=st.lists(_EDGE_OVERLAPS, min_size=1, max_size=8), r=_EDGE_PRIORS, data=st.data())
+def test_expected_measurements_sums_prefix_failure_probabilities(overlaps, r, data):
+    # A step is reached when every earlier party failed, which happens with
+    # the joint failure probability f of their product overlap (local equals
+    # global, applied to the prefix); skipped parties are not counted.
+    inst = _abstract_instance(overlaps, r)
+    order = tuple(data.draw(st.permutations(range(inst.n_parties))))
+    expected = 0.0
+    prefix = 1.0
+    for idx in order:
+        c = inst.parties[idx].overlap_c
+        if c != 1.0:
+            expected += optimal_strategy(prefix, inst.priors).p_fail
+        prefix *= c
+    assert abs(run_protocol(inst, order).expected_measurements - expected) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

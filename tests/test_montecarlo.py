@@ -14,6 +14,7 @@ from uqsd import (
     Priors,
     ProductInstance,
     measurement_count_distribution,
+    optimal_strategy,
     random_instance,
     run_protocol,
     simulate,
@@ -203,24 +204,141 @@ def test_zero_step_uniform_never_misidentifies(engine):
         assert conclusion[0] in (0, mc._FAIL) and conclusion[1] in (1, mc._FAIL)
 
 
-_LEAK_SCRIPT = r"""
-import sys
+@pytest.mark.parametrize("engine", list(Engine), ids=lambda e: e.value)
+def test_orthogonal_party_never_fails(engine):
+    # A party whose overlap snapped to 0 concludes with certainty: its fail
+    # entries are exactly 0, not a rounding residue a uniform could hit.
+    for i in range(50):
+        orthogonal = state_pair_with_overlap(0.0, 2 + i % 3, (545, i))
+        assert orthogonal.overlap_c == 0.0
+        other = state_pair_with_overlap(0.4, 2, (546, i))
+        inst = ProductInstance((other, orthogonal), Priors(0.3, 0.7))
+        table = mc._outcome_table(inst, (0, 1), engine)
+        assert table[1, :, mc._FAIL].tolist() == [0.0, 0.0]
 
-import numpy as np
+
+_EDGE_CASES = [
+    pytest.param(5e-324, 0.5, id="subnormal-5e-324"),
+    pytest.param(1e-310, 0.3, id="subnormal-1e-310"),
+    pytest.param(1.0 - 1e-11, 0.5, id="one-minus-1e-11"),
+    pytest.param(1.0 - 2e-12, 0.85, id="one-minus-2e-12"),
+] + [
+    pytest.param(c, 1.0 / (1.0 + c * c), id=f"regime-boundary-{c}") for c in (0.1, 0.5, 0.9)
+]
+
+
+@pytest.mark.parametrize("engine", list(Engine), ids=lambda e: e.value)
+@pytest.mark.parametrize("c,r", _EDGE_CASES)
+def test_edge_overlap_rows_are_analytic(engine, c, r):
+    for dim in (2, 3, 8):
+        pair = state_pair_with_overlap(c, dim, (565, dim))
+        inst = ProductInstance((pair,), Priors(r, 1.0 - r))
+        strat = optimal_strategy(pair.overlap_c, inst.priors)
+        want = [
+            [1.0 - strat.fail_p, 0.0, strat.fail_p],
+            [0.0, 1.0 - strat.fail_q, strat.fail_q],
+        ]
+        table = mc._outcome_table(inst, (0,), engine)
+        np.testing.assert_allclose(table, [want], rtol=0, atol=1e-12)
+
+
+# --- The full-dimensional construction, kept as an oracle ------------------
+#
+# The measurement used to be built on the whole system: dim x dim POVM
+# elements from outer products of the state vectors, and a (2 dim)^2
+# dilation unitary from two complete QR factorizations.  The span
+# construction must give the same tables.
+
+
+def _unit_orthogonal(keep, drop):
+    resid = keep - drop * np.vdot(drop, keep)
+    return resid / np.linalg.norm(resid)
+
+
+def _full_povm_probs(pair, strat):
+    c, p, q = pair.overlap_c, pair.p.amplitudes, pair.q.amplitudes
+    if c == 0.0:
+        e_p = (1.0 - strat.fail_p) * np.outer(p, p.conj())
+        e_q = (1.0 - strat.fail_q) * np.outer(q, q.conj())
+    else:
+        not_q, not_p = _unit_orthogonal(p, q), _unit_orthogonal(q, p)
+        e_p = (1.0 - strat.fail_p) / (1.0 - c * c) * np.outer(not_q, not_q.conj())
+        e_q = (1.0 - strat.fail_q) / (1.0 - c * c) * np.outer(not_p, not_p.conj())
+    e_fail = np.eye(len(p)) - e_p - e_q
+    return [[np.real(np.vdot(x, e @ x)) for e in (e_p, e_q, e_fail)] for x in (p, q)]
+
+
+def _full_neumark_probs(pair, strat):
+    c, dim = pair.overlap_c, pair.p.dim
+    overlap = np.vdot(pair.p.amplitudes, pair.q.amplitudes)
+    phase = overlap / c if c > 0.0 else 1.0
+    x1, x2, y1, y2 = np.zeros((4, 2 * dim), dtype=complex)
+    x1[:dim], x2[:dim] = pair.p.amplitudes, pair.q.amplitudes
+    y1[0], y1[dim] = math.sqrt(1.0 - strat.fail_p), math.sqrt(strat.fail_p)
+    y2[1], y2[dim] = math.sqrt(1.0 - strat.fail_q), math.sqrt(strat.fail_q) * phase
+
+    def complete(first, second):
+        given = np.column_stack([first, _unit_orthogonal(second, first)])
+        q, _ = np.linalg.qr(given, mode="complete")
+        return np.column_stack([given, q[:, 2:]])
+
+    unitary = complete(y1, y2) @ complete(x1, x2).conj().T
+    probs = []
+    for x in (x1, x2):
+        evolved = unitary @ x
+        weights = np.abs(evolved) ** 2
+        probs.append([weights[0], weights[1], weights[dim:].sum()])
+    return probs
+
+
+def _oracle_table(instance, order, engine):
+    full_probs = _full_povm_probs if engine is Engine.POVM_SAMPLING else _full_neumark_probs
+    probs = np.array(
+        [
+            full_probs(
+                instance.parties[rec.party_index],
+                optimal_strategy(rec.local_overlap, rec.priors_before),
+            )
+            for rec in run_protocol(instance, order).transcript
+            if not rec.skipped
+        ]
+    ).reshape(-1, 2, 3)
+    probs[probs < 1e-30] = 0.0
+    table = probs / probs.sum(axis=2, keepdims=True)
+    table[:, [0, 1], [1, 0]] = 0.0
+    return table
+
+
+@pytest.mark.parametrize("engine", list(Engine), ids=lambda e: e.value)
+def test_tables_match_the_full_dimensional_construction(engine):
+    for i in range(60):
+        dim = (2, 3, 5, 8, 16, 33, 64)[i % 7]
+        base = random_instance(1 + i % 4, dim, (575, i))
+        # Overlaps 0 and 1 too: an orthogonal party and a skipped one.
+        extra = tuple(state_pair_with_overlap(c, dim, (576, i)) for c in (0.0, 1.0))
+        inst = ProductInstance(base.parties + extra, base.priors)
+        order = tuple(reversed(range(inst.n_parties)))
+        table = mc._outcome_table(inst, order, engine)
+        np.testing.assert_allclose(table, _oracle_table(inst, order, engine), rtol=0, atol=1e-12)
+
+
+_LEAK_SCRIPT = r"""
+import dataclasses
+import sys
 
 import uqsd.montecarlo as mc
 from uqsd import InternalFaultError, Priors, ProductInstance, state_pair_with_overlap
 
-real = mc.evolve_with_ancilla
+real = mc.neumark_model
 
 
-def leaky(model, state):
-    evolved = np.array(real(model, state))
-    evolved[2] += 1e-3  # weight on |s1>|e_2>, outside span{|p1>, |q1>}
-    return evolved
+def leaky(pair, strategy):
+    # A dilation that is not unitary: it leaks 0.2 % of each state's norm^2.
+    model = real(pair, strategy)
+    return dataclasses.replace(model, unitary=0.999 * model.unitary)
 
 
-mc.evolve_with_ancilla = leaky
+mc.neumark_model = leaky
 inst = ProductInstance((state_pair_with_overlap(0.5, 3, 0),), Priors(0.5, 0.5))
 try:
     mc.simulate(inst, (0,), 10, 0, mc.Engine.NEUMARK_EVOLUTION)
@@ -240,4 +358,4 @@ def test_neumark_span_check_survives_python_optimize():
         [sys.executable, "-O", "-c", _LEAK_SCRIPT], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "span" in proc.stdout
+    assert "not unitary" in proc.stdout

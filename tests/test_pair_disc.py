@@ -215,38 +215,36 @@ def _pair_and_strategy(c, r, seed=0, dim=2):
 @pytest.mark.parametrize("c,r,dim", [(0.5, 0.5, 2), (0.5, 0.9, 2), (0.3, 0.7, 3), (0.85, 0.4, 4)])
 def test_povm_invariants(c, r, dim):
     pair, strat = _pair_and_strategy(c, r, seed=13, dim=dim)
-    povm = build_povm(pair, strat)
+    e_p, e_q, e_fail = build_povm(pair, strat).embedded()
     identity = np.eye(dim)
-    np.testing.assert_allclose(
-        povm.e_p + povm.e_q + povm.e_fail, identity, atol=1e-12
-    )
-    for element in (povm.e_p, povm.e_q, povm.e_fail):
+    np.testing.assert_allclose(e_p + e_q + e_fail, identity, atol=1e-12)
+    for element in (e_p, e_q, e_fail):
         assert np.min(np.linalg.eigvalsh(element)) >= -1e-12
     p, q = pair.p.amplitudes, pair.q.amplitudes
-    assert abs(np.vdot(q, povm.e_p @ q)) < 1e-12
-    assert abs(np.vdot(p, povm.e_q @ p)) < 1e-12
+    assert abs(np.vdot(q, e_p @ q)) < 1e-12
+    assert abs(np.vdot(p, e_q @ p)) < 1e-12
     # Born probabilities reproduce the strategy
-    assert abs(np.real(np.vdot(p, povm.e_p @ p)) - (1 - strat.fail_p)) < 1e-12
-    assert abs(np.real(np.vdot(p, povm.e_fail @ p)) - strat.fail_p) < 1e-12
-    assert abs(np.real(np.vdot(q, povm.e_fail @ q)) - strat.fail_q) < 1e-12
+    assert abs(np.real(np.vdot(p, e_p @ p)) - (1 - strat.fail_p)) < 1e-12
+    assert abs(np.real(np.vdot(p, e_fail @ p)) - strat.fail_p) < 1e-12
+    assert abs(np.real(np.vdot(q, e_fail @ q)) - strat.fail_q) < 1e-12
 
 
 def test_povm_orthogonal_pair_is_projective():
     pair, strat = _pair_and_strategy(0.0, 0.5, seed=2)
-    povm = build_povm(pair, strat)
+    e_p, e_q, _ = build_povm(pair, strat).embedded()
     np.testing.assert_allclose(
-        povm.e_p, np.outer(pair.p.amplitudes, pair.p.amplitudes.conj()), atol=1e-12
+        e_p, np.outer(pair.p.amplitudes, pair.p.amplitudes.conj()), atol=1e-12
     )
     np.testing.assert_allclose(
-        povm.e_q, np.outer(pair.q.amplitudes, pair.q.amplitudes.conj()), atol=1e-12
+        e_q, np.outer(pair.q.amplitudes, pair.q.amplitudes.conj()), atol=1e-12
     )
 
 
 def test_povm_saturated_regime_never_identifies_unlikely_state():
     pair, strat = _pair_and_strategy(0.5, 0.9, seed=4)
-    povm = build_povm(pair, strat)
+    _, e_q, _ = build_povm(pair, strat).embedded()
     assert strat.fail_q == 1.0
-    np.testing.assert_allclose(povm.e_q, np.zeros((2, 2)), atol=1e-12)
+    np.testing.assert_allclose(e_q, np.zeros((2, 2)), atol=1e-12)
 
 
 def test_povm_rejects_identical_pair():
@@ -259,10 +257,10 @@ def test_povm_rejects_identical_pair():
 def test_neumark_unitarity_and_branches(c, r, dim):
     pair, strat = _pair_and_strategy(c, r, seed=21, dim=dim)
     model = neumark_model(pair, strat)
-    total = 2 * dim
-    np.testing.assert_allclose(
-        model.unitary.conj().T @ model.unitary, np.eye(total), atol=1e-12
-    )
+    for unitary in (model.unitary, model.embedded_unitary()):
+        np.testing.assert_allclose(
+            unitary.conj().T @ unitary, np.eye(len(unitary)), atol=1e-12
+        )
     for state, fail_prob in ((pair.p, strat.fail_p), (pair.q, strat.fail_q)):
         evolved = evolve_with_ancilla(model, state)
         block = evolved[dim:]
@@ -276,22 +274,22 @@ def test_neumark_unitarity_and_branches(c, r, dim):
 def test_neumark_failure_states_differ_by_the_overlap_phase():
     pair, strat = _pair_and_strategy(0.6, 0.5, seed=8)
     model = neumark_model(pair, strat)
-    assert abs(abs(model.fail_phase) - 1.0) < 1e-12
+    assert abs(abs(model.span.phase) - 1.0) < 1e-12
     dim = pair.p.dim
     block_p = evolve_with_ancilla(model, pair.p)[dim:]
     block_q = evolve_with_ancilla(model, pair.q)[dim:]
     beta = math.sqrt(strat.fail_p)
     delta = math.sqrt(strat.fail_q)
-    target = model.fail_state_p2.amplitudes
+    target = model.span.basis[:, 0]
     np.testing.assert_allclose(block_p, beta * target, atol=1e-12)
-    np.testing.assert_allclose(block_q, delta * model.fail_phase * target, atol=1e-12)
+    np.testing.assert_allclose(block_q, delta * model.span.phase * target, atol=1e-12)
 
 
 def test_neumark_conclusive_basis_is_orthonormal():
     pair, strat = _pair_and_strategy(0.4, 0.6, seed=3, dim=3)
     model = neumark_model(pair, strat)
-    p1, q1 = model.conclusive_basis
-    assert abs(np.vdot(p1.amplitudes, q1.amplitudes)) < 1e-12
+    p1, q1 = model.span.basis.T
+    assert abs(np.vdot(p1, q1)) < 1e-12
 
 
 def test_neumark_rejects_inconsistent_strategy():
@@ -317,21 +315,19 @@ def test_neumark_rejects_identical_pair():
 @pytest.mark.parametrize("c,r", [(0.5, 0.5), (0.5, 0.9), (0.25, 0.65), (0.8, 0.5)])
 def test_povm_and_neumark_give_identical_born_probabilities(c, r):
     pair, strat = _pair_and_strategy(c, r, seed=17, dim=3)
-    povm = build_povm(pair, strat)
+    elements = build_povm(pair, strat).embedded()
     model = neumark_model(pair, strat)
     dim = pair.p.dim
+    p1, q1 = model.span.basis.T
     for state in (pair.p, pair.q):
         vec = state.amplitudes
         evolved = evolve_with_ancilla(model, state)
         conclusive = evolved[:dim]
         fail_block = evolved[dim:]
-        born_povm = [
-            float(np.real(np.vdot(vec, e @ vec)))
-            for e in (povm.e_p, povm.e_q, povm.e_fail)
-        ]
+        born_povm = [float(np.real(np.vdot(vec, e @ vec))) for e in elements]
         born_model = [
-            abs(conclusive[0]) ** 2,
-            abs(conclusive[1]) ** 2,
+            abs(np.vdot(p1, conclusive)) ** 2,
+            abs(np.vdot(q1, conclusive)) ** 2,
             float(np.sum(np.abs(fail_block) ** 2)),
         ]
         np.testing.assert_allclose(born_povm, born_model, atol=1e-12)
