@@ -9,29 +9,27 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import functools
 import json
-import math
 import sys
 import traceback
 from typing import Any
 
 import numpy as np
 
-from . import __version__
+from . import __version__, checks
 from .locc import (
     EXHAUSTIVE_MAX_PARTIES,
     best_order,
     checked_order,
     global_optimum,
     global_overlap,
-    group,
-    measurement_count_distribution,
     OrderMode,
     run_protocol,
 )
 from .montecarlo import Engine, simulate
-from .pair_disc import brute_force_strategy, optimal_strategy
+from .pair_disc import optimal_strategy
 from .states import (
     LocalPair,
     Priors,
@@ -39,11 +37,8 @@ from .states import (
     PureState,
     _norm,
     _unit,
-    random_instance,
     state_pair_with_overlap,
 )
-
-_ENGINES = {"povm": Engine.POVM_SAMPLING, "neumark": Engine.NEUMARK_EVOLUTION}
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
@@ -186,7 +181,10 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
             _fail("order", str(exc))
 
     engine_name = doc.get("engine", "povm")
-    if not isinstance(engine_name, str) or engine_name not in _ENGINES:
+    try:
+        # Engine(None) raises, so a name that is not a string fails here too.
+        engine = Engine(engine_name if isinstance(engine_name, str) else None)
+    except ValueError:
         _fail("engine", f"expected 'povm' or 'neumark', got {engine_name!r}")
 
     sweep = doc.get("sweep")
@@ -208,7 +206,7 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
         order=order,
         trials=_integer(doc.get("trials", DEFAULT_TRIALS), "trials", 1),
         seed=_integer(doc.get("seed", DEFAULT_SEED), "seed", 0),
-        engine=_ENGINES[engine_name],
+        engine=engine,
         sweep=sweep,
     )
 
@@ -232,31 +230,47 @@ def parse_scenario(path: str, **flags) -> Scenario:
     return _parse_scenario_dict(doc, **flags)
 
 
-def _instance_to_dict(instance: ProductInstance) -> dict:
+def _instance_json(instance: ProductInstance) -> dict:
+    """An instance in the scenario file's explicit form."""
     return {
-        "priors": {"r": instance.priors.r, "s": instance.priors.s},
-        "parties": [
-            {
-                "u": [[a.real, a.imag] for a in pair.p.amplitudes],
-                "v": [[a.real, a.imag] for a in pair.q.amplitudes],
-            }
-            for pair in instance.parties
-        ],
+        "priors": _fields(instance.priors),
+        "explicit": {
+            "parties": [
+                {
+                    "u": [[a.real, a.imag] for a in pair.p.amplitudes],
+                    "v": [[a.real, a.imag] for a in pair.q.amplitudes],
+                }
+                for pair in instance.parties
+            ]
+        },
     }
 
 
 def serialize_scenario(scenario: Scenario) -> dict:
     """Canonical (explicit) form of a scenario; parsing it back is a no-op."""
-    body = _instance_to_dict(scenario.instance)
     return {
-        "priors": body["priors"],
-        "explicit": {"parties": body["parties"]},
+        **_instance_json(scenario.instance),
         "order": None if scenario.order is None else list(scenario.order),
         "trials": scenario.trials,
         "seed": scenario.seed,
         "engine": scenario.engine.value,
         "sweep": scenario.sweep,
     }
+
+
+def _fields(obj) -> dict:
+    return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+
+
+def _json_default(obj):
+    # Reports hold library results as they are: an enum is written as its
+    # value, an instance as a scenario that replays it, any other dataclass
+    # as its fields (dataclasses.fields raises TypeError on anything else).
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if isinstance(obj, ProductInstance):
+        return _instance_json(obj)
+    return _fields(obj)
 
 
 def _report(command: str, scenario: Scenario | None, body: dict) -> dict:
@@ -268,42 +282,13 @@ def _report(command: str, scenario: Scenario | None, body: dict) -> dict:
 
 
 def _emit(report: dict):
-    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
-
-
-def _priors_dict(priors: Priors) -> dict:
-    return {"r": priors.r, "s": priors.s}
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_json_default))
 
 
 def cmd_optimum(scenario: Scenario) -> dict:
-    instance = scenario.instance
-    c = global_overlap(instance)
-    strat = optimal_strategy(c, instance.priors)
-    return _report(
-        "optimum",
-        scenario,
-        {
-            "global_overlap": c,
-            "regime": strat.regime.value,
-            "p_success": strat.p_success,
-            "p_fail": strat.p_fail,
-            "fail_p": strat.fail_p,
-            "fail_q": strat.fail_q,
-            "swapped": strat.swapped,
-        },
-    )
-
-
-def _step_dict(rec) -> dict:
-    return {
-        "party_index": rec.party_index,
-        "priors_before": _priors_dict(rec.priors_before),
-        "local_overlap": rec.local_overlap,
-        "regime": rec.regime.value,
-        "p_conclusive_given_reached": rec.p_conclusive_given_reached,
-        "posterior_after_fail": _priors_dict(rec.posterior_after_fail),
-        "skipped": rec.skipped,
-    }
+    c = global_overlap(scenario.instance)
+    strategy = optimal_strategy(c, scenario.instance.priors)
+    return _report("optimum", scenario, {"global_overlap": c, **_fields(strategy)})
 
 
 def cmd_protocol(scenario: Scenario, quiet: bool = False) -> dict:
@@ -318,47 +303,16 @@ def cmd_protocol(scenario: Scenario, quiet: bool = False) -> dict:
         "local_global_gap": abs(result.p_success - global_optimum(instance)),
     }
     if not quiet:
-        body["transcript"] = [_step_dict(rec) for rec in result.transcript]
+        body["transcript"] = result.transcript
     return _report("protocol", scenario, body)
 
 
-def cmd_simulate(scenario: Scenario, quiet: bool = False) -> dict:
+def cmd_simulate(scenario: Scenario) -> dict:
     instance = scenario.instance
     order = scenario.order or tuple(range(instance.n_parties))
     stats = simulate(instance, order, scenario.trials, scenario.seed, scenario.engine)
-    analytic = run_protocol(instance, order)
-    dist = measurement_count_distribution(analytic)
-    count_var = sum(k * k * p for k, p in dist) - analytic.expected_measurements**2
-    count_stderr = math.sqrt(max(0.0, count_var) / stats.trials)
-
-    def z_score(delta: float, stderr: float):
-        if stderr > 0.0:
-            return delta / stderr
-        return 0.0 if delta == 0.0 else None
-
-    return _report(
-        "simulate",
-        scenario,
-        {
-            "engine": scenario.engine.value,
-            "trials": stats.trials,
-            "seed": scenario.seed,
-            "order": list(order),
-            "success_rate": stats.success_rate,
-            "success_stderr": stats.success_stderr,
-            "misidentifications": stats.misidentifications,
-            "mean_measurements": stats.mean_measurements,
-            "analytic": {
-                "p_success": analytic.p_success,
-                "expected_measurements": analytic.expected_measurements,
-                "count_stderr": count_stderr,
-            },
-            "z_success": z_score(stats.success_rate - analytic.p_success, stats.success_stderr),
-            "z_measurements": z_score(
-                stats.mean_measurements - analytic.expected_measurements, count_stderr
-            ),
-        },
-    )
+    body = {"engine": scenario.engine, "seed": scenario.seed, "order": list(order)}
+    return _report("simulate", scenario, {**body, **_fields(stats)})
 
 
 def cmd_order(scenario: Scenario, exhaustive: bool = False, quiet: bool = False) -> dict:
@@ -367,7 +321,7 @@ def cmd_order(scenario: Scenario, exhaustive: bool = False, quiet: bool = False)
     if exhaustive and n > EXHAUSTIVE_MAX_PARTIES:
         raise ScenarioError(
             f"exhaustive order search refused for n = {n} (> {EXHAUSTIVE_MAX_PARTIES}):"
-            f" {n}! protocol runs"
+            f" its walk over the order tree takes sum_k {n}!/({n}-k)! steps"
         )
     asc_order, asc_cost = best_order(instance, OrderMode.ASCENDING_OVERLAP)
     body = {
@@ -388,165 +342,21 @@ def cmd_order(scenario: Scenario, exhaustive: bool = False, quiet: bool = False)
     return _report("order", scenario, body)
 
 
-_VERIFY_TOLERANCES = {
-    "closed_form_vs_oracle": 1e-6,
-    "order_invariance": 1e-12,
-    "grouping_invariance": 1e-12,
-    "boundary_formula_gap": 1e-12,
-    "boundary_perturbation": 1e-7,
-}
-
-
 def cmd_verify(seed: int, count: int) -> tuple[dict, bool]:
     """Run the property suite on `count` random instances per property.
 
     Returns the report and whether every property stayed within tolerance.
     """
-    seed = _integer(seed, "seed", 0)
-    count = _integer(count, "trials", 1)
-    properties: dict[str, dict] = {}
-
-    def record(name: str, deviation: float, worst):
-        tol = _VERIFY_TOLERANCES[name]
-        entry = {
-            "max_deviation": deviation,
-            "tolerance": tol,
-            "pass": bool(deviation <= tol),
-        }
-        if not entry["pass"]:
-            entry["worst"] = worst
-        properties[name] = entry
-
-    # Closed form vs independent grid oracle over random (c, r).
-    rng = np.random.default_rng((seed, 0))
-    worst_dev, worst_case = -1.0, None
-    for _ in range(count):
-        c = float(rng.random())
-        r = float(rng.random())
-        priors = Priors(r, 1.0 - r)
-        dev = abs(
-            optimal_strategy(c, priors).p_success
-            - brute_force_strategy(c, priors, 300).p_success
-        )
-        if dev > worst_dev:
-            worst_dev, worst_case = dev, {"c": c, "r": r}
-    record("closed_form_vs_oracle", worst_dev, worst_case)
-
-    # Every visiting order reproduces the joint optimum.
-    worst_dev, worst_case = -1.0, None
-    for i in range(count):
-        n = 2 + i % 3
-        dim = 2 + i % 2
-        instance = random_instance(n, dim, (seed, 1, i))
-        target = global_optimum(instance)
-        rows = []
-        best_order(instance, OrderMode.EXHAUSTIVE, table=rows)
-        for perm, _, p_success in rows:
-            dev = abs(p_success - target)
-            if dev > worst_dev:
-                worst_dev, worst_case = dev, {
-                    "instance": _instance_to_dict(instance),
-                    "order": list(perm),
-                }
-    record("order_invariance", worst_dev, worst_case)
-
-    # Merging parties into effective parties leaves the result unchanged.
-    partitions = [[[0, 1], [2]], [[0], [1, 2]], [[0, 1, 2]]]
-    worst_dev, worst_case = -1.0, None
-    for i in range(count):
-        instance = random_instance(3, 2, (seed, 2, i))
-        base = run_protocol(instance, (0, 1, 2)).p_success
-        for partition in partitions:
-            grouped = group(instance, partition)
-            dev = abs(
-                run_protocol(grouped, tuple(range(grouped.n_parties))).p_success - base
-            )
-            if dev > worst_dev:
-                worst_dev, worst_case = dev, {
-                    "instance": _instance_to_dict(instance),
-                    "partition": partition,
-                }
-    record("grouping_invariance", worst_dev, worst_case)
-
-    # Both closed-form branches meet at the regime boundary...
-    rng = np.random.default_rng((seed, 3))
-    worst_gap, worst_gap_case = -1.0, None
-    worst_jump, worst_jump_case = -1.0, None
-    delta = 1e-9
-    for _ in range(count):
-        c = 0.05 + 0.9 * float(rng.random())
-        r = 1.0 / (1.0 + c * c)  # the boundary sqrt(s/r) = c
-        s = 1.0 - r
-        equal_branch = 1.0 - 2.0 * math.sqrt(r * s) * c
-        saturated_branch = r * (1.0 - c * c)
-        implemented = optimal_strategy(c, Priors(r, s)).p_success
-        gap = max(
-            abs(equal_branch - saturated_branch),
-            abs(implemented - equal_branch),
-            abs(implemented - saturated_branch),
-        )
-        if gap > worst_gap:
-            worst_gap, worst_gap_case = gap, {"c": c, "r": r}
-        # ... and crossing it changes the output only infinitesimally.
-        above = optimal_strategy(c, Priors(r + delta, s - delta)).p_success
-        below = optimal_strategy(c, Priors(r - delta, s + delta)).p_success
-        jump = abs(above - below)
-        if jump > worst_jump:
-            worst_jump, worst_jump_case = jump, {"c": c, "r": r}
-    record("boundary_formula_gap", worst_gap, worst_gap_case)
-    record("boundary_perturbation", worst_jump, worst_jump_case)
-
-    all_pass = all(entry["pass"] for entry in properties.values())
-    report = {
-        "command": "verify",
-        "version": __version__,
-        "seed": seed,
-        "count": count,
-        "properties": properties,
-        "all_pass": all_pass,
-    }
-    return report, all_pass
+    result = checks.verify(_integer(seed, "seed", 0), _integer(count, "trials", 1))
+    return _report("verify", None, _fields(result)), result.all_pass
 
 
-def cmd_sweep(scenario: Scenario, csv: bool = False) -> tuple[dict | None, list[str]]:
-    """Tabulate the success-probability surface over a (c, r) grid.
-
-    Each row's sequential-protocol column comes from a two-party instance
-    whose local overlaps are both sqrt(c), so the physical path is exercised
-    rather than the closed form alone.
-    """
+def cmd_sweep(scenario: Scenario) -> dict:
+    """Tabulate the success-probability surface over the scenario's (c, r) grid."""
     if not scenario.sweep:
         raise ScenarioError("sweep command needs a 'sweep' block with 'c' and 'r' grids")
-    rows = []
-    lines = ["c,r,regime,p_global,p_locc,e_count"]
-    row_index = 0
-    for r in scenario.sweep["r"]:
-        for c in scenario.sweep["c"]:
-            priors = Priors(r, 1.0 - r)
-            strat = optimal_strategy(c, priors)
-            root = math.sqrt(c)
-            pairs = tuple(
-                state_pair_with_overlap(root, 2, (scenario.seed, row_index, k))
-                for k in range(2)
-            )
-            result = run_protocol(ProductInstance(pairs, priors), (0, 1))
-            row = {
-                "c": c,
-                "r": r,
-                "regime": strat.regime.value,
-                "p_global": strat.p_success,
-                "p_locc": result.p_success,
-                "e_count": result.expected_measurements,
-            }
-            rows.append(row)
-            lines.append(
-                f"{c!r},{r!r},{strat.regime.value},"
-                f"{strat.p_success!r},{result.p_success!r},{result.expected_measurements!r}"
-            )
-            row_index += 1
-    if csv:
-        return None, lines
-    return _report("sweep", scenario, {"rows": rows}), []
+    rows = checks.sweep(scenario.sweep["c"], scenario.sweep["r"], scenario.seed)
+    return _report("sweep", scenario, {"rows": rows})
 
 
 def _int_list(text: str) -> list[int]:
@@ -577,21 +387,23 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         if scenario:
             p.add_argument("--scenario", required=True, help="path to a scenario JSON file")
-        p.add_argument("--quiet", action="store_true", help="suppress transcripts/tables")
         return p
 
     add("optimum", "closed-form optimum for the scenario's global overlap")
 
     p = add("protocol", "run the sequential protocol and print the transcript")
+    p.add_argument("--quiet", action="store_true", help="drop the transcript")
     p.add_argument("--order", type=_int_list, help="comma-separated visiting order, e.g. 2,0,1")
 
     p = add("simulate", "Monte Carlo the protocol and compare with the analytic values")
+    p.add_argument("--quiet", action="store_true", help="accepted; changes nothing")
     p.add_argument("--order", type=_int_list, help="comma-separated visiting order")
     p.add_argument("--trials", type=int, help="number of trials (default from scenario)")
     p.add_argument("--seed", type=int, help="simulation seed (default from scenario)")
     p.add_argument("--engine", help="sampling engine: povm or neumark")
 
     p = add("order", "best visiting order: ascending heuristic plus exhaustive table")
+    p.add_argument("--quiet", action="store_true", help="drop the exhaustive table")
     p.add_argument("--exhaustive", action="store_true", help="require the exhaustive search")
 
     p = add("verify", "run the property suite on random instances", scenario=False)
@@ -622,15 +434,20 @@ def main(argv=None) -> int:
         elif args.command == "protocol":
             _emit(cmd_protocol(scenario, quiet=args.quiet))
         elif args.command == "simulate":
-            _emit(cmd_simulate(scenario, quiet=args.quiet))
+            _emit(cmd_simulate(scenario))
         elif args.command == "order":
             _emit(cmd_order(scenario, exhaustive=args.exhaustive, quiet=args.quiet))
         elif args.command == "sweep":
-            report, lines = cmd_sweep(scenario, csv=args.csv)
-            if report is not None:
+            report = cmd_sweep(scenario)
+            if args.csv:
+                print("c,r,regime,p_global,p_locc,e_count")
+                for row in report["rows"]:
+                    print(
+                        f"{row.c!r},{row.r!r},{row.regime.value},"
+                        f"{row.p_global!r},{row.p_locc!r},{row.e_count!r}"
+                    )
+            else:
                 _emit(report)
-            for line in lines:
-                print(line)
         return 0
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .locc import run_protocol
+from .locc import StepRecord, measurement_count_distribution, run_protocol
 from .pair_disc import build_povm, neumark_model, optimal_strategy
 from .states import NORM_TOL, InternalFaultError, ProductInstance
 
@@ -49,12 +49,26 @@ _FAIL = 2
 
 
 @dataclasses.dataclass(frozen=True)
+class Analytic:
+    """The exact figures a run is compared with; count_stderr is for its trials."""
+
+    p_success: float
+    expected_measurements: float
+    count_stderr: float
+
+
+@dataclasses.dataclass(frozen=True)
 class SimStats:
+    """Sampled figures vs `analytic`; a z-score is None if its stderr is 0 yet the two differ."""
+
     trials: int
     success_rate: float
     misidentifications: int
     mean_measurements: float
     success_stderr: float
+    analytic: Analytic
+    z_success: float | None
+    z_measurements: float | None
 
 
 def _born_probabilities(steps) -> np.ndarray:
@@ -82,12 +96,14 @@ def _branch_weights(steps) -> np.ndarray:
     return np.concatenate([weights[:, :, :2], fail], axis=2)
 
 
-def _outcome_table(instance: ProductInstance, order: Sequence[int], engine: Engine) -> np.ndarray:
+def _outcome_table(
+    instance: ProductInstance, transcript: Sequence[StepRecord], engine: Engine
+) -> np.ndarray:
     """P(identify p, identify q, fail | truth), shape (steps, 2, 3).
 
-    One entry per non-skipped step in visiting order; the truth axis lists
-    p first.  The entries that contradict the truth are exactly 0, so no
-    uniform, not even 0.0, can misidentify.
+    One entry per non-skipped step of the protocol transcript, in visiting
+    order; the truth axis lists p first.  The entries that contradict the
+    truth are exactly 0, so no uniform, not even 0.0, can misidentify.
     """
     if engine is Engine.POVM_SAMPLING:
         compile_steps = _born_probabilities
@@ -97,7 +113,7 @@ def _outcome_table(instance: ProductInstance, order: Sequence[int], engine: Engi
         raise ValueError(f"unknown engine: {engine!r}")
     steps = [
         (instance.parties[rec.party_index], optimal_strategy(rec.local_overlap, rec.priors_before))
-        for rec in run_protocol(instance, order).transcript
+        for rec in transcript
         if not rec.skipped
     ]
     if not steps:
@@ -138,7 +154,8 @@ def _sample(table: np.ndarray, prior_r: float, u: np.ndarray):
     return truth, conclusion, used
 
 
-def _tally(table: np.ndarray, prior_r: float, trials: int, seed: int) -> SimStats:
+def _tally(table: np.ndarray, prior_r: float, trials: int, seed: int) -> tuple[int, int, int]:
+    """Successes, misidentifications and measurements used over `trials` trials."""
     width = 1 + len(table)
     rows_per_draw = max(1, _DRAW_CAP // width)
     # cells[truth * 3 + conclusion] counts trials per (truth, conclusion).
@@ -154,14 +171,13 @@ def _tally(table: np.ndarray, prior_r: float, trials: int, seed: int) -> SimStat
             measurements += int(used.sum())
             left -= take
     (p_p, p_q, _), (q_p, q_q, _) = cells.reshape(2, 3).tolist()
-    rate = (p_p + q_q) / trials
-    return SimStats(
-        trials=trials,
-        success_rate=rate,
-        misidentifications=p_q + q_p,
-        mean_measurements=measurements / trials,
-        success_stderr=math.sqrt(rate * (1.0 - rate) / trials),
-    )
+    return p_p + q_q, p_q + q_p, measurements
+
+
+def _z_score(delta: float, stderr: float) -> float | None:
+    if stderr > 0.0:
+        return delta / stderr
+    return 0.0 if delta == 0.0 else None
 
 
 def simulate(
@@ -171,7 +187,7 @@ def simulate(
     seed: int,
     engine: Engine,
 ) -> SimStats:
-    """Aggregate many independent trials.
+    """Aggregate many independent trials and compare them with run_protocol.
 
     Trials run in blocks of BLOCK; block b draws from the stream seeded
     (seed, b), so the statistics are reproducible and independent of how
@@ -181,5 +197,22 @@ def simulate(
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
-    table = _outcome_table(instance, order, engine)
-    return _tally(table, instance.priors.r, trials, seed)
+    result = run_protocol(instance, order)
+    table = _outcome_table(instance, result.transcript, engine)
+    successes, misidentifications, measurements = _tally(table, instance.priors.r, trials, seed)
+    rate = successes / trials
+    success_stderr = math.sqrt(rate * (1.0 - rate) / trials)
+    mean = measurements / trials
+    dist = measurement_count_distribution(result)
+    count_var = sum(k * k * p for k, p in dist) - result.expected_measurements**2
+    count_stderr = math.sqrt(max(0.0, count_var) / trials)
+    return SimStats(
+        trials=trials,
+        success_rate=rate,
+        misidentifications=misidentifications,
+        mean_measurements=mean,
+        success_stderr=success_stderr,
+        analytic=Analytic(result.p_success, result.expected_measurements, count_stderr),
+        z_success=_z_score(rate - result.p_success, success_stderr),
+        z_measurements=_z_score(mean - result.expected_measurements, count_stderr),
+    )

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import uqsd.checks as checks
 import uqsd.cli as cli
 import uqsd.locc as locc
 from uqsd import InternalFaultError
@@ -411,7 +412,7 @@ def test_verify_passes_and_is_byte_deterministic(capsys):
 
 
 def test_verify_violation_exits_with_status_two(capsys, monkeypatch):
-    monkeypatch.setitem(cli._VERIFY_TOLERANCES, "closed_form_vs_oracle", -1.0)
+    monkeypatch.setitem(checks.TOLERANCES, "closed_form_vs_oracle", -1.0)
     code, out, _ = run_cli(capsys, "verify", "--seed", "2", "--trials", "5")
     assert code == 2
     report = json.loads(out)
@@ -422,7 +423,7 @@ def test_verify_violation_exits_with_status_two(capsys, monkeypatch):
 
 
 def test_verify_failure_records_the_worst_case(monkeypatch):
-    monkeypatch.setitem(cli._VERIFY_TOLERANCES, "closed_form_vs_oracle", -1.0)
+    monkeypatch.setitem(checks.TOLERANCES, "closed_form_vs_oracle", -1.0)
     report, ok = cmd_verify(5, 10)
     assert not ok
     entry = report["properties"]["closed_form_vs_oracle"]
@@ -430,6 +431,25 @@ def test_verify_failure_records_the_worst_case(monkeypatch):
     assert 0.0 <= entry["worst"]["c"] <= 1.0
     # the other properties keep their stock tolerances and still pass
     assert report["properties"]["order_invariance"]["pass"] is True
+
+
+def test_failing_verify_case_replays_through_scenario(tmp_path, capsys, monkeypatch):
+    # The worst case of a failing property is a scenario file in explicit
+    # form; JSON float reprs round-trip, so the replay reproduces the reported
+    # deviation exactly.
+    monkeypatch.setitem(checks.TOLERANCES, "order_invariance", -1.0)
+    code, out, _ = run_cli(capsys, "verify", "--seed", "4", "--trials", "6")
+    assert code == 2
+    entry = json.loads(out)["properties"]["order_invariance"]
+    worst = entry["worst"]
+    path = write_scenario(tmp_path, worst["instance"])
+    order = ",".join(map(str, worst["order"]))
+    code, out, _ = run_cli(capsys, "protocol", "--scenario", path, "--order", order)
+    assert code == 0
+    p_success = json.loads(out)["p_success"]
+    code, out, _ = run_cli(capsys, "optimum", "--scenario", path)
+    assert code == 0
+    assert abs(p_success - json.loads(out)["p_success"]) == entry["max_deviation"]
 
 
 def test_verify_rejects_nonpositive_count():
@@ -491,6 +511,13 @@ def test_usage_errors_map_to_exit_one(capsys):
     code, _, err = run_cli(capsys, "optimum")
     assert code == 1
     assert "--scenario" in err
+
+    # --quiet belongs to the commands whose reports it shortens (and simulate).
+    bipartite = str(SCENARIOS / "bipartite.json")
+    for argv in (["optimum", "--scenario", bipartite, "--quiet"], ["verify", "--quiet"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --quiet" in err
 
 
 def test_shipped_scenarios_parse_and_run(capsys):

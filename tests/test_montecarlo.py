@@ -29,6 +29,10 @@ def _abstract_instance(overlaps, r, seed=0):
     return ProductInstance(pairs, Priors(r, 1.0 - r))
 
 
+def _table(inst, order, engine):
+    return mc._outcome_table(inst, run_protocol(inst, order).transcript, engine)
+
+
 def test_orthogonal_states_conclude_immediately():
     # Every trial is settled, correctly, by the first party.
     inst = _abstract_instance([0.0, 0.0], 0.5)
@@ -142,7 +146,7 @@ def test_block_is_the_unit_of_reproducibility(engine):
     head = simulate(inst, order, mc.BLOCK, seed, engine)
     # The 7 trials past the first block are the first 7 rows of stream
     # (seed, 1).
-    table = mc._outcome_table(inst, order, engine)
+    table = _table(inst, order, engine)
     u = np.random.default_rng((seed, 1)).random((7, 1 + len(table)))
     truth, conclusion, used = mc._sample(table, inst.priors.r, u)
     head_correct, head_measurements = _counts(head)
@@ -165,8 +169,8 @@ def test_povm_and_neumark_tables_agree():
     for i in range(50):
         inst = random_instance(1 + i % 4, 2 + i % 3, (515, i))
         order = tuple(range(inst.n_parties))
-        povm = mc._outcome_table(inst, order, Engine.POVM_SAMPLING)
-        neumark = mc._outcome_table(inst, order, Engine.NEUMARK_EVOLUTION)
+        povm = _table(inst, order, Engine.POVM_SAMPLING)
+        neumark = _table(inst, order, Engine.NEUMARK_EVOLUTION)
         assert povm.shape == neumark.shape == (inst.n_parties, 2, 3)
         np.testing.assert_allclose(povm, neumark, rtol=0, atol=1e-12)
         np.testing.assert_allclose(povm.sum(axis=2), 1.0, rtol=0, atol=1e-12)
@@ -180,7 +184,7 @@ def test_table_fail_entries_match_the_protocol(engine):
         pairs = base.parties + (state_pair_with_overlap(1.0, 2, (525, i)),)
         inst = ProductInstance(pairs, base.priors)
         order = tuple(reversed(range(inst.n_parties)))
-        table = mc._outcome_table(inst, order, engine)
+        table = _table(inst, order, engine)
         steps = [rec for rec in run_protocol(inst, order).transcript if not rec.skipped]
         assert len(table) == len(steps)
         for row, rec in zip(table, steps):
@@ -196,7 +200,7 @@ def test_zero_step_uniform_never_misidentifies(engine):
     # rounding residue in a cross entry it would name the wrong state.
     for i in range(30):
         inst = random_instance(2 + i % 3, 2 + i % 2, (535, i))
-        table = mc._outcome_table(inst, tuple(range(inst.n_parties)), engine)
+        table = _table(inst, tuple(range(inst.n_parties)), engine)
         u = np.zeros((2, 1 + len(table)))
         u[1, 0] = np.nextafter(1.0, 0.0)  # prepares q; row 0 prepares p
         truth, conclusion, _ = mc._sample(table, inst.priors.r, u)
@@ -213,7 +217,7 @@ def test_orthogonal_party_never_fails(engine):
         assert orthogonal.overlap_c == 0.0
         other = state_pair_with_overlap(0.4, 2, (546, i))
         inst = ProductInstance((other, orthogonal), Priors(0.3, 0.7))
-        table = mc._outcome_table(inst, (0, 1), engine)
+        table = _table(inst, (0, 1), engine)
         assert table[1, :, mc._FAIL].tolist() == [0.0, 0.0]
 
 
@@ -238,7 +242,7 @@ def test_edge_overlap_rows_are_analytic(engine, c, r):
             [1.0 - strat.fail_p, 0.0, strat.fail_p],
             [0.0, 1.0 - strat.fail_q, strat.fail_q],
         ]
-        table = mc._outcome_table(inst, (0,), engine)
+        table = _table(inst, (0,), engine)
         np.testing.assert_allclose(table, [want], rtol=0, atol=1e-12)
 
 
@@ -318,7 +322,7 @@ def test_tables_match_the_full_dimensional_construction(engine):
         extra = tuple(state_pair_with_overlap(c, dim, (576, i)) for c in (0.0, 1.0))
         inst = ProductInstance(base.parties + extra, base.priors)
         order = tuple(reversed(range(inst.n_parties)))
-        table = mc._outcome_table(inst, order, engine)
+        table = _table(inst, order, engine)
         np.testing.assert_allclose(table, _oracle_table(inst, order, engine), rtol=0, atol=1e-12)
 
 
