@@ -7,7 +7,6 @@ sequential protocol over a grid of global overlaps and priors.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from collections.abc import Sequence
 
@@ -129,18 +128,27 @@ def sweep(cs: Sequence[float], rs: Sequence[float], seed: int) -> list[SweepRow]
 
     Each row's protocol column comes from a two-party instance whose local
     overlaps are both sqrt(c), so the physical path is exercised rather than
-    the closed form alone; row k draws its pairs from seeds (seed, k, 0) and
-    (seed, k, 1).
+    the closed form alone.  The instance depends on c only, so it is built
+    once per overlap column: column i (overlap cs[i]) draws its pairs from
+    seeds (seed, i, 0) and (seed, i, 1), and every r runs the protocol on
+    them with its own priors.  Rows of the first r are the same as in
+    earlier versions, which drew each row k from seeds (seed, k, j); later
+    rows can differ from those in the last bits.
     """
+    columns = [
+        tuple(state_pair_with_overlap(math.sqrt(c), 2, (seed, i, j)) for j in range(2))
+        for i, c in enumerate(cs)
+    ]
     rows = []
-    for k, (r, c) in enumerate(itertools.product(rs, cs)):
+    for r in rs:
         priors = Priors(r, 1.0 - r)
-        strat = optimal_strategy(c, priors)
-        pairs = tuple(state_pair_with_overlap(math.sqrt(c), 2, (seed, k, j)) for j in range(2))
-        result = run_protocol(ProductInstance(pairs, priors), (0, 1))
-        rows.append(
-            SweepRow(
-                c, r, strat.regime, strat.p_success, result.p_success, result.expected_measurements
+        for c, pairs in zip(cs, columns):
+            strat = optimal_strategy(c, priors)
+            result = run_protocol(ProductInstance(pairs, priors), (0, 1))
+            rows.append(
+                SweepRow(
+                    c, r, strat.regime, strat.p_success, result.p_success,
+                    result.expected_measurements,
+                )
             )
-        )
     return rows

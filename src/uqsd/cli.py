@@ -1,8 +1,9 @@
 """Command-line surface: scenario files in, machine-readable reports out.
 
-Commands print one JSON document (or CSV for `sweep --csv`) to stdout.  Exit
-codes: 0 on success, 1 on any input problem, 2 when the `verify` property
-suite finds a violation, 3 on an internal fault (traceback on stderr).
+Commands print one JSON document on one line (or CSV for `sweep --csv`) to
+stdout; `python -m json.tool` pretty-prints it.  Exit codes: 0 on success, 1
+on any input problem, 2 when the `verify` property suite finds a violation, 3
+on an internal fault (traceback on stderr).
 """
 
 from __future__ import annotations
@@ -96,7 +97,10 @@ def _amplitudes_from_json(entries, field: str) -> PureState:
             or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
         ):
             _fail(f"{field}[{j}]", f"expected [re, im], got {pair!r}")
-        vec[j] = complex(pair[0], pair[1])
+        try:
+            vec[j] = complex(pair[0], pair[1])
+        except OverflowError:  # an integer too large for a float
+            _fail(f"{field}[{j}]", "amplitude does not fit in a float")
     norm = _norm(vec)
     if abs(norm - 1.0) > 1e-6:
         _fail(field, f"amplitudes have norm {norm!r}; expected a unit vector")
@@ -227,7 +231,13 @@ def parse_scenario(path: str, **flags) -> Scenario:
         raise ScenarioError(
             f"scenario file {path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # e.g. an integer literal past Python's digit limit
+        raise ScenarioError(f"scenario file {path} cannot be read as JSON: {exc}") from exc
     return _parse_scenario_dict(doc, **flags)
+
+
+def _amplitudes_json(amplitudes: np.ndarray) -> list:
+    return amplitudes.view(np.float64).reshape(-1, 2).tolist()
 
 
 def _instance_json(instance: ProductInstance) -> dict:
@@ -237,8 +247,8 @@ def _instance_json(instance: ProductInstance) -> dict:
         "explicit": {
             "parties": [
                 {
-                    "u": [[a.real, a.imag] for a in pair.p.amplitudes],
-                    "v": [[a.real, a.imag] for a in pair.q.amplitudes],
+                    "u": _amplitudes_json(pair.p.amplitudes),
+                    "v": _amplitudes_json(pair.q.amplitudes),
                 }
                 for pair in instance.parties
             ]
@@ -282,7 +292,9 @@ def _report(command: str, scenario: Scenario | None, body: dict) -> dict:
 
 
 def _emit(report: dict):
-    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_json_default))
+    # No `indent`: with it json falls back from its C encoder to the pure-Python
+    # one, which costs about three times as much per report.
+    print(json.dumps(report, sort_keys=True, allow_nan=False, default=_json_default))
 
 
 def cmd_optimum(scenario: Scenario) -> dict:

@@ -12,7 +12,7 @@ import pytest
 import uqsd.checks as checks
 import uqsd.cli as cli
 import uqsd.locc as locc
-from uqsd import InternalFaultError
+from uqsd import InternalFaultError, Priors, ProductInstance, state_pair_with_overlap
 from uqsd.cli import (
     _parse_scenario_dict,
     cmd_verify,
@@ -141,6 +141,14 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
             {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5], "dim": cli.MAX_ABSTRACT_DIM + 1}},
             "abstract.dim",
         ),
+        # An integer amplitude too large for a float used to exit 3 from complex().
+        (
+            {
+                "priors": {"r": 0.5},
+                "explicit": {"parties": [{"u": [[10**400, 0], [0, 0]], "v": [[0, 0], [1, 0]]}]},
+            },
+            "scenario field 'explicit.parties[0].u[0]'",
+        ),
     ],
 )
 def test_invalid_scenarios_exit_one(tmp_path, capsys, doc, fragment):
@@ -149,6 +157,17 @@ def test_invalid_scenarios_exit_one(tmp_path, capsys, doc, fragment):
     assert code == 1
     assert out == ""
     assert fragment in err
+
+
+def test_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    # json.load refuses integer literals longer than Python's digit limit
+    # with a plain ValueError, not a JSONDecodeError.
+    path = tmp_path / "huge.json"
+    seed = "1" + "0" * 5000
+    path.write_text('{"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5], "seed": %s}}' % seed)
+    code, out, err = run_cli(capsys, "optimum", "--scenario", str(path))
+    assert (code, out) == (1, "")
+    assert "cannot be read as JSON" in err
 
 
 def test_abstract_and_explicit_together_rejected(tmp_path, capsys):
@@ -496,6 +515,28 @@ def test_sweep_json_rows_match_grid(tmp_path, capsys):
         assert 1.0 <= row["e_count"] <= 2.0
 
 
+def test_sweep_builds_one_instance_per_overlap_column(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return state_pair_with_overlap(*args)
+
+    monkeypatch.setattr(checks, "state_pair_with_overlap", counted)
+    cs, rs, seed = [0.1, 0.5, 0.9], [0.2, 0.5, 0.7, 1.0], 3
+    rows = checks.sweep(cs, rs, seed)
+    assert len(calls) == 2 * len(cs)
+    assert [(row.c, row.r) for row in rows] == [(c, r) for r in rs for c in cs]
+    for k, row in enumerate(rows):
+        i = k % len(cs)
+        pairs = tuple(
+            state_pair_with_overlap(math.sqrt(cs[i]), 2, (seed, i, j)) for j in range(2)
+        )
+        result = locc.run_protocol(ProductInstance(pairs, Priors(row.r, 1.0 - row.r)), (0, 1))
+        assert row.p_locc == result.p_success
+        assert row.e_count == result.expected_measurements
+
+
 def test_sweep_requires_grid_block(tmp_path, capsys):
     path = write_scenario(tmp_path, {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}})
     code, _, err = run_cli(capsys, "sweep", "--scenario", path, "--csv")
@@ -530,6 +571,31 @@ def test_shipped_scenarios_parse_and_run(capsys):
     _, out, _ = run_cli(capsys, "optimum", "--scenario", str(SCENARIOS / "tripartite.json"))
     expected = 1.0 - 2.0 * math.sqrt(0.6 * 0.4) * (0.9 * 0.5 * 0.2)
     np.testing.assert_allclose(json.loads(out)["p_success"], expected, atol=1e-12)
+
+
+def test_reports_are_one_line_of_sorted_json(tmp_path, tripartite_path, capsys):
+    # Reports are written by json's C encoder: no indent, sorted keys, default
+    # separators, and no NaN or Infinity.
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    sweep = write_scenario(
+        tmp_path,
+        {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": {"c": [0.2], "r": [0.4]}},
+        "sweep.json",
+    )
+    for argv in (
+        ["optimum", "--scenario", tripartite_path],
+        ["protocol", "--scenario", tripartite_path],
+        ["order", "--scenario", tripartite_path],
+        ["simulate", "--scenario", tripartite_path, "--trials", "50"],
+        ["verify", "--seed", "1", "--trials", "3"],
+        ["sweep", "--scenario", sweep],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.count("\n") == 1
+        assert out == json.dumps(json.loads(out, parse_constant=reject), sort_keys=True) + "\n"
 
 
 def test_module_is_runnable_as_a_script(tmp_path):
