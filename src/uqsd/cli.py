@@ -37,7 +37,6 @@ from .states import (
     ProductInstance,
     PureState,
     _norm,
-    _unit,
     state_pair_with_overlap,
 )
 
@@ -105,7 +104,7 @@ def _amplitudes_from_json(entries, field: str) -> PureState:
     if abs(norm - 1.0) > 1e-6:
         _fail(field, f"amplitudes have norm {norm!r}; expected a unit vector")
     try:
-        return PureState(vec.size, _unit(vec, norm))
+        return PureState.normalized(vec)
     except ValueError as exc:  # e.g. NaN amplitudes, whose norm passes the test above
         _fail(field, str(exc))
 
@@ -158,7 +157,7 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
         v = _amplitudes_from_json(party["v"], f"explicit.parties[{i}].v")
         if u.dim != v.dim:
             _fail(f"explicit.parties[{i}]", f"'u' has dim {u.dim} but 'v' has dim {v.dim}")
-        pairs.append(LocalPair.from_states(u, v))
+        pairs.append(LocalPair(u, v))
     return tuple(pairs)
 
 

@@ -230,7 +230,5 @@ def group(instance: ProductInstance, partition: Sequence[Sequence[int]]) -> Prod
             # For 1-D vectors the flattened outer product is the Kronecker product.
             p_vec = np.outer(p_vec, instance.parties[i].p.amplitudes).ravel()
             q_vec = np.outer(q_vec, instance.parties[i].q.amplitudes).ravel()
-        merged.append(
-            LocalPair.from_states(PureState.normalized(p_vec), PureState.normalized(q_vec))
-        )
+        merged.append(LocalPair(PureState.normalized(p_vec), PureState.normalized(q_vec)))
     return ProductInstance(parties=tuple(merged), priors=instance.priors)

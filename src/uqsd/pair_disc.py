@@ -79,8 +79,9 @@ class PairSpan:
     @functools.cached_property
     def basis(self) -> np.ndarray:
         """The (dim, 2) array whose columns are |b0> and |b1>."""
-        p = self.pair.p.amplitudes
-        basis = np.column_stack([p, _orthogonal_unit(self.pair.q.amplitudes, p)])
+        p, q = self.pair.p.amplitudes, self.pair.q.amplitudes
+        b1 = PureState.normalized(q - p * np.vdot(p, q)).amplitudes
+        basis = np.column_stack([p, b1])
         basis.setflags(write=False)
         return basis
 
@@ -228,12 +229,6 @@ def brute_force_strategy(c: float, priors: Priors, grid_points: int) -> Strategy
     p_fail = big * fail_big + small * fail_small
     fail_p, fail_q = (fail_small, fail_big) if swapped else (fail_big, fail_small)
     return Strategy(regime, fail_p, fail_q, 1.0 - p_fail, p_fail, swapped)
-
-
-def _orthogonal_unit(keep: np.ndarray, drop: np.ndarray) -> np.ndarray:
-    # Unit vector in span{keep, drop} orthogonal to drop.
-    resid = keep - drop * np.vdot(drop, keep)
-    return resid / np.linalg.norm(resid)
 
 
 def _span(pair: LocalPair) -> PairSpan:

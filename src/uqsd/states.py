@@ -8,7 +8,7 @@ import math
 import numpy as np
 
 # Centralized numerical tolerances.  NORM_TOL guards structural identities
-# (normalization, cached overlaps, probability sums); PROB_TOL guards looser
+# (normalization, overlap snapping, probability sums); PROB_TOL guards looser
 # consistency checks between independently computed probabilities.
 NORM_TOL = 1e-12
 PROB_TOL = 1e-9
@@ -34,31 +34,6 @@ def _norm(vec: np.ndarray) -> float:
     the same arithmetic without its argument handling.
     """
     return math.sqrt(_norm_sq(vec))
-
-
-def _unit(vec: np.ndarray, norm: float) -> np.ndarray:
-    """`vec` (owned by the caller) scaled to unit norm and made read-only.
-
-    The renormalization is skipped when the norm is already 1 up to a few ulp,
-    so the operation is idempotent: normalizing twice is bit-identical to
-    normalizing once.
-    """
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    if not math.isfinite(norm):
-        raise ValueError("amplitudes must be finite")
-    if abs(norm - 1.0) > 1e-13:
-        vec = vec / norm
-    vec.setflags(write=False)
-    return vec
-
-
-def _as_unit_vector(amplitudes) -> np.ndarray:
-    """Coerce to a read-only complex unit vector, renormalizing only if needed."""
-    vec = np.array(amplitudes, dtype=np.complex128)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ValueError("amplitudes must be a non-empty 1-D sequence")
-    return _unit(vec, _norm(vec))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -87,8 +62,26 @@ class PureState:
 
     @classmethod
     def normalized(cls, amplitudes) -> "PureState":
-        """Build a PureState from any nonzero amplitude sequence."""
-        vec = _as_unit_vector(amplitudes)
+        """Build a PureState from any nonzero amplitude sequence.
+
+        The division by the norm is skipped when the norm is already 1 up to
+        a few ulp, so normalizing twice is bit-identical to normalizing once.
+        """
+        vec = np.asarray(amplitudes, dtype=np.complex128)
+        # Any other shape is left for the constructor to reject.
+        norm = _norm(vec) if vec.ndim == 1 else 1.0
+        if not 1e-150 <= norm < math.inf:
+            # Zero, non-finite, or a squared norm that underflowed into the
+            # subnormals or overflowed: only the last two are rescued, by
+            # scaling the largest modulus to 1 first.
+            if not np.isfinite(vec).all():
+                raise ValueError("amplitudes must be finite")
+            if not vec.any():
+                raise ValueError("cannot normalize the zero vector")
+            vec = vec / np.abs(vec).max()
+            norm = _norm(vec)
+        if abs(norm - 1.0) > 1e-13:
+            vec = vec / norm
         return cls(dim=vec.size, amplitudes=vec)
 
 
@@ -126,26 +119,14 @@ def _snapped_overlap(p: PureState, q: PureState) -> float:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class LocalPair:
-    """One party's two hypothesis states and their cached overlap |<p|q>|."""
+    """One party's two hypothesis states and their overlap |<p|q>|, computed once."""
 
     p: PureState
     q: PureState
-    overlap_c: float
+    overlap_c: float = dataclasses.field(init=False)
 
     def __post_init__(self):
-        if self.p.dim != self.q.dim:
-            raise ValueError(
-                f"pair states must share a dimension: {self.p.dim} vs {self.q.dim}"
-            )
-        # Written so that a NaN overlap fails the check.
-        if not abs(self.overlap_c - _snapped_overlap(self.p, self.q)) <= NORM_TOL:
-            raise ValueError(
-                f"cached overlap {self.overlap_c!r} disagrees with recomputation"
-            )
-
-    @classmethod
-    def from_states(cls, p: PureState, q: PureState) -> "LocalPair":
-        return cls(p=p, q=q, overlap_c=_snapped_overlap(p, q))
+        object.__setattr__(self, "overlap_c", _snapped_overlap(self.p, self.q))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -198,17 +179,17 @@ def state_pair_with_overlap(c: float, dim: int, seed) -> LocalPair:
     if dim < 2:
         raise ValueError(f"dim must be at least 2, got {dim}")
     rng = np.random.default_rng(seed)
-    p_vec = _as_unit_vector(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    p = PureState.normalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    p_vec = p.amplitudes
     while True:
         raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         resid = raw - p_vec * np.vdot(p_vec, raw)
-        norm = _norm(resid)
-        if norm > 1e-6:
+        if _norm(resid) > 1e-6:
             break
-    t_vec = _unit(resid, norm)
+    t_vec = PureState.normalized(resid).amplitudes
     phase = np.exp(2j * np.pi * rng.random())
-    q_vec = _as_unit_vector(phase * (c * p_vec + np.sqrt(1.0 - c * c) * t_vec))
-    return LocalPair.from_states(PureState(dim, p_vec), PureState(dim, q_vec))
+    q = PureState.normalized(phase * (c * p_vec + np.sqrt(1.0 - c * c) * t_vec))
+    return LocalPair(p, q)
 
 
 def random_instance(n: int, dim: int, seed) -> ProductInstance:
@@ -218,15 +199,11 @@ def random_instance(n: int, dim: int, seed) -> ProductInstance:
     depend on evaluation order: party i draws its two states from streams
     (seed, 2i) and (seed, 2i+1); the priors use (seed, 2n).
     """
-    if n < 1:
-        raise ValueError(f"need at least one party, got {n}")
-    if dim < 2:
-        raise ValueError(f"dim must be at least 2, got {dim}")
     parties = []
     for i in range(n):
         p = random_pure_state(dim, (seed, 2 * i))
         q = random_pure_state(dim, (seed, 2 * i + 1))
-        parties.append(LocalPair.from_states(p, q))
+        parties.append(LocalPair(p, q))
     u = np.random.default_rng((seed, 2 * n)).random(2)
     r = float(u[0] / (u[0] + u[1]))
     return ProductInstance(parties=tuple(parties), priors=Priors(r, 1.0 - r))

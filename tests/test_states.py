@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +16,9 @@ from uqsd import (
     random_pure_state,
     state_pair_with_overlap,
 )
-from uqsd.states import _as_unit_vector, _norm
+import uqsd.cli
+import uqsd.states
+from uqsd.states import _norm
 
 
 def test_inner_product_basis_vectors():
@@ -124,16 +129,48 @@ def test_state_pair_rejects_bad_overlap():
         state_pair_with_overlap(-0.1, 2, 0)
 
 
-def test_local_pair_cached_overlap_checked():
+def test_overlap_is_derived_once_per_pair(monkeypatch, tmp_path):
     a = random_pure_state(2, 1)
     b = random_pure_state(2, 2)
-    with pytest.raises(ValueError):
-        LocalPair(p=a, q=b, overlap_c=0.123456)
+    with pytest.raises(TypeError):
+        LocalPair(p=a, q=b, overlap_c=0.5)
+    calls = []
+    original = uqsd.states._snapped_overlap
+
+    def counted(p, q):
+        calls.append((p, q))
+        return original(p, q)
+
+    monkeypatch.setattr(uqsd.states, "_snapped_overlap", counted)
+    pair = LocalPair(a, b)
+    assert len(calls) == 1
+    assert pair.overlap_c == abs(inner_product(a, b))
+    state_pair_with_overlap(0.3, 3, 4)
+    assert len(calls) == 2
+
+    n = 5
+    inst = random_instance(n, 3, 8)
+
+    def as_json(state):
+        return [[z.real, z.imag] for z in state.amplitudes.tolist()]
+
+    doc = {
+        "priors": {"r": inst.priors.r},
+        "explicit": {"parties": [{"u": as_json(pr.p), "v": as_json(pr.q)} for pr in inst.parties]},
+    }
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(doc))
+    del calls[:]
+    parsed = uqsd.cli.parse_scenario(str(path))
+    assert len(calls) == n
+    assert [pr.overlap_c for pr in parsed.instance.parties] == [
+        pr.overlap_c for pr in inst.parties
+    ]
 
 
 def test_local_pair_rejects_dim_mismatch():
     with pytest.raises(ValueError):
-        LocalPair.from_states(random_pure_state(2, 0), random_pure_state(3, 0))
+        LocalPair(random_pure_state(2, 0), random_pure_state(3, 0))
 
 
 def test_random_instance_deterministic():
@@ -174,11 +211,56 @@ def test_pure_state_rejects_non_finite_amplitudes():
             PureState.normalized(bad)
 
 
-def test_local_pair_rejects_nan_overlap():
-    a = random_pure_state(2, 1)
-    b = random_pure_state(2, 2)
-    with pytest.raises(ValueError):
-        LocalPair(p=a, q=b, overlap_c=float("nan"))
+def test_normalized_rescues_norms_that_underflow_or_overflow():
+    for tiny in (1e-200, 1e-160):
+        assert PureState.normalized([tiny, 0.0]).amplitudes.tolist() == [1.0, 0.0]
+    with np.errstate(over="ignore"):
+        assert PureState.normalized([1e200, 0.0]).amplitudes.tolist() == [1.0, 0.0]
+    with pytest.raises(ValueError, match="zero vector"):
+        PureState.normalized([0.0, 0.0])
+    for bad in ([np.nan, 0.0], [np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            PureState.normalized(bad)
+
+
+def _digest(*states, extra=()) -> str:
+    h = hashlib.sha256()
+    for state in states:
+        h.update(state.amplitudes.tobytes())
+    for value in extra:
+        h.update(repr(value).encode())
+    return h.hexdigest()[:16]
+
+
+def test_seeded_constructions_are_pinned():
+    # Fixed seeds must give bit-identical states across versions: reports
+    # embed these amplitudes.  A deliberate change to a random stream must
+    # update these digests and say why.
+    states = {
+        (2, 0): "1f49b9e575b91470",
+        (3, 7): "c6af9a16319355f7",
+        (8, (1, 2)): "e443b62a7c87ee4b",
+    }
+    for (dim, seed), digest in states.items():
+        assert _digest(random_pure_state(dim, seed)) == digest
+    pairs = {
+        (0.0, 2, 3): "8cb3e4f0771bb27a",
+        (1.0, 2, 3): "8bd8c98013d05183",
+        (0.37, 4, 11): "021df5100d00269c",
+        (0.9, 3, (5, 1)): "0019ec4b0a2521b0",
+    }
+    for (c, dim, seed), digest in pairs.items():
+        pair = state_pair_with_overlap(c, dim, seed)
+        assert _digest(pair.p, pair.q, extra=(pair.overlap_c,)) == digest
+    instances = {
+        (1, 2, 0): "9a9cc85738deb6ca",
+        (3, 2, 5): "b2114be7c35fada4",
+        (4, 3, 9): "c38c98bc93ec27bf",
+    }
+    for (n, dim, seed), digest in instances.items():
+        inst = random_instance(n, dim, seed)
+        members = [s for pair in inst.parties for s in (pair.p, pair.q)]
+        assert _digest(*members, extra=(inst.priors.r, inst.priors.s)) == digest
 
 
 def test_fast_norm_matches_numpy_bit_for_bit():
@@ -229,8 +311,8 @@ def test_pure_state_rejects_finite_amplitudes_whose_norm_overflows(vec, where, b
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(vec=_nonzero_vectors(64))
-def test_states_round_trip_through_as_unit_vector_bit_identically(vec):
+def test_states_round_trip_through_normalized_bit_identically(vec):
     state = PureState.normalized(vec)
-    again = _as_unit_vector(state.amplitudes)
-    assert again.tobytes() == state.amplitudes.tobytes()
-    assert PureState(state.dim, again).amplitudes.tobytes() == again.tobytes()
+    again = PureState.normalized(state.amplitudes)
+    assert again.amplitudes.tobytes() == state.amplitudes.tobytes()
+    assert PureState(state.dim, again.amplitudes).amplitudes.tobytes() == state.amplitudes.tobytes()
