@@ -14,6 +14,8 @@ from .states import (
     Priors,
     ProductInstance,
     PureState,
+    checked_integer,
+    checked_number,
     inner_product,
     random_instance,
     random_pure_state,
@@ -60,6 +62,8 @@ __all__ = [
     "Priors",
     "LocalPair",
     "ProductInstance",
+    "checked_number",
+    "checked_integer",
     "inner_product",
     "random_pure_state",
     "state_pair_with_overlap",

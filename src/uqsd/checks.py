@@ -14,7 +14,8 @@ import numpy as np
 
 from .locc import OrderMode, best_order, global_optimum, group, run_protocol
 from .pair_disc import Regime, brute_force_strategy, optimal_strategy
-from .states import Priors, ProductInstance, random_instance, state_pair_with_overlap
+from .states import Priors, ProductInstance, checked_integer, checked_number
+from .states import random_instance, state_pair_with_overlap
 
 # Largest deviation each property may show and still pass.
 TOLERANCES = {
@@ -42,8 +43,8 @@ class Verification:
 
 def verify(seed: int, count: int) -> Verification:
     """Measure every property on `count` random cases drawn from `seed`."""
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    seed = checked_integer(seed, "seed", 0)
+    count = checked_integer(count, "count", 1)
     # Largest deviation per property and the first case that showed it.
     worst: dict[str, tuple] = {}
 
@@ -135,6 +136,9 @@ def sweep(cs: Sequence[float], rs: Sequence[float], seed: int) -> list[SweepRow]
     earlier versions, which drew each row k from seeds (seed, k, j); later
     rows can differ from those in the last bits.
     """
+    cs = [checked_number(c, f"cs[{i}]", 0.0, 1.0) for i, c in enumerate(cs)]
+    rs = [checked_number(r, f"rs[{j}]", 0.0, 1.0) for j, r in enumerate(rs)]
+    seed = checked_integer(seed, "seed", 0)
     columns = [
         tuple(state_pair_with_overlap(math.sqrt(c), 2, (seed, i, j)) for j in range(2))
         for i, c in enumerate(cs)

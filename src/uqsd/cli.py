@@ -20,25 +20,12 @@ from typing import Any
 import numpy as np
 
 from . import __version__, checks
-from .locc import (
-    EXHAUSTIVE_MAX_PARTIES,
-    best_order,
-    checked_order,
-    global_optimum,
-    global_overlap,
-    OrderMode,
-    run_protocol,
-)
+from .locc import EXHAUSTIVE_MAX_PARTIES, OrderMode, best_order, checked_order, run_protocol
+from .locc import global_optimum, global_overlap
 from .montecarlo import Engine, simulate
 from .pair_disc import optimal_strategy
-from .states import (
-    LocalPair,
-    Priors,
-    ProductInstance,
-    PureState,
-    _norm,
-    state_pair_with_overlap,
-)
+from .states import LocalPair, Priors, ProductInstance, PureState, _norm
+from .states import checked_integer, checked_number, state_pair_with_overlap
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
@@ -66,23 +53,12 @@ def _fail(field: str, problem: str):
     raise ScenarioError(f"scenario field '{field}': {problem}")
 
 
-def _number(value, field: str, lo: float, hi: float) -> float:
-    # NaN fails the range test, so finite bounds also reject non-finite input.
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not lo <= value <= hi:
-        _fail(field, f"expected a number in [{lo:g}, {hi:g}], got {value!r}")
-    return float(value)
-
-
-def _integer(value, field: str, minimum: int, maximum: int | None = None) -> int:
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, int)
-        or value < minimum
-        or (maximum is not None and value > maximum)
-    ):
-        expected = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        _fail(field, f"expected an integer {expected}, got {value!r}")
-    return value
+def _checked(check, value, field: str, *bounds):
+    # The one place a bounded-number field's ValueError becomes a ScenarioError.
+    try:
+        return check(value, f"scenario field '{field}'", *bounds)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _amplitudes_from_json(entries, field: str) -> PureState:
@@ -113,8 +89,8 @@ def _parse_priors(doc: dict) -> Priors:
     block = doc.get("priors")
     if not isinstance(block, dict):
         _fail("priors", "required object with key 'r' (and optionally 's')")
-    r = _number(block.get("r"), "priors.r", 0.0, 1.0)
-    s = _number(block.get("s", 1.0 - r), "priors.s", 0.0, 1.0)
+    r = _checked(checked_number, block.get("r"), "priors.r", 0.0, 1.0)
+    s = _checked(checked_number, block.get("s", 1.0 - r), "priors.s", 0.0, 1.0)
     try:
         return Priors(r, s)
     except ValueError as exc:
@@ -133,13 +109,13 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
         overlaps = block.get("overlaps")
         if not isinstance(overlaps, list) or not overlaps:
             _fail("abstract.overlaps", "required non-empty list of numbers")
-        dim = _integer(block.get("dim", 2), "abstract.dim", 2, MAX_ABSTRACT_DIM)
-        seed = _integer(block.get("seed", 0), "abstract.seed", 0)
+        dim = _checked(checked_integer, block.get("dim", 2), "abstract.dim", 2, MAX_ABSTRACT_DIM)
+        seed = _checked(checked_integer, block.get("seed", 0), "abstract.seed", 0)
         # Canonicalize to concrete state vectors so every command runs
         # through the same physical layer as an explicit scenario.
         return tuple(
             state_pair_with_overlap(
-                _number(c, f"abstract.overlaps[{i}]", 0.0, 1.0), dim, (seed, i)
+                _checked(checked_number, c, f"abstract.overlaps[{i}]", 0.0, 1.0), dim, (seed, i)
             )
             for i, c in enumerate(overlaps)
         )
@@ -171,10 +147,8 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
             _fail(key, "unknown field")
     priors = _parse_priors(doc)
     pairs = _parse_parties(doc)
-    try:
-        instance = ProductInstance(parties=pairs, priors=priors)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
+    # The parser has already checked the party count and every dim.
+    instance = ProductInstance(parties=pairs, priors=priors)
 
     order = doc.get("order")
     if order is not None:
@@ -200,15 +174,16 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
             if not isinstance(values, list) or not values:
                 _fail(f"sweep.{axis}", "required non-empty list of numbers")
             grid[axis] = [
-                _number(x, f"sweep.{axis}[{j}]", 0.0, 1.0) for j, x in enumerate(values)
+                _checked(checked_number, x, f"sweep.{axis}[{j}]", 0.0, 1.0)
+                for j, x in enumerate(values)
             ]
         sweep = grid
 
     return Scenario(
         instance=instance,
         order=order,
-        trials=_integer(doc.get("trials", DEFAULT_TRIALS), "trials", 1),
-        seed=_integer(doc.get("seed", DEFAULT_SEED), "seed", 0),
+        trials=_checked(checked_integer, doc.get("trials", DEFAULT_TRIALS), "trials", 1),
+        seed=_checked(checked_integer, doc.get("seed", DEFAULT_SEED), "seed", 0),
         engine=engine,
         sweep=sweep,
     )
@@ -358,7 +333,9 @@ def cmd_verify(seed: int, count: int) -> tuple[dict, bool]:
 
     Returns the report and whether every property stayed within tolerance.
     """
-    result = checks.verify(_integer(seed, "seed", 0), _integer(count, "trials", 1))
+    result = checks.verify(
+        _checked(checked_integer, seed, "seed", 0), _checked(checked_integer, count, "trials", 1)
+    )
     return _report("verify", None, _fields(result)), result.all_pass
 
 

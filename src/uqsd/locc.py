@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .pair_disc import Regime, Strategy, failure_posterior, optimal_strategy
-from .states import LocalPair, Priors, ProductInstance, PureState
+from .states import LocalPair, Priors, ProductInstance, PureState, checked_integer
 
 Order = tuple[int, ...]
 
@@ -184,10 +184,7 @@ def best_order(
         order = tuple(sorted(range(n), key=lambda i: (instance.parties[i].overlap_c, i)))
         return order, run_protocol(instance, order).expected_measurements
     if mode is OrderMode.EXHAUSTIVE:
-        if n > EXHAUSTIVE_MAX_PARTIES:
-            raise ValueError(
-                f"exhaustive search over {n}! orders refused; max is {EXHAUSTIVE_MAX_PARTIES}"
-            )
+        checked_integer(n, "parties in an exhaustive search", 1, EXHAUSTIVE_MAX_PARTIES)
         overlaps = [pair.overlap_c for pair in instance.parties]
         rows = []
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .locc import StepRecord, measurement_count_distribution, run_protocol
 from .pair_disc import build_povm, neumark_model, optimal_strategy
-from .states import NORM_TOL, InternalFaultError, ProductInstance
+from .states import NORM_TOL, InternalFaultError, ProductInstance, checked_integer
 
 # Outcome probabilities below this are artifacts of float rounding on terms
 # that vanish identically; zeroing them keeps impossible branches impossible.
@@ -195,8 +195,8 @@ def simulate(
     of any longer run with the same seed.  Misidentifications are counted
     from the sampled (truth, conclusion) pairs.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    trials = checked_integer(trials, "trials", 1)
+    seed = checked_integer(seed, "seed", 0)
     result = run_protocol(instance, order)
     table = _outcome_table(instance, result.transcript, engine)
     successes, misidentifications, measurements = _tally(table, instance.priors.r, trials, seed)

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .states import PROB_TOL, LocalPair, Priors, PureState
+from .states import PROB_TOL, LocalPair, Priors, PureState, checked_integer, checked_number
 
 
 class Regime(enum.Enum):
@@ -147,8 +147,7 @@ def optimal_strategy(c: float, priors: Priors) -> Strategy:
     is abandoned (failure probability 1), the big one fails with c^2, and the
     success probability is big*(1 - c^2).
     """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"overlap must lie in [0, 1], got {c}")
+    c = checked_number(c, "c", 0.0, 1.0)
     swapped = priors.s > priors.r
     big, small = (priors.s, priors.r) if swapped else (priors.r, priors.s)
     if c == 0.0:
@@ -168,14 +167,7 @@ def optimal_strategy(c: float, priors: Priors) -> Strategy:
             fail_small = 1.0
     p_fail = big * fail_big + small * fail_small
     fail_p, fail_q = (fail_small, fail_big) if swapped else (fail_big, fail_small)
-    return Strategy(
-        regime=regime,
-        fail_p=fail_p,
-        fail_q=fail_q,
-        p_success=1.0 - p_fail,
-        p_fail=p_fail,
-        swapped=swapped,
-    )
+    return Strategy(regime, fail_p, fail_q, 1.0 - p_fail, p_fail, swapped)
 
 
 def failure_posterior(strategy: Strategy, priors: Priors) -> Priors:
@@ -199,10 +191,8 @@ def brute_force_strategy(c: float, priors: Priors, grid_points: int) -> Strategy
     b*d >= c^2; the optimum saturates the constraint).  The grid is refined
     around the running maximizer until its spacing is at most 1e-8.
     """
-    if grid_points < 100:
-        raise ValueError(f"grid_points must be at least 100, got {grid_points}")
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"overlap must lie in [0, 1], got {c}")
+    c = checked_number(c, "c", 0.0, 1.0)
+    grid_points = checked_integer(grid_points, "grid_points", 100)
     swapped = priors.s > priors.r
     big, small = (priors.s, priors.r) if swapped else (priors.r, priors.s)
     if c * c == 0.0:

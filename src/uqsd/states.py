@@ -22,6 +22,8 @@ class InternalFaultError(RuntimeError):
     """
 
 
+# A squared norm past the float range is inf, which both callers handle.
+@np.errstate(over="ignore")
 def _norm_sq(vec: np.ndarray) -> float:
     re, im = vec.real, vec.imag
     return float(re.dot(re) + im.dot(im))
@@ -36,6 +38,38 @@ def _norm(vec: np.ndarray) -> float:
     return math.sqrt(_norm_sq(vec))
 
 
+# Python and numpy scalars.  bool subclasses int, so it is excluded by name.
+_INTEGERS = (int, np.integer)
+_REALS = (float, np.floating, *_INTEGERS)
+
+
+def checked_number(value, name: str, lo: float, hi: float) -> float:
+    """`value` as a float if it is a real number in [lo, hi] (NaN is not), else ValueError."""
+    if type(value) is float and lo <= value <= hi:  # the common case, at half the cost
+        return value
+    if isinstance(value, bool) or not isinstance(value, _REALS) or not lo <= value <= hi:
+        raise ValueError(f"{name}: expected a number in [{lo:g}, {hi:g}], got {value!r}")
+    return float(value)
+
+
+def checked_integer(value, name: str, lo: int, hi: int | None = None) -> int:
+    """`value` as an int if it is an integer in [lo, hi], else ValueError.
+
+    hi = None sets no upper bound.  A float such as 2.0 is not an integer."""
+    top = math.inf if hi is None else hi
+    if type(value) is int and lo <= value <= top:  # the common case, at half the cost
+        return value
+    if isinstance(value, bool) or not isinstance(value, _INTEGERS) or not lo <= value <= top:
+        expected = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name}: expected an integer {expected}, got {value!r}")
+    return int(value)
+
+
+def _checked_seed(seed):
+    # A tuple seed names a sub-stream and is left for numpy to read.
+    return seed if isinstance(seed, tuple) else checked_integer(seed, "seed", 0)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class PureState:
     """A unit vector of complex amplitudes on a d-dimensional system."""
@@ -44,13 +78,10 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError(f"dim must be positive, got {self.dim}")
+        checked_integer(self.dim, "dim", 1)
         vec = np.array(self.amplitudes, dtype=np.complex128)
         if vec.shape != (self.dim,):
-            raise ValueError(
-                f"expected {self.dim} amplitudes, got shape {vec.shape}"
-            )
+            raise ValueError(f"expected {self.dim} amplitudes, got shape {vec.shape}")
         norm_sq = _norm_sq(vec)
         # A non-finite entry makes norm_sq non-finite, so only then scan.
         if not math.isfinite(norm_sq) and not np.isfinite(vec).all():
@@ -93,8 +124,8 @@ class Priors:
     s: float
 
     def __post_init__(self):
-        if not (0.0 <= self.r <= 1.0 and 0.0 <= self.s <= 1.0):
-            raise ValueError(f"priors must lie in [0, 1], got ({self.r}, {self.s})")
+        checked_number(self.r, "r", 0.0, 1.0)
+        checked_number(self.s, "s", 0.0, 1.0)
         if abs(self.r + self.s - 1.0) > NORM_TOL:
             raise ValueError(f"priors must sum to 1, got {self.r + self.s!r}")
 
@@ -138,11 +169,9 @@ class ProductInstance:
 
     def __post_init__(self):
         parties = tuple(self.parties)
-        if len(parties) < 1:
-            raise ValueError("an instance needs at least one party")
+        checked_integer(len(parties), "number of parties", 1)
         for k, pair in enumerate(parties):
-            if pair.p.dim < 2:
-                raise ValueError(f"party {k} has dim {pair.p.dim}; need dim >= 2")
+            checked_integer(pair.p.dim, f"party {k} dim", 2)
         object.__setattr__(self, "parties", parties)
 
     @property
@@ -160,9 +189,8 @@ def random_pure_state(dim: int, seed) -> PureState:
     Returns:
         A PureState whose 2*dim real Gaussian components were normalized.
     """
-    if dim < 2:
-        raise ValueError(f"dim must be at least 2, got {dim}")
-    rng = np.random.default_rng(seed)
+    dim = checked_integer(dim, "dim", 2)
+    rng = np.random.default_rng(_checked_seed(seed))
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureState.normalized(vec)
 
@@ -174,11 +202,9 @@ def state_pair_with_overlap(c: float, dim: int, seed) -> LocalPair:
     to |p>, times a random global phase (so the complex overlap phase is
     exercised, not just its modulus).
     """
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"overlap must lie in [0, 1], got {c}")
-    if dim < 2:
-        raise ValueError(f"dim must be at least 2, got {dim}")
-    rng = np.random.default_rng(seed)
+    c = checked_number(c, "c", 0.0, 1.0)
+    dim = checked_integer(dim, "dim", 2)
+    rng = np.random.default_rng(_checked_seed(seed))
     p = PureState.normalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
     p_vec = p.amplitudes
     while True:
@@ -199,6 +225,8 @@ def random_instance(n: int, dim: int, seed) -> ProductInstance:
     depend on evaluation order: party i draws its two states from streams
     (seed, 2i) and (seed, 2i+1); the priors use (seed, 2n).
     """
+    n = checked_integer(n, "n", 1)
+    seed = _checked_seed(seed)
     parties = []
     for i in range(n):
         p = random_pure_state(dim, (seed, 2 * i))

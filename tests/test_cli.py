@@ -627,6 +627,25 @@ def test_nan_amplitudes_are_rejected_naming_the_field(tmp_path, capsys):
     assert "finite" in err
 
 
+def test_overflowing_amplitude_norm_is_one_error_line(tmp_path):
+    # The squared norm of [1e200, 0] overflows to inf.  It is rejected like
+    # any other bad norm, and no numpy overflow warning reaches stderr.
+    doc = {
+        "priors": {"r": 0.5},
+        "explicit": {"parties": [{"u": [[1e200, 0], [0, 0]], "v": [[0.6, 0], [0.8, 0]]}]},
+    }
+    proc = subprocess.run(
+        [sys.executable, "-m", "uqsd.cli", "optimum", "--scenario", write_scenario(tmp_path, doc)],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        "error: scenario field 'explicit.parties[0].u': amplitudes have norm inf;"
+        " expected a unit vector\n"
+    )
+
+
 def test_order_walks_each_visiting_order_once(tmp_path, capsys, monkeypatch):
     # Four identical parties make every order cost exactly the same, so the
     # report must keep best_order's tie-break (the first order in

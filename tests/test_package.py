@@ -1,12 +1,17 @@
 import ast
 import json
+import math
 import os
 import pathlib
 import shlex
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import uqsd
+from uqsd import checks
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -52,3 +57,89 @@ def test_readme_cli_examples_run():
         else:
             assert proc.stdout.count("\n") == 1, line
             json.loads(proc.stdout)
+
+
+def test_readme_library_quick_start_runs():
+    # The ```python block under README's "## Library quick start" heading,
+    # run as a script with every warning an error.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library quick start\n", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    assert "import" in block
+    paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", block],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+
+
+_PAIR = uqsd.state_pair_with_overlap(0.5, 2, 0)
+_INSTANCE = uqsd.ProductInstance((_PAIR,), uqsd.Priors(0.5, 0.5))
+_FLAT = uqsd.Priors(0.5, 0.5)
+
+# Every public numeric parameter: the name its errors start with, a call
+# that passes the value to it, a valid numpy scalar and a value out of range.
+BOUNDED = {
+    "PureState.dim": ("dim", lambda v: uqsd.PureState(v, np.array([1.0, 0.0])), np.int64(2), 0),
+    "Priors.r": ("r", lambda v: uqsd.Priors(v, 0.5), np.float64(0.5), 1.5),
+    "Priors.s": ("s", lambda v: uqsd.Priors(0.5, v), np.float64(0.5), -0.5),
+    "random_pure_state.dim": ("dim", lambda v: uqsd.random_pure_state(v, 0), np.int64(2), 1),
+    "random_pure_state.seed": ("seed", lambda v: uqsd.random_pure_state(2, v), np.int64(3), -1),
+    "state_pair_with_overlap.c": (
+        "c", lambda v: uqsd.state_pair_with_overlap(v, 2, 0), np.float64(0.5), 1.5,
+    ),
+    "state_pair_with_overlap.dim": (
+        "dim", lambda v: uqsd.state_pair_with_overlap(0.5, v, 0), np.int64(2), 1,
+    ),
+    "state_pair_with_overlap.seed": (
+        "seed", lambda v: uqsd.state_pair_with_overlap(0.5, 2, v), np.int64(3), -1,
+    ),
+    "random_instance.n": ("n", lambda v: uqsd.random_instance(v, 2, 0), np.int64(2), 0),
+    "random_instance.dim": ("dim", lambda v: uqsd.random_instance(2, v, 0), np.int64(2), 1),
+    "random_instance.seed": ("seed", lambda v: uqsd.random_instance(2, 2, v), np.int64(3), -1),
+    "optimal_strategy.c": ("c", lambda v: uqsd.optimal_strategy(v, _FLAT), np.float64(0.5), -0.2),
+    "brute_force_strategy.c": (
+        "c", lambda v: uqsd.brute_force_strategy(v, _FLAT, 100), np.float64(0.5), 1.2,
+    ),
+    "brute_force_strategy.grid_points": (
+        "grid_points", lambda v: uqsd.brute_force_strategy(0.5, _FLAT, v), np.int64(100), 99,
+    ),
+    "simulate.trials": (
+        "trials",
+        lambda v: uqsd.simulate(_INSTANCE, (0,), v, 0, uqsd.Engine.POVM_SAMPLING),
+        np.int64(10),
+        0,
+    ),
+    "simulate.seed": (
+        "seed",
+        lambda v: uqsd.simulate(_INSTANCE, (0,), 10, v, uqsd.Engine.POVM_SAMPLING),
+        np.int64(3),
+        -1,
+    ),
+    "verify.seed": ("seed", lambda v: checks.verify(v, 1), np.int64(3), -1),
+    "verify.count": ("count", lambda v: checks.verify(1, v), np.int64(1), 0),
+    "sweep.cs": ("cs[0]", lambda v: checks.sweep([v], [0.5], 0), np.float64(0.5), -0.1),
+    "sweep.rs": ("rs[0]", lambda v: checks.sweep([0.5], [v], 0), np.float64(0.5), 1.5),
+    "sweep.seed": ("seed", lambda v: checks.sweep([0.5], [0.5], v), np.int64(3), -1),
+}
+
+
+@pytest.mark.parametrize("parameter", BOUNDED)
+def test_every_public_numeric_parameter_is_range_checked(parameter):
+    name, call, valid, out_of_range = BOUNDED[parameter]
+    call(valid)
+    bad = [True, math.nan, math.inf, -math.inf, "0.5", None, out_of_range]
+    if isinstance(valid, np.integer):
+        bad.append(2.5)
+    for value in bad:
+        with pytest.raises(ValueError) as excinfo:
+            call(value)
+        assert str(excinfo.value).startswith(f"{name}: expected "), (value, excinfo.value)
+
+
+def test_product_instance_requires_dim_two_everywhere():
+    line = uqsd.PureState(1, np.array([1.0]))
+    with pytest.raises(ValueError, match=r"^party 1 dim: expected an integer >= 2, got 1$"):
+        uqsd.ProductInstance((_PAIR, uqsd.LocalPair(line, line)), _FLAT)
