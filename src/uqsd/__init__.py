@@ -31,7 +31,6 @@ from .pair_disc import (
     Strategy,
     brute_force_strategy,
     build_povm,
-    evolve_with_ancilla,
     failure_posterior,
     neumark_model,
     optimal_strategy,
@@ -80,7 +79,6 @@ __all__ = [
     "brute_force_strategy",
     "build_povm",
     "neumark_model",
-    "evolve_with_ancilla",
     "Order",
     "OrderMode",
     "StepRecord",

@@ -132,9 +132,7 @@ def sweep(cs: Sequence[float], rs: Sequence[float], seed: int) -> list[SweepRow]
     the closed form alone.  The instance depends on c only, so it is built
     once per overlap column: column i (overlap cs[i]) draws its pairs from
     seeds (seed, i, 0) and (seed, i, 1), and every r runs the protocol on
-    them with its own priors.  Rows of the first r are the same as in
-    earlier versions, which drew each row k from seeds (seed, k, j); later
-    rows can differ from those in the last bits.
+    them with its own priors.
     """
     cs = [checked_number(c, f"cs[{i}]", 0.0, 1.0) for i, c in enumerate(cs)]
     rs = [checked_number(r, f"rs[{j}]", 0.0, 1.0) for j, r in enumerate(rs)]

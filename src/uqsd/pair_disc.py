@@ -5,20 +5,18 @@ oracle, and two physical realizations of the optimal measurement: a
 three-element POVM on the system alone, and a unitary on system plus an
 ancilla qubit followed by projective measurements.  Both act only on the
 two-dimensional span of the pair's states, so they are built there, as
-2 x 2 and 4 x 4 matrices, with O(dim) work; the dim-sized operators are
-formed only on request, by embedding.
+2 x 2 and 4 x 4 matrices, with O(dim) work; no operator here has dim rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 import math
 
 import numpy as np
 
-from .states import PROB_TOL, LocalPair, Priors, PureState, checked_integer, checked_number
+from .states import PROB_TOL, LocalPair, Priors, checked_integer, checked_number
 
 
 class Regime(enum.Enum):
@@ -68,29 +66,11 @@ class PairSpan:
     In it |p> = (1, 0) and |q> = (c * phase, sqrt(1 - c^2)), where c is the
     pair's cached overlap and phase = <p|q> / c (1 when c = 0), so a pair
     whose overlap snapped to 0 is exactly orthogonal here.  `states` holds
-    these coordinates, one row per hypothesis.  Only `basis`, built on first
-    use, has dim entries.
+    these coordinates, one row per hypothesis.
     """
 
-    pair: LocalPair
     phase: complex
     states: np.ndarray
-
-    @functools.cached_property
-    def basis(self) -> np.ndarray:
-        """The (dim, 2) array whose columns are |b0> and |b1>."""
-        p, q = self.pair.p.amplitudes, self.pair.q.amplitudes
-        b1 = PureState.normalized(q - p * np.vdot(p, q)).amplitudes
-        basis = np.column_stack([p, b1])
-        basis.setflags(write=False)
-        return basis
-
-    def embed(self, op: np.ndarray, complement: float) -> np.ndarray:
-        """The dim x dim operator that acts as the 2 x 2 `op` on the span and
-        as `complement` times the identity on its orthogonal complement."""
-        b = self.basis
-        b_dag = b.conj().T
-        return b @ op @ b_dag + complement * (np.eye(len(b)) - b @ b_dag)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -99,16 +79,11 @@ class Povm:
 
     `elements` stacks e_p, e_q and e_fail as 2 x 2 matrices in the basis of
     `span`; on the orthogonal complement of the span the measurement always
-    gives up.  `embedded` returns the dim x dim elements.
+    gives up.
     """
 
     span: PairSpan
     elements: np.ndarray
-
-    def embedded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """e_p, e_q and e_fail as dim x dim matrices on the whole system."""
-        e_p, e_q, e_fail = self.elements
-        return self.span.embed(e_p, 0.0), self.span.embed(e_q, 0.0), self.span.embed(e_fail, 1.0)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -122,19 +97,11 @@ class NeumarkModel:
     is measured in the span basis: |b0> identifies p and |b1> identifies q.
     On the inconclusive branch both hypotheses collapse onto |b0>, the second
     up to the phase factor span.phase.  On the orthogonal complement of the
-    span the unitary is the identity; `embedded_unitary` returns it on
-    ancilla (x) the whole system.
+    span the unitary is the identity.
     """
 
     span: PairSpan
     unitary: np.ndarray
-
-    def embedded_unitary(self) -> np.ndarray:
-        """The (2 dim) x (2 dim) unitary, ancilla first."""
-        blocks = self.unitary.reshape(2, 2, 2, 2)  # out ancilla, out k, in ancilla, in k
-        return np.block(
-            [[self.span.embed(blocks[a, :, b, :], float(a == b)) for b in (0, 1)] for a in (0, 1)]
-        )
 
 
 def optimal_strategy(c: float, priors: Priors) -> Strategy:
@@ -221,6 +188,15 @@ def brute_force_strategy(c: float, priors: Priors, grid_points: int) -> Strategy
     return Strategy(regime, fail_p, fail_q, 1.0 - p_fail, p_fail, swapped)
 
 
+def _realizable(strategy: Strategy, c: float) -> tuple[float, float]:
+    # The failure probabilities, once a measurement on overlap c can realize them.
+    fail_p = checked_number(strategy.fail_p, "fail_p", 0.0, 1.0)
+    fail_q = checked_number(strategy.fail_q, "fail_q", 0.0, 1.0)
+    if fail_p * fail_q < c * c - PROB_TOL:
+        raise InconsistentStrategyError(f"fail_p * fail_q = {fail_p * fail_q!r} < c^2 = {c * c!r}")
+    return fail_p, fail_q
+
+
 def _span(pair: LocalPair) -> PairSpan:
     c = pair.overlap_c
     phase = (
@@ -228,7 +204,7 @@ def _span(pair: LocalPair) -> PairSpan:
     )
     states = np.array([[1.0, 0.0], [c * phase, math.sqrt(1.0 - c * c)]], dtype=np.complex128)
     states.setflags(write=False)
-    return PairSpan(pair, phase, states)
+    return PairSpan(phase, states)
 
 
 def build_povm(pair: LocalPair, strategy: Strategy) -> Povm:
@@ -239,17 +215,19 @@ def build_povm(pair: LocalPair, strategy: Strategy) -> Povm:
     |q>, so <p|e_p|p> = 1 - fail_p; e_q is (1 - fail_q) / (1 - c^2) times the
     projector onto |b1>, orthogonal to |p>; e_fail is the completion to the
     identity.  e_fail is positive semidefinite exactly when
-    fail_p * fail_q >= c^2.  At c = 0 the elements are diagonal and, for the
-    optimal strategy, e_fail is exactly 0.
+    fail_p * fail_q >= c^2, so a strategy below that bound is rejected.  At
+    c = 0 the elements are diagonal and, for the optimal strategy, e_fail is
+    exactly 0.
     """
     c = pair.overlap_c
     if c >= 1.0:
         raise DegeneratePairError("identical hypothesis states admit no POVM")
+    fail_p, fail_q = _realizable(strategy, c)
     span = _span(pair)
     z = c * span.phase
     s = math.sqrt(1.0 - c * c)
-    a = (1.0 - strategy.fail_p) / (1.0 - c * c)
-    b = (1.0 - strategy.fail_q) / (1.0 - c * c)
+    a = (1.0 - fail_p) / (1.0 - c * c)
+    b = (1.0 - fail_q) / (1.0 - c * c)
     e_p = [[a * s * s, -a * s * z], [-a * s * z.conjugate(), a * c * c]]
     e_q = [[0.0, 0.0], [0.0, b]]
     e_fail = [[1.0 - e_p[0][0], -e_p[0][1]], [-e_p[1][0], 1.0 - e_p[1][1] - b]]
@@ -265,15 +243,15 @@ def neumark_model(pair: LocalPair, strategy: Strategy) -> NeumarkModel:
     y1 = sqrt(1-fail_p) |0>|b0> + sqrt(fail_p) |1>|b0> and |0> (x) |q> to
     y2 = sqrt(1-fail_q) |0>|b1> + sqrt(fail_q) phase |1>|b0>, with all four
     square roots real nonnegative; the complex phase of <p|q> is carried
-    entirely by the second hypothesis' failure state.
+    entirely by the second hypothesis' failure state.  It needs
+    sqrt(fail_p * fail_q) = c.
     """
     c = pair.overlap_c
     if c >= 1.0:
         raise DegeneratePairError("identical hypothesis states admit no dilation")
-    alpha = math.sqrt(max(0.0, 1.0 - strategy.fail_p))
-    beta = math.sqrt(strategy.fail_p)
-    gamma = math.sqrt(max(0.0, 1.0 - strategy.fail_q))
-    delta = math.sqrt(strategy.fail_q)
+    fail_p, fail_q = _realizable(strategy, c)
+    alpha, beta = math.sqrt(1.0 - fail_p), math.sqrt(fail_p)
+    gamma, delta = math.sqrt(1.0 - fail_q), math.sqrt(fail_q)
     if abs(beta * delta - c) > PROB_TOL:
         raise InconsistentStrategyError(
             f"sqrt(fail_p * fail_q) = {beta * delta!r} but the overlap is {c!r}"
@@ -301,8 +279,3 @@ def neumark_model(pair: LocalPair, strategy: Strategy) -> NeumarkModel:
     unitary.setflags(write=False)
     return NeumarkModel(span=span, unitary=unitary)
 
-
-def evolve_with_ancilla(model: NeumarkModel, state: PureState) -> np.ndarray:
-    """Apply the dilation unitary to (ancilla 0) (x) |state> on the whole
-    system; the first dim entries are the conclusive branch."""
-    return model.embedded_unitary()[:, : state.dim] @ state.amplitudes

@@ -1,0 +1,100 @@
+"""Full-space oracles for the tests.
+
+`uqsd.pair_disc` builds each party's measurement in the two-dimensional span
+of its pair, as a 2 x 2 POVM and a 4 x 4 dilation unitary, and never forms
+an operator on the whole system.  The tests check those small operators
+against the whole system in two ways, both kept here:
+
+- embedding: `span_basis` gives the span's basis vectors as dim-sized
+  columns, and `embed` lifts a 2 x 2 operator to the whole system through
+  them (`embedded_povm`, `embedded_unitary`, `evolve_with_ancilla`);
+- an independent construction: `full_povm_probs` and `full_neumark_probs`
+  build the measurement on the whole system from outer products of the
+  state vectors and two complete QR factorizations, without the span, and
+  return its Born probabilities.
+"""
+
+import math
+
+import numpy as np
+
+
+def unit_orthogonal(keep, drop):
+    """The unit part of the vector `keep` orthogonal to the unit vector `drop`."""
+    resid = keep - drop * np.vdot(drop, keep)
+    return resid / np.linalg.norm(resid)
+
+
+def span_basis(pair):
+    """The (dim, 2) array whose columns are |b0> = |p> and |b1>, the unit part
+    of |q> orthogonal to |p>: the basis of `PairSpan.states`."""
+    p, q = pair.p.amplitudes, pair.q.amplitudes
+    return np.column_stack([p, unit_orthogonal(q, p)])
+
+
+def embed(pair, op, complement):
+    """The dim x dim operator that acts as the 2 x 2 `op` on the pair's span
+    and as `complement` times the identity on its orthogonal complement."""
+    b = span_basis(pair)
+    b_dag = b.conj().T
+    return b @ op @ b_dag + complement * (np.eye(len(b)) - b @ b_dag)
+
+
+def embedded_povm(pair, povm):
+    """e_p, e_q and e_fail of `povm` as dim x dim matrices on the whole system."""
+    e_p, e_q, e_fail = povm.elements
+    return embed(pair, e_p, 0.0), embed(pair, e_q, 0.0), embed(pair, e_fail, 1.0)
+
+
+def embedded_unitary(pair, model):
+    """The (2 dim) x (2 dim) dilation unitary of `model`, ancilla first."""
+    blocks = model.unitary.reshape(2, 2, 2, 2)  # out ancilla, out k, in ancilla, in k
+    return np.block(
+        [[embed(pair, blocks[a, :, b, :], float(a == b)) for b in (0, 1)] for a in (0, 1)]
+    )
+
+
+def evolve_with_ancilla(pair, model, state):
+    """(ancilla 0) (x) |state> after the dilation unitary, on the whole
+    system; the first dim entries are the conclusive branch."""
+    return embedded_unitary(pair, model)[:, : state.dim] @ state.amplitudes
+
+
+def full_povm_probs(pair, strat):
+    """Born probabilities [[P(e_p), P(e_q), P(e_fail)] given p, given q] of
+    the POVM built from outer products of the state vectors."""
+    c, p, q = pair.overlap_c, pair.p.amplitudes, pair.q.amplitudes
+    if c == 0.0:
+        e_p = (1.0 - strat.fail_p) * np.outer(p, p.conj())
+        e_q = (1.0 - strat.fail_q) * np.outer(q, q.conj())
+    else:
+        not_q, not_p = unit_orthogonal(p, q), unit_orthogonal(q, p)
+        e_p = (1.0 - strat.fail_p) / (1.0 - c * c) * np.outer(not_q, not_q.conj())
+        e_q = (1.0 - strat.fail_q) / (1.0 - c * c) * np.outer(not_p, not_p.conj())
+    e_fail = np.eye(len(p)) - e_p - e_q
+    return [[np.real(np.vdot(x, e @ x)) for e in (e_p, e_q, e_fail)] for x in (p, q)]
+
+
+def full_neumark_probs(pair, strat):
+    """Probabilities of identifying p, identifying q and failing, given p
+    and given q, from a (2 dim)^2 dilation unitary completed by QR."""
+    c, dim = pair.overlap_c, pair.p.dim
+    overlap = np.vdot(pair.p.amplitudes, pair.q.amplitudes)
+    phase = overlap / c if c > 0.0 else 1.0
+    x1, x2, y1, y2 = np.zeros((4, 2 * dim), dtype=complex)
+    x1[:dim], x2[:dim] = pair.p.amplitudes, pair.q.amplitudes
+    y1[0], y1[dim] = math.sqrt(1.0 - strat.fail_p), math.sqrt(strat.fail_p)
+    y2[1], y2[dim] = math.sqrt(1.0 - strat.fail_q), math.sqrt(strat.fail_q) * phase
+
+    def complete(first, second):
+        given = np.column_stack([first, unit_orthogonal(second, first)])
+        q, _ = np.linalg.qr(given, mode="complete")
+        return np.column_stack([given, q[:, 2:]])
+
+    unitary = complete(y1, y2) @ complete(x1, x2).conj().T
+    probs = []
+    for x in (x1, x2):
+        evolved = unitary @ x
+        weights = np.abs(evolved) ** 2
+        probs.append([weights[0], weights[1], weights[dim:].sum()])
+    return probs

@@ -23,7 +23,6 @@ from uqsd import (
     best_order,
     brute_force_strategy,
     build_povm,
-    evolve_with_ancilla,
     failure_posterior,
     global_optimum,
     group,
@@ -34,6 +33,8 @@ from uqsd import (
     simulate,
     state_pair_with_overlap,
 )
+
+from _oracles import embedded_povm, embedded_unitary, evolve_with_ancilla, span_basis
 
 
 def _verdict(num: int, ok: bool):
@@ -186,7 +187,8 @@ def test_acceptance_06_measurement_layer_soundness():
     # 200 random pairs: POVM elements positive semidefinite, complete, and
     # silent on the wrong hypothesis; dilation unitaries unitary to 1e-12
     # with branch probabilities matching the strategy.  Both are checked as
-    # dim-sized operators, embedded from the pair's span into the system.
+    # dim-sized operators, embedded from the pair's span into the system by
+    # `_oracles`.
     ok = False
     try:
         rng = np.random.default_rng(606)
@@ -201,7 +203,7 @@ def test_acceptance_06_measurement_layer_soundness():
             pair = state_pair_with_overlap(float(rng.random()), dim, (606, i))
             r = float(rng.random())
             strat = optimal_strategy(pair.overlap_c, Priors(r, 1.0 - r))
-            elements = build_povm(pair, strat).embedded()
+            elements = embedded_povm(pair, build_povm(pair, strat))
             e_p, e_q, e_fail = elements
             worst_complete = max(
                 worst_complete, float(np.abs(sum(elements) - np.eye(dim)).max())
@@ -223,8 +225,8 @@ def test_acceptance_06_measurement_layer_soundness():
             )
 
             model = neumark_model(pair, strat)
-            u = model.embedded_unitary()
-            conclusive_basis = model.span.basis.T
+            u = embedded_unitary(pair, model)
+            conclusive_basis = span_basis(pair).T
             worst_unitary = max(
                 worst_unitary, float(np.abs(u.conj().T @ u - np.eye(2 * dim)).max())
             )
@@ -232,7 +234,7 @@ def test_acceptance_06_measurement_layer_soundness():
                 (pair.p, strat.fail_p, 0),
                 (pair.q, strat.fail_q, 1),
             ):
-                evolved = evolve_with_ancilla(model, truth)
+                evolved = evolve_with_ancilla(pair, model, truth)
                 conclusive = evolved[:dim]
                 fail = evolved[dim:]
                 got = [

@@ -21,6 +21,8 @@ from uqsd import (
     state_pair_with_overlap,
 )
 
+from _oracles import full_neumark_probs, full_povm_probs
+
 
 def _abstract_instance(overlaps, r, seed=0):
     pairs = tuple(
@@ -248,55 +250,12 @@ def test_edge_overlap_rows_are_analytic(engine, c, r):
 
 # --- The full-dimensional construction, kept as an oracle ------------------
 #
-# The measurement used to be built on the whole system: dim x dim POVM
-# elements from outer products of the state vectors, and a (2 dim)^2
-# dilation unitary from two complete QR factorizations.  The span
-# construction must give the same tables.
-
-
-def _unit_orthogonal(keep, drop):
-    resid = keep - drop * np.vdot(drop, keep)
-    return resid / np.linalg.norm(resid)
-
-
-def _full_povm_probs(pair, strat):
-    c, p, q = pair.overlap_c, pair.p.amplitudes, pair.q.amplitudes
-    if c == 0.0:
-        e_p = (1.0 - strat.fail_p) * np.outer(p, p.conj())
-        e_q = (1.0 - strat.fail_q) * np.outer(q, q.conj())
-    else:
-        not_q, not_p = _unit_orthogonal(p, q), _unit_orthogonal(q, p)
-        e_p = (1.0 - strat.fail_p) / (1.0 - c * c) * np.outer(not_q, not_q.conj())
-        e_q = (1.0 - strat.fail_q) / (1.0 - c * c) * np.outer(not_p, not_p.conj())
-    e_fail = np.eye(len(p)) - e_p - e_q
-    return [[np.real(np.vdot(x, e @ x)) for e in (e_p, e_q, e_fail)] for x in (p, q)]
-
-
-def _full_neumark_probs(pair, strat):
-    c, dim = pair.overlap_c, pair.p.dim
-    overlap = np.vdot(pair.p.amplitudes, pair.q.amplitudes)
-    phase = overlap / c if c > 0.0 else 1.0
-    x1, x2, y1, y2 = np.zeros((4, 2 * dim), dtype=complex)
-    x1[:dim], x2[:dim] = pair.p.amplitudes, pair.q.amplitudes
-    y1[0], y1[dim] = math.sqrt(1.0 - strat.fail_p), math.sqrt(strat.fail_p)
-    y2[1], y2[dim] = math.sqrt(1.0 - strat.fail_q), math.sqrt(strat.fail_q) * phase
-
-    def complete(first, second):
-        given = np.column_stack([first, _unit_orthogonal(second, first)])
-        q, _ = np.linalg.qr(given, mode="complete")
-        return np.column_stack([given, q[:, 2:]])
-
-    unitary = complete(y1, y2) @ complete(x1, x2).conj().T
-    probs = []
-    for x in (x1, x2):
-        evolved = unitary @ x
-        weights = np.abs(evolved) ** 2
-        probs.append([weights[0], weights[1], weights[dim:].sum()])
-    return probs
+# The span construction must give the same tables as the measurement built
+# on the whole system (`_oracles.full_povm_probs`, `full_neumark_probs`).
 
 
 def _oracle_table(instance, order, engine):
-    full_probs = _full_povm_probs if engine is Engine.POVM_SAMPLING else _full_neumark_probs
+    full_probs = full_povm_probs if engine is Engine.POVM_SAMPLING else full_neumark_probs
     probs = np.array(
         [
             full_probs(

@@ -1,8 +1,10 @@
 import ast
+import importlib
 import json
 import math
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -74,6 +76,36 @@ def test_readme_library_quick_start_runs():
     )
     assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
 
+
+
+def _resolve(dotted):
+    # Attribute by attribute from the package, importing a submodule that
+    # the package has not loaded.
+    parts = dotted.split(".")
+    if parts[0] != "uqsd":
+        parts.insert(0, "uqsd")
+    obj = uqsd
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part) and isinstance(obj, type(uqsd)):
+            importlib.import_module(".".join(parts[:i]))
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_readme_dotted_api_references_resolve():
+    # Every backticked `Name.member`, `Name.member()` or `uqsd.a.b` in README
+    # whose first part is the package or one of its exports.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    refs = re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`", readme)
+    refs = [ref for ref in refs if ref.split(".")[0] in ("uqsd", *uqsd.__all__)]
+    assert len(refs) >= 10, refs
+    missing = []
+    for ref in refs:
+        try:
+            _resolve(ref)
+        except (AttributeError, ImportError):
+            missing.append(ref)
+    assert missing == []
 
 _PAIR = uqsd.state_pair_with_overlap(0.5, 2, 0)
 _INSTANCE = uqsd.ProductInstance((_PAIR,), uqsd.Priors(0.5, 0.5))

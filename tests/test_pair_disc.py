@@ -13,12 +13,13 @@ from uqsd import (
     Strategy,
     brute_force_strategy,
     build_povm,
-    evolve_with_ancilla,
     failure_posterior,
     neumark_model,
     optimal_strategy,
     state_pair_with_overlap,
 )
+
+from _oracles import embedded_povm, embedded_unitary, evolve_with_ancilla, span_basis
 
 
 @pytest.mark.parametrize(
@@ -215,7 +216,7 @@ def _pair_and_strategy(c, r, seed=0, dim=2):
 @pytest.mark.parametrize("c,r,dim", [(0.5, 0.5, 2), (0.5, 0.9, 2), (0.3, 0.7, 3), (0.85, 0.4, 4)])
 def test_povm_invariants(c, r, dim):
     pair, strat = _pair_and_strategy(c, r, seed=13, dim=dim)
-    e_p, e_q, e_fail = build_povm(pair, strat).embedded()
+    e_p, e_q, e_fail = embedded_povm(pair, build_povm(pair, strat))
     identity = np.eye(dim)
     np.testing.assert_allclose(e_p + e_q + e_fail, identity, atol=1e-12)
     for element in (e_p, e_q, e_fail):
@@ -231,7 +232,7 @@ def test_povm_invariants(c, r, dim):
 
 def test_povm_orthogonal_pair_is_projective():
     pair, strat = _pair_and_strategy(0.0, 0.5, seed=2)
-    e_p, e_q, _ = build_povm(pair, strat).embedded()
+    e_p, e_q, _ = embedded_povm(pair, build_povm(pair, strat))
     np.testing.assert_allclose(
         e_p, np.outer(pair.p.amplitudes, pair.p.amplitudes.conj()), atol=1e-12
     )
@@ -242,7 +243,7 @@ def test_povm_orthogonal_pair_is_projective():
 
 def test_povm_saturated_regime_never_identifies_unlikely_state():
     pair, strat = _pair_and_strategy(0.5, 0.9, seed=4)
-    _, e_q, _ = build_povm(pair, strat).embedded()
+    _, e_q, _ = embedded_povm(pair, build_povm(pair, strat))
     assert strat.fail_q == 1.0
     np.testing.assert_allclose(e_q, np.zeros((2, 2)), atol=1e-12)
 
@@ -257,17 +258,17 @@ def test_povm_rejects_identical_pair():
 def test_neumark_unitarity_and_branches(c, r, dim):
     pair, strat = _pair_and_strategy(c, r, seed=21, dim=dim)
     model = neumark_model(pair, strat)
-    for unitary in (model.unitary, model.embedded_unitary()):
+    for unitary in (model.unitary, embedded_unitary(pair, model)):
         np.testing.assert_allclose(
             unitary.conj().T @ unitary, np.eye(len(unitary)), atol=1e-12
         )
     for state, fail_prob in ((pair.p, strat.fail_p), (pair.q, strat.fail_q)):
-        evolved = evolve_with_ancilla(model, state)
+        evolved = evolve_with_ancilla(pair, model, state)
         block = evolved[dim:]
         assert abs(np.sum(np.abs(block) ** 2) - fail_prob) < 1e-12
     # isometries preserve inner products
-    ev_p = evolve_with_ancilla(model, pair.p)
-    ev_q = evolve_with_ancilla(model, pair.q)
+    ev_p = evolve_with_ancilla(pair, model, pair.p)
+    ev_q = evolve_with_ancilla(pair, model, pair.q)
     assert abs(np.vdot(ev_p, ev_q) - np.vdot(pair.p.amplitudes, pair.q.amplitudes)) < 1e-12
 
 
@@ -276,11 +277,11 @@ def test_neumark_failure_states_differ_by_the_overlap_phase():
     model = neumark_model(pair, strat)
     assert abs(abs(model.span.phase) - 1.0) < 1e-12
     dim = pair.p.dim
-    block_p = evolve_with_ancilla(model, pair.p)[dim:]
-    block_q = evolve_with_ancilla(model, pair.q)[dim:]
+    block_p = evolve_with_ancilla(pair, model, pair.p)[dim:]
+    block_q = evolve_with_ancilla(pair, model, pair.q)[dim:]
     beta = math.sqrt(strat.fail_p)
     delta = math.sqrt(strat.fail_q)
-    target = model.span.basis[:, 0]
+    target = span_basis(pair)[:, 0]
     np.testing.assert_allclose(block_p, beta * target, atol=1e-12)
     np.testing.assert_allclose(block_q, delta * model.span.phase * target, atol=1e-12)
 
@@ -288,7 +289,7 @@ def test_neumark_failure_states_differ_by_the_overlap_phase():
 def test_neumark_conclusive_basis_is_orthonormal():
     pair, strat = _pair_and_strategy(0.4, 0.6, seed=3, dim=3)
     model = neumark_model(pair, strat)
-    p1, q1 = model.span.basis.T
+    p1, q1 = span_basis(pair).T
     assert abs(np.vdot(p1, q1)) < 1e-12
 
 
@@ -315,13 +316,13 @@ def test_neumark_rejects_identical_pair():
 @pytest.mark.parametrize("c,r", [(0.5, 0.5), (0.5, 0.9), (0.25, 0.65), (0.8, 0.5)])
 def test_povm_and_neumark_give_identical_born_probabilities(c, r):
     pair, strat = _pair_and_strategy(c, r, seed=17, dim=3)
-    elements = build_povm(pair, strat).embedded()
+    elements = embedded_povm(pair, build_povm(pair, strat))
     model = neumark_model(pair, strat)
     dim = pair.p.dim
-    p1, q1 = model.span.basis.T
+    p1, q1 = span_basis(pair).T
     for state in (pair.p, pair.q):
         vec = state.amplitudes
-        evolved = evolve_with_ancilla(model, state)
+        evolved = evolve_with_ancilla(pair, model, state)
         conclusive = evolved[:dim]
         fail_block = evolved[dim:]
         born_povm = [float(np.real(np.vdot(vec, e @ vec))) for e in elements]
@@ -331,3 +332,38 @@ def test_povm_and_neumark_give_identical_born_probabilities(c, r):
             float(np.sum(np.abs(fail_block) ** 2)),
         ]
         np.testing.assert_allclose(born_povm, born_model, atol=1e-12)
+
+
+@pytest.mark.parametrize("realize", [build_povm, neumark_model], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "fail_p,fail_q,error,message",
+    [
+        (0.1, 0.1, InconsistentStrategyError, r"^fail_p \* fail_q = "),  # e_fail not PSD
+        (1.5, 0.5, ValueError, r"^fail_p: expected "),  # e_p negative
+        (math.nan, 0.5, ValueError, r"^fail_p: expected "),
+        (0.5, -0.2, ValueError, r"^fail_q: expected "),
+    ],
+)
+def test_realizations_reject_strategies_they_cannot_realize(
+    realize, fail_p, fail_q, error, message
+):
+    pair = state_pair_with_overlap(0.5, 2, 1)
+    bad = Strategy(Regime.EQUAL_POSTERIOR, fail_p, fail_q, 0.5, 0.5, False)
+    with pytest.raises(error, match=message):
+        realize(pair, bad)
+
+
+@pytest.mark.parametrize("realize", [build_povm, neumark_model], ids=lambda f: f.__name__)
+def test_span_states_are_the_pair_coordinates(realize):
+    # span_basis(pair) @ states[k] rebuilds the pair's amplitudes: the one
+    # direct link between the 2 x 2 construction and the system.
+    rng = np.random.default_rng(707)
+    cs = [0.0, 1.0 - 1e-6, *rng.uniform(0.0, 1.0 - 1e-6, 40)]
+    for i, c in enumerate(cs):
+        dim = (2, 3, 5, 8, 16, 33, 64)[i % 7]
+        pair = state_pair_with_overlap(float(c), dim, (707, i))
+        span = realize(pair, optimal_strategy(pair.overlap_c, Priors(0.5, 0.5))).span
+        assert abs(abs(span.phase) - 1.0) < 1e-12
+        basis = span_basis(pair)
+        for state, coords in zip((pair.p, pair.q), span.states):
+            np.testing.assert_allclose(basis @ coords, state.amplitudes, rtol=0, atol=1e-12)
