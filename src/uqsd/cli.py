@@ -9,6 +9,7 @@ on an internal fault (traceback on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import enum
 import functools
@@ -24,7 +25,7 @@ from .locc import EXHAUSTIVE_MAX_PARTIES, OrderMode, best_order, checked_order, 
 from .locc import global_optimum, global_overlap
 from .montecarlo import Engine, simulate
 from .pair_disc import optimal_strategy
-from .states import LocalPair, Priors, ProductInstance, PureState, _norm
+from .states import LocalPair, Priors, ProductInstance, PureState, _norm, _normalized
 from .states import checked_integer, checked_number, state_pair_with_overlap
 
 DEFAULT_TRIALS = 100_000
@@ -64,23 +65,31 @@ def _checked(check, value, field: str, *bounds):
 def _amplitudes_from_json(entries, field: str) -> PureState:
     if not isinstance(entries, list) or len(entries) < 2:
         _fail(field, "expected a list of at least two [re, im] pairs")
-    vec = np.empty(len(entries), dtype=np.complex128)
-    for j, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
-        ):
-            _fail(f"{field}[{j}]", f"expected [re, im], got {pair!r}")
-        try:
-            vec[j] = complex(pair[0], pair[1])
-        except OverflowError:  # an integer too large for a float
-            _fail(f"{field}[{j}]", "amplitude does not fit in a float")
+    vec = None
+    # One type pass (bool is not of type int) and one conversion; the loop
+    # names a bad entry, or converts numbers json.load does not produce.
+    if all(type(pair) is list and len(pair) == 2 and type(pair[0]) in (int, float)
+           and type(pair[1]) in (int, float) for pair in entries):
+        with contextlib.suppress(OverflowError):  # an integer too large for a float
+            vec = np.array(entries, dtype=np.float64).view(np.complex128)[:, 0]
+    if vec is None:
+        vec = np.empty(len(entries), dtype=np.complex128)
+        for j, pair in enumerate(entries):
+            if (
+                not isinstance(pair, list)
+                or len(pair) != 2
+                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
+            ):
+                _fail(f"{field}[{j}]", f"expected [re, im], got {pair!r}")
+            try:
+                vec[j] = complex(pair[0], pair[1])
+            except OverflowError:
+                _fail(f"{field}[{j}]", "amplitude does not fit in a float")
     norm = _norm(vec)
     if abs(norm - 1.0) > 1e-6:
         _fail(field, f"amplitudes have norm {norm!r}; expected a unit vector")
     try:
-        return PureState.normalized(vec)
+        return _normalized(vec, norm)
     except ValueError as exc:  # e.g. NaN amplitudes, whose norm passes the test above
         _fail(field, str(exc))
 

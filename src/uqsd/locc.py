@@ -56,14 +56,18 @@ def checked_order(order: Sequence[int], n: int) -> Order:
     """`order` as a tuple if it is a permutation of 0..n-1, else ValueError.
 
     Entries must be integers: a bool, float or str is rejected, not coerced.
+    A 1-D integer ndarray is read as the list of its entries.
     """
+    entries = order
+    if isinstance(order, np.ndarray) and order.ndim == 1 and order.dtype.kind in "iu":
+        entries = order.tolist()
     if (
-        not isinstance(order, Sequence)
-        or any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in order)
-        or sorted(order) != list(range(n))
+        not isinstance(entries, Sequence)
+        or any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in entries)
+        or sorted(entries) != list(range(n))
     ):
         raise ValueError(f"{order!r} is not a permutation of 0..{n - 1}")
-    return tuple(int(i) for i in order)
+    return tuple(int(i) for i in entries)
 
 
 def global_overlap(instance: ProductInstance) -> float:

@@ -138,19 +138,20 @@ def _sample(table: np.ndarray, prior_r: float, u: np.ndarray):
     """
     n, steps = u.shape[0], u.shape[1] - 1
     truth = (u[:, 0] >= prior_r).astype(np.intp)
-    # Identify p below the first threshold, q below the second, else fail.
-    # A zero entry makes an empty interval, so impossible outcomes stay
-    # impossible.
-    thresholds = np.cumsum(table[:, :, :2], axis=2)[:, truth].transpose(1, 0, 2)
-    outcome = np.full((n, steps + 1), _FAIL, dtype=np.intp)
-    outcome[:, :steps] = (u[:, 1:, None] >= thresholds).sum(axis=2)
-    # The first conclusive step ends the trial; the extra last column stands
-    # for running out of steps.
-    ends = outcome != _FAIL
-    ends[:, steps] = True
-    stop = ends.argmax(axis=1)
-    conclusion = outcome[np.arange(n), stop]
-    used = np.minimum(stop + 1, steps)
+    if not steps:
+        return truth, np.full(n, _FAIL, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    rows = np.arange(n)
+    # The first step whose uniform falls below its conclusive threshold ends
+    # the trial.  A zero entry makes an empty interval, so impossible
+    # outcomes stay impossible.
+    conclusive = table[:, :, 0] + table[:, :, 1]
+    hits = u[:, 1:] < np.take(conclusive.T, truth, axis=0)
+    stop = hits.argmax(axis=1)
+    concluded = hits[rows, stop]
+    # Only the stop step is read against its lower threshold, so a nonzero
+    # cross entry would still come out as a misidentification.
+    conclusion = np.where(concluded, u[rows, stop + 1] >= table[stop, truth, 0], _FAIL)
+    used = np.where(concluded, stop + 1, steps)
     return truth, conclusion, used
 
 

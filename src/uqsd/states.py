@@ -22,11 +22,11 @@ class InternalFaultError(RuntimeError):
     """
 
 
-# A squared norm past the float range is inf, which both callers handle.
-@np.errstate(over="ignore")
+# np.vdot gives np.dot's bits on these real views but no overflow warning:
+# a squared norm past the float range is inf, which every caller handles.
 def _norm_sq(vec: np.ndarray) -> float:
     re, im = vec.real, vec.imag
-    return float(re.dot(re) + im.dot(im))
+    return float(np.vdot(re, re)) + float(np.vdot(im, im))
 
 
 def _norm(vec: np.ndarray) -> float:
@@ -98,22 +98,30 @@ class PureState:
         The division by the norm is skipped when the norm is already 1 up to
         a few ulp, so normalizing twice is bit-identical to normalizing once.
         """
-        vec = np.asarray(amplitudes, dtype=np.complex128)
+        vec = np.array(amplitudes, dtype=np.complex128)
         # Any other shape is left for the constructor to reject.
-        norm = _norm(vec) if vec.ndim == 1 else 1.0
-        if not 1e-150 <= norm < math.inf:
-            # Zero, non-finite, or a squared norm that underflowed into the
-            # subnormals or overflowed: only the last two are rescued, by
-            # scaling the largest modulus to 1 first.
-            if not np.isfinite(vec).all():
-                raise ValueError("amplitudes must be finite")
-            if not vec.any():
-                raise ValueError("cannot normalize the zero vector")
-            vec = vec / np.abs(vec).max()
-            norm = _norm(vec)
-        if abs(norm - 1.0) > 1e-13:
-            vec = vec / norm
-        return cls(dim=vec.size, amplitudes=vec)
+        return _normalized(vec, _norm(vec)) if vec.ndim == 1 else cls(vec.size, vec)
+
+
+def _normalized(vec: np.ndarray, norm: float) -> PureState:
+    """PureState.normalized of a fresh 1-D complex128 vec whose norm is `norm`:
+    a finite unit vector, kept without the constructor's second squared norm."""
+    if not 1e-150 <= norm < math.inf:
+        # Zero, non-finite, or a squared norm that underflowed into the
+        # subnormals or overflowed: only the last two are rescued, by
+        # scaling the largest modulus to 1 first.
+        if not np.isfinite(vec).all():
+            raise ValueError("amplitudes must be finite")
+        if not vec.any():
+            raise ValueError("cannot normalize the zero vector")
+        vec = vec / np.abs(vec).max()
+        norm = _norm(vec)
+    if abs(norm - 1.0) > 1e-13:
+        vec = vec / norm
+    vec.setflags(write=False)
+    state = object.__new__(PureState)
+    state.__dict__.update(dim=vec.size, amplitudes=vec)
+    return state
 
 
 @dataclasses.dataclass(frozen=True)
@@ -190,9 +198,9 @@ def random_pure_state(dim: int, seed) -> PureState:
         A PureState whose 2*dim real Gaussian components were normalized.
     """
     dim = checked_integer(dim, "dim", 2)
-    rng = np.random.default_rng(_checked_seed(seed))
-    vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState.normalized(vec)
+    re, im = np.random.default_rng(_checked_seed(seed)).standard_normal((2, dim))
+    vec = re + 1j * im
+    return _normalized(vec, _norm(vec))
 
 
 def state_pair_with_overlap(c: float, dim: int, seed) -> LocalPair:
@@ -205,17 +213,20 @@ def state_pair_with_overlap(c: float, dim: int, seed) -> LocalPair:
     c = checked_number(c, "c", 0.0, 1.0)
     dim = checked_integer(dim, "dim", 2)
     rng = np.random.default_rng(_checked_seed(seed))
-    p = PureState.normalized(rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+    re, im = rng.standard_normal((2, dim))
+    raw = re + 1j * im
+    p = _normalized(raw, _norm(raw))
     p_vec = p.amplitudes
     while True:
-        raw = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        re, im = rng.standard_normal((2, dim))
+        raw = re + 1j * im
         resid = raw - p_vec * np.vdot(p_vec, raw)
-        if _norm(resid) > 1e-6:
+        if (resid_norm := _norm(resid)) > 1e-6:
             break
-    t_vec = PureState.normalized(resid).amplitudes
+    t_vec = _normalized(resid, resid_norm).amplitudes
     phase = np.exp(2j * np.pi * rng.random())
-    q = PureState.normalized(phase * (c * p_vec + np.sqrt(1.0 - c * c) * t_vec))
-    return LocalPair(p, q)
+    q_vec = phase * (c * p_vec + np.sqrt(1.0 - c * c) * t_vec)
+    return LocalPair(p, _normalized(q_vec, _norm(q_vec)))
 
 
 def random_instance(n: int, dim: int, seed) -> ProductInstance:

@@ -12,6 +12,10 @@ against the whole system in two ways, both kept here:
   build the measurement on the whole system from outer products of the
   state vectors and two complete QR factorizations, without the span, and
   return its Born probabilities.
+
+`sample_trial` is the scalar reading of one Monte Carlo trial from one row of
+uniforms, kept as the oracle of the vectorized sampler
+`uqsd.montecarlo._sample`.
 """
 
 import math
@@ -98,3 +102,20 @@ def full_neumark_probs(pair, strat):
         weights = np.abs(evolved) ** 2
         probs.append([weights[0], weights[1], weights[dim:].sum()])
     return probs
+
+
+def sample_trial(table, prior_r, row):
+    """(truth, conclusion, measurements used) of one trial, the slow way.
+
+    `row[0]` prepares p below `prior_r`, else q; then each step k in turn
+    identifies p when `row[1 + k]` is below P(id p | truth), q when it is
+    below P(id p | truth) + P(id q | truth), and otherwise fails and passes
+    on.  The conclusion 2 means every step failed."""
+    truth = 0 if row[0] < prior_r else 1
+    for k, outcomes in enumerate(table):
+        id_p, id_q, _ = (float(x) for x in outcomes[truth])
+        if row[1 + k] < id_p:
+            return truth, 0, k + 1
+        if row[1 + k] < id_p + id_q:
+            return truth, 1, k + 1
+    return truth, 2, len(table)

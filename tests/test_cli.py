@@ -646,6 +646,63 @@ def test_overflowing_amplitude_norm_is_one_error_line(tmp_path):
     )
 
 
+_UNIT_V = [[0.6, 0], [0.8, 0]]
+
+
+@pytest.mark.parametrize(
+    "u, field, problem",
+    [
+        ([[True, 0], [0, 0]], "u[0]", "expected [re, im], got [True, 0]"),
+        ([["1", 0], [0, 0]], "u[0]", "expected [re, im], got ['1', 0]"),
+        ([None, [1, 0]], "u[0]", "expected [re, im], got None"),
+        ([[1.0], [0, 0]], "u[0]", "expected [re, im], got [1.0]"),
+        ([[1.0, 0, 0], [0, 0]], "u[0]", "expected [re, im], got [1.0, 0, 0]"),
+        ([{"re": 1, "im": 0}, [0, 0]], "u[0]", "expected [re, im], got {'re': 1, 'im': 0}"),
+        ([[0.6, 0], [0.8, 0], [0, False]], "u[2]", "expected [re, im], got [0, False]"),
+        ([[1, 0], [10**400, 0]], "u[1]", "amplitude does not fit in a float"),
+        ("1, 0", "u", "expected a list of at least two [re, im] pairs"),
+        ([[1, 0]], "u", "expected a list of at least two [re, im] pairs"),
+        ([[0, 0], [0, 0]], "u", "amplitudes have norm 0.0; expected a unit vector"),
+        ([[0.0, 0.0], [-0.0, 0.0]], "u", "amplitudes have norm 0.0; expected a unit vector"),
+        ([[math.nan, 0], [0, 0]], "u", "amplitudes must be finite"),
+        ([[2, 0], [0, 0]], "u", "amplitudes have norm 2.0; expected a unit vector"),
+        ([[1e200, 0], [0, 0]], "u", "amplitudes have norm inf; expected a unit vector"),
+    ],
+    ids=[
+        "bool", "str", "none", "one-element", "three-elements", "dict", "bad-index-2",
+        "huge-int", "not-a-list", "one-entry", "zero", "signed-zero", "nan", "norm-2", "norm-inf",
+    ],
+)
+def test_amplitude_errors_name_the_field(tmp_path, capsys, u, field, problem):
+    doc = {"priors": {"r": 0.5}, "explicit": {"parties": [{"u": u, "v": _UNIT_V}]}}
+    code, out, err = run_cli(capsys, "optimum", "--scenario", write_scenario(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert err == f"error: scenario field 'explicit.parties[0].{field}': {problem}\n"
+
+
+def _parsed_amplitudes(doc):
+    return [
+        state.amplitudes.tobytes()
+        for pair in _parse_scenario_dict(doc).instance.parties
+        for state in (pair.p, pair.q)
+    ]
+
+
+def test_integer_and_numpy_amplitudes_parse_like_floats():
+    def doc(u, v):
+        return {"priors": {"r": 0.5}, "explicit": {"parties": [{"u": u, "v": v}]}}
+
+    floats = doc([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
+    integers = doc([[0, 1], [0, 0], [0, 0]], [[0, 0], [-1, 0], [0, 0]])
+    assert _parsed_amplitudes(integers) == _parsed_amplitudes(floats)
+    # Number types that JSON never produces take the per-entry path.
+    inst = state_pair_with_overlap(0.4, 3, 7)
+    pairs = [[[x.real, x.imag] for x in s.amplitudes.tolist()] for s in (inst.p, inst.q)]
+    as_numpy = [[[np.float64(a), np.float64(b)] for a, b in entries] for entries in pairs]
+    assert _parsed_amplitudes(doc(*as_numpy)) == _parsed_amplitudes(doc(*pairs))
+    assert _parsed_amplitudes(doc(*pairs)) == [inst.p.amplitudes.tobytes(), inst.q.amplitudes.tobytes()]
+
+
 def test_order_walks_each_visiting_order_once(tmp_path, capsys, monkeypatch):
     # Four identical parties make every order cost exactly the same, so the
     # report must keep best_order's tie-break (the first order in

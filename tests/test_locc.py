@@ -7,11 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uqsd import (
+    Engine,
     OrderMode,
     Priors,
     ProductInstance,
     Regime,
     best_order,
+    checked_order,
     global_optimum,
     global_overlap,
     group,
@@ -19,6 +21,7 @@ from uqsd import (
     optimal_strategy,
     random_instance,
     run_protocol,
+    simulate,
     state_pair_with_overlap,
 )
 
@@ -93,6 +96,41 @@ def test_run_protocol_rejects_bad_order():
     for order in [(0, 0), (0,), (0, 1, 2), (0.9, 1.2), (True, False), ("0", "1"), 1, None]:
         with pytest.raises(ValueError, match="permutation"):
             run_protocol(inst, order)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.intp])
+def test_integer_arrays_are_orders(dtype):
+    inst = _abstract_instance([0.5, 0.7, 0.3], 0.4)
+    order = np.array([2, 0, 1], dtype=dtype)
+    assert checked_order(order, 3) == (2, 0, 1)
+    assert run_protocol(inst, order) == run_protocol(inst, (2, 0, 1))
+    for engine in Engine:
+        assert simulate(inst, order, 500, 3, engine) == simulate(inst, (2, 0, 1), 500, 3, engine)
+
+
+@pytest.mark.parametrize(
+    "order",
+    [
+        np.array([2.0, 0.0, 1.0]),
+        np.array([True, False, True]),
+        np.array([[2, 0, 1]]),
+        np.array([0, 1, 1]),
+        np.array([0, 1]),
+        np.array(["2", "0", "1"]),
+    ],
+    ids=["float", "bool", "2-d", "repeat", "short", "str"],
+)
+def test_other_arrays_are_not_orders(order):
+    inst = _abstract_instance([0.5, 0.7, 0.3], 0.4)
+    message = f"{order!r} is not a permutation of 0..2"
+    for call in (
+        lambda: checked_order(order, 3),
+        lambda: run_protocol(inst, order),
+        lambda: simulate(inst, order, 500, 3, Engine.POVM_SAMPLING),
+    ):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -21,7 +21,7 @@ from uqsd import (
     state_pair_with_overlap,
 )
 
-from _oracles import full_neumark_probs, full_povm_probs
+from _oracles import full_neumark_probs, full_povm_probs, sample_trial
 
 
 def _abstract_instance(overlaps, r, seed=0):
@@ -165,6 +165,99 @@ def test_row_chunked_draws_match_one_draw(monkeypatch):
     monkeypatch.setattr(mc, "_DRAW_CAP", 15)
     chunked = simulate(inst, order, mc.BLOCK + 100, 21, Engine.POVM_SAMPLING)
     assert chunked == whole
+
+
+# (successes, misidentifications, measurements) over BLOCK + 7 trials.  Any
+# change to the block streams, the tables or the stop rule shows here.
+_PINNED_TALLIES = {
+    "tripartite": ([0.5, 0.7, 0.3], 0.4, (2, 0, 1), 13, (14722, 0, 23573)),
+    "deep": ([0.9, 0.8, 0.95, 0.7, 0.85, 0.9, 0.75, 0.6], 0.45, tuple(range(8)), 5,
+             (13616, 0, 79317)),
+    "skipped": ([1.0, 1.0, 1.0], 0.6, (0, 1, 2), 3, (0, 0, 0)),
+    "orthogonal": ([0.6, 0.0, 0.8], 0.35, (0, 1, 2), 8, (16391, 0, 25803)),
+}
+
+
+@pytest.mark.parametrize("engine", list(Engine), ids=lambda e: e.value)
+@pytest.mark.parametrize("case, draw_cap", [
+    *((case, None) for case in _PINNED_TALLIES),
+    # Rows of 9 uniforms drawn 2 rows at a time, across a block boundary.
+    ("deep", 20),
+])
+def test_simulate_tallies_are_pinned(monkeypatch, engine, case, draw_cap):
+    overlaps, r, order, seed, tallies = _PINNED_TALLIES[case]
+    if draw_cap is not None:
+        monkeypatch.setattr(mc, "_DRAW_CAP", draw_cap)
+    stats = simulate(_abstract_instance(overlaps, r), order, mc.BLOCK + 7, seed, engine)
+    correct, measurements = _counts(stats)
+    assert (correct, stats.misidentifications, measurements) == tallies
+
+
+def _assert_sample_is_the_oracle(table, prior_r, u):
+    got = mc._sample(table, prior_r, u)
+    assert all(a.dtype == np.intp and a.shape == (len(u),) for a in got)
+    want = [sample_trial(table, prior_r, row) for row in u.tolist()]
+    assert list(zip(*(a.tolist() for a in got))) == want
+
+
+def _random_table(rng, steps):
+    # Any outcome may be impossible, a cross entry included.
+    table = rng.random((steps, 2, 3))
+    table[rng.random(table.shape) < 0.25] = 0.0
+    table[table.sum(axis=2) == 0.0, mc._FAIL] = 1.0
+    return table / table.sum(axis=2, keepdims=True)
+
+
+def test_sample_matches_the_scalar_oracle_on_random_tables():
+    rng = np.random.default_rng(585)
+    for i in range(60):
+        steps = i % 7
+        table = _random_table(rng, steps)
+        _assert_sample_is_the_oracle(table, rng.random(), rng.random((50, 1 + steps)))
+
+
+def test_sample_matches_the_scalar_oracle_on_thresholds():
+    # Each step uniform is 0, a threshold of the row's truth, or one ulp
+    # below one: an interval's lower end is inside it, its upper end not.
+    rng = np.random.default_rng(595)
+    for i in range(40):
+        steps, r = 1 + i % 5, rng.random()
+        table = _random_table(rng, steps)
+        u = np.empty((64, 1 + steps))
+        u[:, 0] = rng.choice([0.0, np.nextafter(r, 0.0), r, np.nextafter(1.0, 0.0)], size=64)
+        truth = (u[:, 0] >= r).astype(int)
+        for k in range(steps):
+            lower = table[k, truth, 0]
+            upper = lower + table[k, truth, 1]
+            picks = np.stack([
+                np.zeros(64), lower, upper,
+                np.nextafter(lower, 0.0), np.nextafter(upper, 0.0),
+            ])
+            u[:, 1 + k] = picks[rng.integers(0, 5, size=64), np.arange(64)]
+        _assert_sample_is_the_oracle(table, r, u)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]],
+        [[[0.0, 0.0, 1.0], [0.0, 0.0, 1.0]], [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]],
+        [[[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]]],
+        [[[0.3, 0.0, 0.7], [0.0, 0.0, 1.0]], [[0.0, 0.5, 0.5], [0.0, 1.0, 0.0]]],
+        # The table of test_misidentifications_are_counted_from_the_sampler.
+        [[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]],
+        # No step: every trial fails with no measurement.
+        np.zeros((0, 2, 3)),
+    ],
+    ids=["certain-p", "never-then-q", "always-wrong", "partial", "misidentifying", "no-step"],
+)
+def test_sample_matches_the_scalar_oracle_on_zero_probabilities(table):
+    table = np.array(table, dtype=float).reshape(-1, 2, 3)
+    rng = np.random.default_rng(605)
+    u = rng.random((200, 1 + len(table)))
+    u[::7] = 0.0
+    u[1::7, 1:] = np.nextafter(1.0, 0.0)
+    _assert_sample_is_the_oracle(table, 0.6, u)
 
 
 def test_povm_and_neumark_tables_agree():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -220,6 +221,65 @@ def test_normalized_rescues_norms_that_underflow_or_overflow():
     for bad in ([np.nan, 0.0], [np.inf, 0.0]):
         with pytest.raises(ValueError, match="finite"):
             PureState.normalized(bad)
+
+
+def _count_norm_sq(monkeypatch) -> list:
+    # Every uqsd module that binds states._norm_sq calls the counter instead.
+    calls = []
+    real = uqsd.states._norm_sq
+
+    def counted(vec):
+        calls.append(vec.size)
+        return real(vec)
+
+    for name, module in list(sys.modules.items()):
+        if (name == "uqsd" or name.startswith("uqsd.")) and getattr(module, "_norm_sq", None) is real:
+            monkeypatch.setattr(module, "_norm_sq", counted)
+    return calls
+
+
+def test_one_squared_norm_per_parsed_state(monkeypatch, tmp_path):
+    n = 50
+    inst = random_instance(n, 4, 12)
+
+    def as_json(state, scale):
+        return [[scale * z.real, scale * z.imag] for z in state.amplitudes.tolist()]
+
+    # Every third party is written off by 1e-8, so its states are divided
+    # by their norm; the others are already unit and are not.
+    doc = {
+        "priors": {"r": inst.priors.r},
+        "explicit": {
+            "parties": [
+                {"u": as_json(pr.p, 1.0 + 1e-8 * (k % 3 == 0)), "v": as_json(pr.q, 1.0)}
+                for k, pr in enumerate(inst.parties)
+            ]
+        },
+    }
+    path = tmp_path / "explicit.json"
+    path.write_text(json.dumps(doc))
+    calls = _count_norm_sq(monkeypatch)
+    parsed = uqsd.cli.parse_scenario(str(path))
+    assert calls == [4] * (2 * n)
+    for got, want in zip(parsed.instance.parties, inst.parties):
+        assert got.q.amplitudes.tobytes() == want.q.amplitudes.tobytes()
+        np.testing.assert_allclose(got.p.amplitudes, want.p.amplitudes, rtol=0, atol=1e-15)
+
+
+def test_one_squared_norm_per_constructed_state(monkeypatch):
+    calls = _count_norm_sq(monkeypatch)
+    random_pure_state(5, 3)
+    assert calls == [5]
+    del calls[:]
+    state_pair_with_overlap(0.4, 3, 4)  # |p>, the residual |t> and |q>
+    assert calls == [3, 3, 3]
+    del calls[:]
+    random_instance(3, 2, 5)
+    assert calls == [2] * 6
+    del calls[:]
+    PureState.normalized([3.0, 4.0])
+    PureState(2, [0.6, 0.8])
+    assert calls == [2, 2]
 
 
 def _digest(*states, extra=()) -> str:
