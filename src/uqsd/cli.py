@@ -62,27 +62,29 @@ def _checked(check, value, field: str, *bounds):
         raise ScenarioError(str(exc)) from None
 
 
+@functools.cache  # per type, so that the type pass costs about what type() does
+def _is_number(kind: type) -> bool:
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)  # bool subclasses int
+
+
+def _is_amplitude(pair) -> bool:  # an [re, im] list of two numbers
+    return isinstance(pair, list) and len(pair) == 2 and (
+        _is_number(type(pair[0])) and _is_number(type(pair[1])))
+
+
 def _amplitudes_from_json(entries, field: str) -> PureState:
     if not isinstance(entries, list) or len(entries) < 2:
         _fail(field, "expected a list of at least two [re, im] pairs")
-    vec = None
-    # One type pass (bool is not of type int) and one conversion; the loop
-    # names a bad entry, or converts numbers json.load does not produce.
-    if all(type(pair) is list and len(pair) == 2 and type(pair[0]) in (int, float)
-           and type(pair[1]) in (int, float) for pair in entries):
+    vec = None  # from one type pass and one conversion of every accepted entry
+    if all(map(_is_amplitude, entries)):
         with contextlib.suppress(OverflowError):  # an integer too large for a float
             vec = np.array(entries, dtype=np.float64).view(np.complex128)[:, 0]
-    if vec is None:
-        vec = np.empty(len(entries), dtype=np.complex128)
+    if vec is None:  # only names the first bad entry
         for j, pair in enumerate(entries):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
-            ):
+            if not _is_amplitude(pair):
                 _fail(f"{field}[{j}]", f"expected [re, im], got {pair!r}")
             try:
-                vec[j] = complex(pair[0], pair[1])
+                complex(*pair)
             except OverflowError:
                 _fail(f"{field}[{j}]", "amplitude does not fit in a float")
     norm = _norm(vec)

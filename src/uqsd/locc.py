@@ -56,11 +56,9 @@ def checked_order(order: Sequence[int], n: int) -> Order:
     """`order` as a tuple if it is a permutation of 0..n-1, else ValueError.
 
     Entries must be integers: a bool, float or str is rejected, not coerced.
-    A 1-D integer ndarray is read as the list of its entries.
+    An ndarray is read as its `tolist()`.
     """
-    entries = order
-    if isinstance(order, np.ndarray) and order.ndim == 1 and order.dtype.kind in "iu":
-        entries = order.tolist()
+    entries = order.tolist() if isinstance(order, np.ndarray) else order
     if (
         not isinstance(entries, Sequence)
         or any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in entries)

@@ -30,11 +30,7 @@ def _norm_sq(vec: np.ndarray) -> float:
 
 
 def _norm(vec: np.ndarray) -> float:
-    """Euclidean norm of a complex vector, bit-identical to np.linalg.norm.
-
-    np.linalg.norm computes sqrt(re.re + im.im) for complex input; this does
-    the same arithmetic without its argument handling.
-    """
+    """Euclidean norm of a complex vector: np.linalg.norm's sqrt(re.re + im.im), bit for bit."""
     return math.sqrt(_norm_sq(vec))
 
 
@@ -72,7 +68,7 @@ def _checked_seed(seed):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PureState:
-    """A unit vector of complex amplitudes on a d-dimensional system."""
+    """A unit vector of complex amplitudes on a d-dimensional system; see `_set_fields`."""
 
     dim: int
     amplitudes: np.ndarray
@@ -82,14 +78,7 @@ class PureState:
         vec = np.array(self.amplitudes, dtype=np.complex128)
         if vec.shape != (self.dim,):
             raise ValueError(f"expected {self.dim} amplitudes, got shape {vec.shape}")
-        norm_sq = _norm_sq(vec)
-        # A non-finite entry makes norm_sq non-finite, so only then scan.
-        if not math.isfinite(norm_sq) and not np.isfinite(vec).all():
-            raise ValueError("amplitudes must be finite")
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized: sum |a_i|^2 = {norm_sq!r}")
-        vec.setflags(write=False)
-        object.__setattr__(self, "amplitudes", vec)
+        _set_fields(self, vec, _norm_sq(vec))
 
     @classmethod
     def normalized(cls, amplitudes) -> "PureState":
@@ -104,8 +93,7 @@ class PureState:
 
 
 def _normalized(vec: np.ndarray, norm: float) -> PureState:
-    """PureState.normalized of a fresh 1-D complex128 vec whose norm is `norm`:
-    a finite unit vector, kept without the constructor's second squared norm."""
+    """PureState.normalized of a fresh 1-D complex128 vec whose norm is already known."""
     if not 1e-150 <= norm < math.inf:
         # Zero, non-finite, or a squared norm that underflowed into the
         # subnormals or overflowed: only the last two are rescued, by
@@ -117,10 +105,20 @@ def _normalized(vec: np.ndarray, norm: float) -> PureState:
         vec = vec / np.abs(vec).max()
         norm = _norm(vec)
     if abs(norm - 1.0) > 1e-13:
-        vec = vec / norm
+        vec, norm = vec / norm, 1.0  # a unit vector up to rounding, by construction
+    return _set_fields(object.__new__(PureState), vec, norm * norm)
+
+
+def _set_fields(state: PureState, vec: np.ndarray, norm_sq: float) -> PureState:
+    # Every PureState gets its fields here: vec, read-only, if its squared norm
+    # is 1 up to NORM_TOL.  A non-finite entry makes norm_sq non-finite.
+    if not math.isfinite(norm_sq) and not np.isfinite(vec).all():
+        raise ValueError("amplitudes must be finite")
+    if abs(norm_sq - 1.0) > NORM_TOL:
+        raise ValueError(f"state is not normalized: sum |a_i|^2 = {norm_sq!r}")
     vec.setflags(write=False)
-    state = object.__new__(PureState)
-    state.__dict__.update(dim=vec.size, amplitudes=vec)
+    object.__setattr__(state, "dim", vec.size)
+    object.__setattr__(state, "amplitudes", vec)
     return state
 
 

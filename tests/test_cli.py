@@ -695,12 +695,13 @@ def test_integer_and_numpy_amplitudes_parse_like_floats():
     floats = doc([[0.0, 1.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
     integers = doc([[0, 1], [0, 0], [0, 0]], [[0, 0], [-1, 0], [0, 0]])
     assert _parsed_amplitudes(integers) == _parsed_amplitudes(floats)
-    # Number types that JSON never produces take the per-entry path.
+    # A float subclass that JSON never produces is converted in the same pass.
     inst = state_pair_with_overlap(0.4, 3, 7)
     pairs = [[[x.real, x.imag] for x in s.amplitudes.tolist()] for s in (inst.p, inst.q)]
     as_numpy = [[[np.float64(a), np.float64(b)] for a, b in entries] for entries in pairs]
     assert _parsed_amplitudes(doc(*as_numpy)) == _parsed_amplitudes(doc(*pairs))
-    assert _parsed_amplitudes(doc(*pairs)) == [inst.p.amplitudes.tobytes(), inst.q.amplitudes.tobytes()]
+    want = [inst.p.amplitudes.tobytes(), inst.q.amplitudes.tobytes()]
+    assert _parsed_amplitudes(doc(*pairs)) == want
 
 
 def test_order_walks_each_visiting_order_once(tmp_path, capsys, monkeypatch):

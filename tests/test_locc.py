@@ -117,8 +117,9 @@ def test_integer_arrays_are_orders(dtype):
         np.array([0, 1, 1]),
         np.array([0, 1]),
         np.array(["2", "0", "1"]),
+        np.array(0),
     ],
-    ids=["float", "bool", "2-d", "repeat", "short", "str"],
+    ids=["float", "bool", "2-d", "repeat", "short", "str", "0-d"],
 )
 def test_other_arrays_are_not_orders(order):
     inst = _abstract_instance([0.5, 0.7, 0.3], 0.4)

@@ -233,7 +233,8 @@ def _count_norm_sq(monkeypatch) -> list:
         return real(vec)
 
     for name, module in list(sys.modules.items()):
-        if (name == "uqsd" or name.startswith("uqsd.")) and getattr(module, "_norm_sq", None) is real:
+        in_package = name == "uqsd" or name.startswith("uqsd.")
+        if in_package and getattr(module, "_norm_sq", None) is real:
             monkeypatch.setattr(module, "_norm_sq", counted)
     return calls
 
