@@ -20,6 +20,7 @@ from .states import (
     random_instance,
     random_pure_state,
     state_pair_with_overlap,
+    state_pairs_with_overlaps,
 )
 from .pair_disc import (
     DegeneratePairError,
@@ -66,6 +67,7 @@ __all__ = [
     "inner_product",
     "random_pure_state",
     "state_pair_with_overlap",
+    "state_pairs_with_overlaps",
     "random_instance",
     "Regime",
     "Strategy",

@@ -15,7 +15,7 @@ import numpy as np
 from .locc import OrderMode, best_order, global_optimum, group, run_protocol
 from .pair_disc import Regime, brute_force_strategy, optimal_strategy
 from .states import Priors, ProductInstance, checked_integer, checked_number
-from .states import random_instance, state_pair_with_overlap
+from .states import random_instance, state_pairs_with_overlaps
 
 # Largest deviation each property may show and still pass.
 TOLERANCES = {
@@ -130,17 +130,16 @@ def sweep(cs: Sequence[float], rs: Sequence[float], seed: int) -> list[SweepRow]
     Each row's protocol column comes from a two-party instance whose local
     overlaps are both sqrt(c), so the physical path is exercised rather than
     the closed form alone.  The instance depends on c only, so it is built
-    once per overlap column: column i (overlap cs[i]) draws its pairs from
-    seeds (seed, i, 0) and (seed, i, 1), and every r runs the protocol on
-    them with its own priors.
+    once per overlap column: all 2 * len(cs) pairs come from one
+    `state_pairs_with_overlaps` stream seeded with `seed`, column i (overlap
+    cs[i]) takes pairs 2i and 2i+1, and every r runs the protocol on them
+    with its own priors.
     """
     cs = [checked_number(c, f"cs[{i}]", 0.0, 1.0) for i, c in enumerate(cs)]
     rs = [checked_number(r, f"rs[{j}]", 0.0, 1.0) for j, r in enumerate(rs)]
     seed = checked_integer(seed, "seed", 0)
-    columns = [
-        tuple(state_pair_with_overlap(math.sqrt(c), 2, (seed, i, j)) for j in range(2))
-        for i, c in enumerate(cs)
-    ]
+    pairs = state_pairs_with_overlaps([math.sqrt(c) for c in cs for _ in range(2)], 2, seed)
+    columns = [pairs[2 * i : 2 * i + 2] for i in range(len(cs))]
     rows = []
     for r in rs:
         priors = Priors(r, 1.0 - r)

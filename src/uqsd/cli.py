@@ -26,7 +26,7 @@ from .locc import global_optimum, global_overlap
 from .montecarlo import Engine, simulate
 from .pair_disc import optimal_strategy
 from .states import LocalPair, Priors, ProductInstance, PureState, _norm, _normalized
-from .states import checked_integer, checked_number, state_pair_with_overlap
+from .states import checked_integer, checked_number, state_pairs_with_overlaps
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
@@ -124,12 +124,11 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
         seed = _checked(checked_integer, block.get("seed", 0), "abstract.seed", 0)
         # Canonicalize to concrete state vectors so every command runs
         # through the same physical layer as an explicit scenario.
-        return tuple(
-            state_pair_with_overlap(
-                _checked(checked_number, c, f"abstract.overlaps[{i}]", 0.0, 1.0), dim, (seed, i)
-            )
+        cs = [
+            _checked(checked_number, c, f"abstract.overlaps[{i}]", 0.0, 1.0)
             for i, c in enumerate(overlaps)
-        )
+        ]
+        return state_pairs_with_overlaps(cs, dim, seed)
     block = doc["explicit"]
     if not isinstance(block, dict):
         _fail("explicit", "expected an object")

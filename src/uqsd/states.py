@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -206,11 +207,16 @@ def state_pair_with_overlap(c: float, dim: int, seed) -> LocalPair:
 
     The second state is c*|p> + sqrt(1-c^2)*|t> for a random |t> orthogonal
     to |p>, times a random global phase (so the complex overlap phase is
-    exercised, not just its modulus).
+    exercised, not just its modulus).  `seed` may also be a
+    np.random.Generator, which the pair draws from and advances; that is how
+    `state_pairs_with_overlaps` builds each of its pairs from one stream.
     """
     c = checked_number(c, "c", 0.0, 1.0)
     dim = checked_integer(dim, "dim", 2)
-    rng = np.random.default_rng(_checked_seed(seed))
+    if isinstance(seed, np.random.Generator):
+        rng = seed
+    else:
+        rng = np.random.default_rng(_checked_seed(seed))
     re, im = rng.standard_normal((2, dim))
     raw = re + 1j * im
     p = _normalized(raw, _norm(raw))
@@ -227,20 +233,33 @@ def state_pair_with_overlap(c: float, dim: int, seed) -> LocalPair:
     return LocalPair(p, _normalized(q_vec, _norm(q_vec)))
 
 
+def state_pairs_with_overlaps(cs: Sequence[float], dim: int, seed) -> tuple[LocalPair, ...]:
+    """One `state_pair_with_overlap` pair per overlap in `cs`, from one stream.
+
+    The stream is `default_rng(seed)`, and the pairs are drawn from it in
+    turn, so the first pair is `state_pair_with_overlap(cs[0], dim, seed)`.
+    """
+    cs = [checked_number(c, f"cs[{i}]", 0.0, 1.0) for i, c in enumerate(cs)]
+    dim = checked_integer(dim, "dim", 2)
+    rng = np.random.default_rng(_checked_seed(seed))
+    return tuple(state_pair_with_overlap(c, dim, rng) for c in cs)
+
+
 def random_instance(n: int, dim: int, seed) -> ProductInstance:
     """Sample an n-party instance with Haar-random local pairs.
 
-    Sub-streams are derived by a fixed counter scheme so the result does not
-    depend on evaluation order: party i draws its two states from streams
-    (seed, 2i) and (seed, 2i+1); the priors use (seed, 2n).
+    Everything comes from one stream `default_rng(seed)`: first one
+    standard_normal((n, 2, 2, dim)) draw, indexed by (party, hypothesis,
+    real/imaginary part, amplitude), then random(2) for the priors.
     """
     n = checked_integer(n, "n", 1)
-    seed = _checked_seed(seed)
-    parties = []
-    for i in range(n):
-        p = random_pure_state(dim, (seed, 2 * i))
-        q = random_pure_state(dim, (seed, 2 * i + 1))
-        parties.append(LocalPair(p, q))
-    u = np.random.default_rng((seed, 2 * n)).random(2)
+    dim = checked_integer(dim, "dim", 2)
+    rng = np.random.default_rng(_checked_seed(seed))
+    draws = rng.standard_normal((n, 2, 2, dim))
+    vecs = draws[:, :, 0] + 1j * draws[:, :, 1]
+    parties = tuple(
+        LocalPair(*(_normalized(vec, _norm(vec)) for vec in party)) for party in vecs
+    )
+    u = rng.random(2)
     r = float(u[0] / (u[0] + u[1]))
-    return ProductInstance(parties=tuple(parties), priors=Priors(r, 1.0 - r))
+    return ProductInstance(parties=parties, priors=Priors(r, 1.0 - r))

@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line layer, driven through main()."""
 
+import itertools
 import json
 import math
 import pathlib
@@ -12,7 +13,13 @@ import pytest
 import uqsd.checks as checks
 import uqsd.cli as cli
 import uqsd.locc as locc
-from uqsd import InternalFaultError, Priors, ProductInstance, state_pair_with_overlap
+from uqsd import (
+    InternalFaultError,
+    Priors,
+    ProductInstance,
+    state_pair_with_overlap,
+    state_pairs_with_overlaps,
+)
 from uqsd.cli import (
     _parse_scenario_dict,
     cmd_verify,
@@ -516,22 +523,31 @@ def test_sweep_json_rows_match_grid(tmp_path, capsys):
 
 
 def test_sweep_builds_one_instance_per_overlap_column(monkeypatch):
-    calls = []
+    built, used = [], []
 
     def counted(*args):
-        calls.append(args)
-        return state_pair_with_overlap(*args)
+        built.append(state_pairs_with_overlaps(*args))
+        return built[-1]
 
-    monkeypatch.setattr(checks, "state_pair_with_overlap", counted)
+    def recorded(pairs, priors):
+        used.append(pairs)
+        return ProductInstance(pairs, priors)
+
+    monkeypatch.setattr(checks, "state_pairs_with_overlaps", counted)
+    monkeypatch.setattr(checks, "ProductInstance", recorded)
     cs, rs, seed = [0.1, 0.5, 0.9], [0.2, 0.5, 0.7, 1.0], 3
     rows = checks.sweep(cs, rs, seed)
-    assert len(calls) == 2 * len(cs)
+    # 2 * len(cs) pairs, built once and reused for every r.
+    assert [len(pairs) for pairs in built] == [2 * len(cs)]
+    assert len(used) == len(rs) * len(cs)
+    for k, pairs in enumerate(used):
+        i = k % len(cs)
+        assert all(a is b for a, b in zip(pairs, built[0][2 * i : 2 * i + 2], strict=True))
     assert [(row.c, row.r) for row in rows] == [(c, r) for r in rs for c in cs]
+    expected = state_pairs_with_overlaps([math.sqrt(c) for c in cs for _ in range(2)], 2, seed)
     for k, row in enumerate(rows):
         i = k % len(cs)
-        pairs = tuple(
-            state_pair_with_overlap(math.sqrt(cs[i]), 2, (seed, i, j)) for j in range(2)
-        )
+        pairs = expected[2 * i : 2 * i + 2]
         result = locc.run_protocol(ProductInstance(pairs, Priors(row.r, 1.0 - row.r)), (0, 1))
         assert row.p_locc == result.p_success
         assert row.e_count == result.expected_measurements
@@ -707,15 +723,21 @@ def test_integer_and_numpy_amplitudes_parse_like_floats():
 def test_order_walks_each_visiting_order_once(tmp_path, capsys, monkeypatch):
     # Four identical parties make every order cost exactly the same, so the
     # report must keep best_order's tie-break (the first order in
-    # permutation order).  The walk over the order tree steps each prefix
-    # once, sum_k n!/(n-k)! party steps, and the ascending heuristic is the
-    # only protocol run, n steps more.
+    # permutation order).  The walk over the order tree computes a strategy
+    # once per distinct (priors, overlap) it meets, and the ascending
+    # heuristic is the only protocol run, n strategies more.
     n = 4
     party = {"u": [[1.0, 0.0], [0.0, 0.0]], "v": [[0.6, 0.0], [0.8, 0.0]]}
     path = write_scenario(
         tmp_path, {"priors": {"r": 0.3}, "explicit": {"parties": [party] * n}}
     )
-    expected_best = cli.best_order(parse_scenario(path).instance, cli.OrderMode.EXHAUSTIVE)
+    instance = parse_scenario(path).instance
+    expected_best = cli.best_order(instance, cli.OrderMode.EXHAUSTIVE)
+    met = {
+        (rec.priors_before.r, rec.priors_before.s, rec.local_overlap)
+        for perm in itertools.permutations(range(n))
+        for rec in locc.run_protocol(instance, perm).transcript
+    }
     steps, runs = [], []
 
     def counting(real, calls):
@@ -730,8 +752,8 @@ def test_order_walks_each_visiting_order_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(locc, "run_protocol", counting(locc.run_protocol, runs))
     code, out, _ = run_cli(capsys, "order", "--scenario", path)
     assert code == 0
-    walk_steps = sum(math.perm(n, k) for k in range(1, n + 1))
-    assert len(steps) == walk_steps + n
+    assert len(met) == 2  # the first step leaves equal priors, which later steps keep
+    assert len(steps) == len(met) + n
     assert len(runs) == 1
     ex = json.loads(out)["exhaustive"]
     assert len(ex["table"]) == math.factorial(n)

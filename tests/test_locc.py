@@ -329,15 +329,32 @@ _EDGE_PRIORS = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(overlaps=st.lists(_EDGE_OVERLAPS, min_size=1, max_size=6), r=_EDGE_PRIORS)
+# Parties drawn from a pool of three pairs repeat their overlaps exactly, so
+# the walk meets a (priors, overlap) again at another prefix and reach.
+_POOLED_PARTIES = st.tuples(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=6),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    overlaps=st.one_of(st.lists(_EDGE_OVERLAPS, min_size=1, max_size=6), _POOLED_PARTIES),
+    r=_EDGE_PRIORS,
+)
 def test_exhaustive_walk_rows_equal_run_protocol(overlaps, r):
     # The shared-prefix walk runs the same float operations in the same
-    # sequence as run_protocol, so every row is bit-identical, not close.
-    inst = _abstract_instance(overlaps, r)
+    # sequence as run_protocol, and reuses a step's strategy only where its
+    # priors and overlap are equal, so every row is bit-identical, not close.
+    if isinstance(overlaps, tuple):
+        c, picks = overlaps
+        pool = _abstract_instance([0.0, 1.0, c], r).parties
+        inst = ProductInstance(tuple(pool[k] for k in picks), Priors(r, 1.0 - r))
+    else:
+        inst = _abstract_instance(overlaps, r)
     table = []
     best_order(inst, OrderMode.EXHAUSTIVE, table=table)
-    assert [row[0] for row in table] == list(itertools.permutations(range(len(overlaps))))
+    assert [row[0] for row in table] == list(itertools.permutations(range(inst.n_parties)))
     for perm, e_count, p_success in table:
         result = run_protocol(inst, perm)
         assert e_count == result.expected_measurements

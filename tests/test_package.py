@@ -128,6 +128,15 @@ BOUNDED = {
     "state_pair_with_overlap.seed": (
         "seed", lambda v: uqsd.state_pair_with_overlap(0.5, 2, v), np.int64(3), -1,
     ),
+    "state_pairs_with_overlaps.cs": (
+        "cs[0]", lambda v: uqsd.state_pairs_with_overlaps([v], 2, 0), np.float64(0.5), 1.5,
+    ),
+    "state_pairs_with_overlaps.dim": (
+        "dim", lambda v: uqsd.state_pairs_with_overlaps([0.5], v, 0), np.int64(2), 1,
+    ),
+    "state_pairs_with_overlaps.seed": (
+        "seed", lambda v: uqsd.state_pairs_with_overlaps([0.5], 2, v), np.int64(3), -1,
+    ),
     "random_instance.n": ("n", lambda v: uqsd.random_instance(v, 2, 0), np.int64(2), 0),
     "random_instance.dim": ("dim", lambda v: uqsd.random_instance(2, v, 0), np.int64(2), 1),
     "random_instance.seed": ("seed", lambda v: uqsd.random_instance(2, 2, v), np.int64(3), -1),

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +17,14 @@ from uqsd import (
     random_instance,
     random_pure_state,
     state_pair_with_overlap,
+    state_pairs_with_overlaps,
 )
+import uqsd.checks
 import uqsd.cli
 import uqsd.states
 from uqsd.states import _norm
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_inner_product_basis_vectors():
@@ -312,15 +317,54 @@ def test_seeded_constructions_are_pinned():
     for (c, dim, seed), digest in pairs.items():
         pair = state_pair_with_overlap(c, dim, seed)
         assert _digest(pair.p, pair.q, extra=(pair.overlap_c,)) == digest
+    # random_instance draws a whole instance from one default_rng(seed).
     instances = {
-        (1, 2, 0): "9a9cc85738deb6ca",
-        (3, 2, 5): "b2114be7c35fada4",
-        (4, 3, 9): "c38c98bc93ec27bf",
+        (1, 2, 0): "ac563482c991dba7",
+        (3, 2, 5): "69eeb05f527117a5",
+        (4, 3, 9): "e2462bfde631eabc",
     }
     for (n, dim, seed), digest in instances.items():
         inst = random_instance(n, dim, seed)
         members = [s for pair in inst.parties for s in (pair.p, pair.q)]
         assert _digest(*members, extra=(inst.priors.r, inst.priors.s)) == digest
+    many = {
+        ((0.0, 1.0, 0.37), 2, 3): "4c235cc0208a358a",
+        ((0.9, 0.5, 0.2, 0.9), 4, (5, 1)): "e4f6f75ab472496a",
+    }
+    for (cs, dim, seed), digest in many.items():
+        pairs = state_pairs_with_overlaps(cs, dim, seed)
+        members = [s for pair in pairs for s in (pair.p, pair.q)]
+        assert _digest(*members, extra=[pair.overlap_c for pair in pairs]) == digest
+        first = state_pair_with_overlap(cs[0], dim, seed)
+        assert _digest(first.p, first.q) == _digest(pairs[0].p, pairs[0].q)
+    # An abstract scenario's parties are the pairs of its one stream.
+    parsed = uqsd.cli.parse_scenario(str(SCENARIOS / "tripartite.json")).instance
+    members = [s for pair in parsed.parties for s in (pair.p, pair.q)]
+    extra = [pair.overlap_c for pair in parsed.parties]
+    assert _digest(*members, extra=extra) == "717dc0204c0332c9"
+
+
+def test_one_random_stream_per_seeded_construction(monkeypatch):
+    streams = []
+    real = np.random.default_rng
+
+    def counted(seed):
+        streams.append(seed)
+        return real(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    random_instance(4, 3, 9)
+    assert streams == [9]
+    del streams[:]
+    uqsd.cli.parse_scenario(str(SCENARIOS / "tripartite.json"))
+    assert streams == [0]
+    del streams[:]
+    uqsd.checks.sweep([0.0, 0.25, 0.5, 1.0], [0.5, 0.9], 4)
+    assert streams == [4]
+    del streams[:]
+    count = 10
+    uqsd.checks.verify(1, count)  # two (c, r) streams and one per instance
+    assert len(streams) == 2 + 2 * count
 
 
 def test_fast_norm_matches_numpy_bit_for_bit():
