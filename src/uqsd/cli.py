@@ -96,6 +96,12 @@ def _amplitudes_from_json(entries, field: str) -> PureState:
         _fail(field, str(exc))
 
 
+def _probabilities(values, field: str) -> list[float]:
+    if not isinstance(values, list) or not values:
+        _fail(field, "required non-empty list of numbers")
+    return [_checked(checked_number, x, f"{field}[{j}]", 0.0, 1.0) for j, x in enumerate(values)]
+
+
 def _parse_priors(doc: dict) -> Priors:
     block = doc.get("priors")
     if not isinstance(block, dict):
@@ -117,17 +123,11 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
         block = doc["abstract"]
         if not isinstance(block, dict):
             _fail("abstract", "expected an object")
-        overlaps = block.get("overlaps")
-        if not isinstance(overlaps, list) or not overlaps:
-            _fail("abstract.overlaps", "required non-empty list of numbers")
+        cs = _probabilities(block.get("overlaps"), "abstract.overlaps")
         dim = _checked(checked_integer, block.get("dim", 2), "abstract.dim", 2, MAX_ABSTRACT_DIM)
         seed = _checked(checked_integer, block.get("seed", 0), "abstract.seed", 0)
         # Canonicalize to concrete state vectors so every command runs
         # through the same physical layer as an explicit scenario.
-        cs = [
-            _checked(checked_number, c, f"abstract.overlaps[{i}]", 0.0, 1.0)
-            for i, c in enumerate(overlaps)
-        ]
         return state_pairs_with_overlaps(cs, dim, seed)
     block = doc["explicit"]
     if not isinstance(block, dict):
@@ -178,16 +178,7 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
     if sweep is not None:
         if not isinstance(sweep, dict):
             _fail("sweep", "expected an object with keys 'c' and 'r'")
-        grid = {}
-        for axis in ("c", "r"):
-            values = sweep.get(axis)
-            if not isinstance(values, list) or not values:
-                _fail(f"sweep.{axis}", "required non-empty list of numbers")
-            grid[axis] = [
-                _checked(checked_number, x, f"sweep.{axis}[{j}]", 0.0, 1.0)
-                for j, x in enumerate(values)
-            ]
-        sweep = grid
+        sweep = {axis: _probabilities(sweep.get(axis), f"sweep.{axis}") for axis in ("c", "r")}
 
     return Scenario(
         instance=instance,
@@ -314,7 +305,8 @@ def cmd_simulate(scenario: Scenario) -> dict:
 def cmd_order(scenario: Scenario, exhaustive: bool = False, quiet: bool = False) -> dict:
     instance = scenario.instance
     n = instance.n_parties
-    if exhaustive and n > EXHAUSTIVE_MAX_PARTIES:
+    walk = n <= EXHAUSTIVE_MAX_PARTIES
+    if exhaustive and not walk:
         raise ScenarioError(
             f"exhaustive order search refused for n = {n} (> {EXHAUSTIVE_MAX_PARTIES}):"
             f" its walk over the order tree takes sum_k {n}!/({n}-k)! steps"
@@ -325,7 +317,7 @@ def cmd_order(scenario: Scenario, exhaustive: bool = False, quiet: bool = False)
         "ascending_cost": asc_cost,
         "exhaustive": None,
     }
-    if n <= EXHAUSTIVE_MAX_PARTIES:
+    if walk:
         table = None if quiet else []
         best, cost = best_order(instance, OrderMode.EXHAUSTIVE, table=table)
         exhaustive_body = {"best_order": list(best), "best_cost": cost}

@@ -90,43 +90,29 @@ class _Walk(NamedTuple):
     expected: float = 0.0
 
 
-def _decide(c: float, priors: Priors) -> tuple[Strategy, Priors]:
-    """A party's strategy at overlap c and the priors a failed step leaves.
-
-    Both depend on (priors, c) alone.  The priors are kept when the party is
-    skipped (c = 1) or its step cannot fail.
-    """
-    strat = optimal_strategy(c, priors)
-    if c == 1.0 or strat.p_fail == 0.0:
-        return strat, priors
-    return strat, failure_posterior(strat, priors)
-
-
-def _step(walk: _Walk, c: float, memo: dict | None = None) -> tuple[Strategy, _Walk]:
+def _step(walk: _Walk, c: float, memo: dict) -> tuple[Strategy, _Walk]:
     """One protocol step at a party of overlap c: its strategy and the new state.
 
     A party with overlap 1 is skipped and leaves the state unchanged; when the
     step cannot fail, later parties are unreachable and the priors are kept.
-    Every caller goes through here, so a walked order's figures are
-    bit-identical to `run_protocol` on that order.  A given `memo` keeps each
-    `_decide` result under (r, s, c) for the next step that meets the same
-    priors and overlap.
+    A step's strategy and failure posterior depend on its priors and overlap
+    alone, so `memo` keeps them under (r, s, c) for the next step that meets
+    the same pair.  Every caller goes through here, so a walked order's
+    figures are bit-identical to `run_protocol` on that order.
     """
     priors, p_reach, p_success, expected = walk
-    if memo is None:
-        strat, posterior = _decide(c, priors)
-    else:
-        key = (priors.r, priors.s, c)
-        if (decision := memo.get(key)) is None:
-            decision = memo[key] = _decide(c, priors)
-        strat, posterior = decision
+    key = (priors.r, priors.s, c)
+    if (decision := memo.get(key)) is None:
+        strat = optimal_strategy(c, priors)
+        keep = c == 1.0 or strat.p_fail == 0.0
+        decision = memo[key] = (strat, priors if keep else failure_posterior(strat, priors))
+    strat, posterior = decision
     if c == 1.0:
         return strat, walk
-    expected += p_reach
-    p_success += p_reach * strat.p_success
-    if strat.p_fail == 0.0:
-        return strat, _Walk(priors, 0.0, p_success, expected)
-    return strat, _Walk(posterior, p_reach * strat.p_fail, p_success, expected)
+    # p_fail = 0 leaves p_reach * p_fail = 0 exactly: later parties are unreachable.
+    return strat, _Walk(
+        posterior, p_reach * strat.p_fail, p_success + p_reach * strat.p_success, expected + p_reach
+    )
 
 
 def run_protocol(instance: ProductInstance, order: Sequence[int]) -> ProtocolResult:
@@ -134,14 +120,16 @@ def run_protocol(instance: ProductInstance, order: Sequence[int]) -> ProtocolRes
 
     Parties whose two hypothesis states coincide (overlap 1) are skipped:
     their optimal measurement is vacuous.  A party with overlap 0 concludes
-    with certainty; any remaining steps are recorded but unreachable.
+    with certainty; any remaining steps are recorded but unreachable.  The
+    run computes one strategy per distinct (priors, overlap) it meets.
     """
     order = checked_order(order, instance.n_parties)
     walk = _Walk(instance.priors)
+    memo: dict = {}
     records = []
     for idx in order:
         c = instance.parties[idx].overlap_c
-        strat, after = _step(walk, c)
+        strat, after = _step(walk, c, memo)
         skipped = c == 1.0
         records.append(
             StepRecord(
@@ -194,14 +182,13 @@ def best_order(
     EXHAUSTIVE evaluates all n! orders and keeps the lexicographically first
     minimizer.  It walks the order tree depth first, so each prefix is
     stepped once and shared by every order that starts with it:
-    sum_k n!/(n-k)! steps in all instead of n * n!.  A step's strategy and
-    posterior depend only on its priors and overlap, so the walk computes
-    them once per distinct (priors, overlap) it meets, which on 5 parties is
-    typically 10 to 40 of its 325 steps.  With EXHAUSTIVE, a
-    given `table` list receives one (order, expected_measurements,
-    p_success) row per order, in lexicographic order, each equal to
-    `run_protocol` on that order, so callers that report every order walk
-    them once.
+    sum_k n!/(n-k)! steps in all instead of n * n!.  Like every protocol
+    run, the walk keeps one strategy per distinct (priors, overlap) it
+    meets, which on 5 parties is typically 10 to 40 of its 325 steps.  With
+    EXHAUSTIVE, a given `table` list receives one (order,
+    expected_measurements, p_success) row per order, in lexicographic order,
+    each equal to `run_protocol` on that order, so callers that report every
+    order walk them once.
     """
     n = instance.n_parties
     if mode is OrderMode.ASCENDING_OVERLAP:

@@ -104,6 +104,18 @@ class NeumarkModel:
     unitary: np.ndarray
 
 
+def _relabeled(solve, priors: Priors, *args) -> Strategy:
+    # Relabel the hypotheses so big = max(r, s) and small = min(r, s), solve
+    # for (regime, fail_big, fail_small) with solve(big, small, *args), and
+    # map the failure probabilities back onto p and q.
+    swapped = priors.s > priors.r
+    big, small = (priors.s, priors.r) if swapped else (priors.r, priors.s)
+    regime, fail_big, fail_small = solve(big, small, *args)
+    p_fail = big * fail_big + small * fail_small
+    fail_p, fail_q = (fail_small, fail_big) if swapped else (fail_big, fail_small)
+    return Strategy(regime, fail_p, fail_q, 1.0 - p_fail, p_fail, swapped)
+
+
 def optimal_strategy(c: float, priors: Priors) -> Strategy:
     """Best conclusive-discrimination success probability for overlap c.
 
@@ -114,27 +126,17 @@ def optimal_strategy(c: float, priors: Priors) -> Strategy:
     is abandoned (failure probability 1), the big one fails with c^2, and the
     success probability is big*(1 - c^2).
     """
-    c = checked_number(c, "c", 0.0, 1.0)
-    swapped = priors.s > priors.r
-    big, small = (priors.s, priors.r) if swapped else (priors.r, priors.s)
+    return _relabeled(_closed_form, priors, checked_number(c, "c", 0.0, 1.0))
+
+
+def _closed_form(big: float, small: float, c: float) -> tuple[Regime, float, float]:
     if c == 0.0:
-        regime = Regime.EQUAL_POSTERIOR
-        fail_big = 0.0
-        fail_small = 0.0
-    else:
-        # ratio = sqrt(small/big); big >= 1/2 so this never over/underflows.
-        ratio = math.sqrt(small) / math.sqrt(big)
-        if ratio >= c:
-            regime = Regime.EQUAL_POSTERIOR
-            fail_big = c * ratio
-            fail_small = c / ratio
-        else:
-            regime = Regime.SATURATED
-            fail_big = c * c
-            fail_small = 1.0
-    p_fail = big * fail_big + small * fail_small
-    fail_p, fail_q = (fail_small, fail_big) if swapped else (fail_big, fail_small)
-    return Strategy(regime, fail_p, fail_q, 1.0 - p_fail, p_fail, swapped)
+        return Regime.EQUAL_POSTERIOR, 0.0, 0.0
+    # ratio = sqrt(small/big); big >= 1/2 so this never over/underflows.
+    ratio = math.sqrt(small) / math.sqrt(big)
+    if ratio >= c:
+        return Regime.EQUAL_POSTERIOR, c * ratio, c / ratio
+    return Regime.SATURATED, c * c, 1.0
 
 
 def failure_posterior(strategy: Strategy, priors: Priors) -> Priors:
@@ -160,20 +162,22 @@ def brute_force_strategy(c: float, priors: Priors, grid_points: int) -> Strategy
     """
     c = checked_number(c, "c", 0.0, 1.0)
     grid_points = checked_integer(grid_points, "grid_points", 100)
-    swapped = priors.s > priors.r
-    big, small = (priors.s, priors.r) if swapped else (priors.r, priors.s)
+    return _relabeled(_grid_search, priors, c, grid_points)
+
+
+def _grid_search(big: float, small: float, c: float, points: int) -> tuple[Regime, float, float]:
     if c * c == 0.0:
         # includes subnormal c whose square underflows: the grid cannot
         # resolve failure probabilities that small and the optimum is 1
         # to machine precision anyway
-        return Strategy(Regime.EQUAL_POSTERIOR, 0.0, 0.0, 1.0, 0.0, swapped)
+        return Regime.EQUAL_POSTERIOR, 0.0, 0.0
     lo, hi = c * c, 1.0
     while True:
-        bs = np.linspace(lo, hi, grid_points)
+        bs = np.linspace(lo, hi, points)
         ds = np.minimum(1.0, (c * c) / bs)
         scores = big * (1.0 - bs) + small * (1.0 - ds)
         k = int(np.argmax(scores))  # first maximum -> smallest b on ties
-        step = (hi - lo) / (grid_points - 1)
+        step = (hi - lo) / (points - 1)
         if step <= 1e-8:
             break
         lo = max(c * c, bs[k] - step)
@@ -183,28 +187,26 @@ def brute_force_strategy(c: float, priors: Priors, grid_points: int) -> Strategy
     # Classify the regime from the maximizer itself: the saturated branch is
     # the one whose small-prior failure probability is pinned at 1.
     regime = Regime.SATURATED if fail_small >= 1.0 - 1e-6 else Regime.EQUAL_POSTERIOR
-    p_fail = big * fail_big + small * fail_small
-    fail_p, fail_q = (fail_small, fail_big) if swapped else (fail_big, fail_small)
-    return Strategy(regime, fail_p, fail_q, 1.0 - p_fail, p_fail, swapped)
+    return regime, fail_big, fail_small
 
 
-def _realizable(strategy: Strategy, c: float) -> tuple[float, float]:
-    # The failure probabilities, once a measurement on overlap c can realize them.
+def _realizable(pair: LocalPair, strategy: Strategy, realization: str):
+    # The pair's overlap, the strategy's failure probabilities and the pair's
+    # span, once a measurement on the pair can realize the strategy.
+    # `realization` names what a pair of identical states admits none of.
+    c = pair.overlap_c
+    if c >= 1.0:
+        raise DegeneratePairError(f"identical hypothesis states admit no {realization}")
     fail_p = checked_number(strategy.fail_p, "fail_p", 0.0, 1.0)
     fail_q = checked_number(strategy.fail_q, "fail_q", 0.0, 1.0)
     if fail_p * fail_q < c * c - PROB_TOL:
         raise InconsistentStrategyError(f"fail_p * fail_q = {fail_p * fail_q!r} < c^2 = {c * c!r}")
-    return fail_p, fail_q
-
-
-def _span(pair: LocalPair) -> PairSpan:
-    c = pair.overlap_c
     phase = (
         complex(np.vdot(pair.p.amplitudes, pair.q.amplitudes)) / c if c > 0.0 else 1.0 + 0.0j
     )
     states = np.array([[1.0, 0.0], [c * phase, math.sqrt(1.0 - c * c)]], dtype=np.complex128)
     states.setflags(write=False)
-    return PairSpan(phase, states)
+    return c, fail_p, fail_q, PairSpan(phase, states)
 
 
 def build_povm(pair: LocalPair, strategy: Strategy) -> Povm:
@@ -219,11 +221,7 @@ def build_povm(pair: LocalPair, strategy: Strategy) -> Povm:
     c = 0 the elements are diagonal and, for the optimal strategy, e_fail is
     exactly 0.
     """
-    c = pair.overlap_c
-    if c >= 1.0:
-        raise DegeneratePairError("identical hypothesis states admit no POVM")
-    fail_p, fail_q = _realizable(strategy, c)
-    span = _span(pair)
+    c, fail_p, fail_q, span = _realizable(pair, strategy, "POVM")
     z = c * span.phase
     s = math.sqrt(1.0 - c * c)
     a = (1.0 - fail_p) / (1.0 - c * c)
@@ -246,17 +244,13 @@ def neumark_model(pair: LocalPair, strategy: Strategy) -> NeumarkModel:
     entirely by the second hypothesis' failure state.  It needs
     sqrt(fail_p * fail_q) = c.
     """
-    c = pair.overlap_c
-    if c >= 1.0:
-        raise DegeneratePairError("identical hypothesis states admit no dilation")
-    fail_p, fail_q = _realizable(strategy, c)
+    c, fail_p, fail_q, span = _realizable(pair, strategy, "dilation")
     alpha, beta = math.sqrt(1.0 - fail_p), math.sqrt(fail_p)
     gamma, delta = math.sqrt(1.0 - fail_q), math.sqrt(fail_q)
     if abs(beta * delta - c) > PROB_TOL:
         raise InconsistentStrategyError(
             f"sqrt(fail_p * fail_q) = {beta * delta!r} but the overlap is {c!r}"
         )
-    span = _span(pair)
     phase = span.phase
     # |0>|b0> is |p> and |0>|b1> the unit part of |q> orthogonal to |p>, so
     # the unitary's columns are y1, the unit part w2 of y2 orthogonal to y1,

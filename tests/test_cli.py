@@ -156,6 +156,16 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
             },
             "scenario field 'explicit.parties[0].u[0]'",
         ),
+        # The overlaps and both sweep axes share one probability-list rule.
+        ({"priors": {"r": 0.5}, "abstract": {"overlaps": 0.5}}, "'abstract.overlaps'"),
+        (
+            {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": {"c": [], "r": [0]}},
+            "'sweep.c'",
+        ),
+        (
+            {"priors": {"r": 0.5}, "abstract": {"overlaps": [0]}, "sweep": {"c": [0], "r": [0, 2]}},
+            "sweep.r[1]",
+        ),
     ],
 )
 def test_invalid_scenarios_exit_one(tmp_path, capsys, doc, fragment):
@@ -723,9 +733,9 @@ def test_integer_and_numpy_amplitudes_parse_like_floats():
 def test_order_walks_each_visiting_order_once(tmp_path, capsys, monkeypatch):
     # Four identical parties make every order cost exactly the same, so the
     # report must keep best_order's tie-break (the first order in
-    # permutation order).  The walk over the order tree computes a strategy
-    # once per distinct (priors, overlap) it meets, and the ascending
-    # heuristic is the only protocol run, n strategies more.
+    # permutation order).  The walk over the order tree and the ascending
+    # heuristic, the only protocol run, each compute a strategy once per
+    # distinct (priors, overlap) they meet: the same pairs on identical parties.
     n = 4
     party = {"u": [[1.0, 0.0], [0.0, 0.0]], "v": [[0.6, 0.0], [0.8, 0.0]]}
     path = write_scenario(
@@ -753,7 +763,7 @@ def test_order_walks_each_visiting_order_once(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "order", "--scenario", path)
     assert code == 0
     assert len(met) == 2  # the first step leaves equal priors, which later steps keep
-    assert len(steps) == len(met) + n
+    assert len(steps) == len(met) + len(met)
     assert len(runs) == 1
     ex = json.loads(out)["exhaustive"]
     assert len(ex["table"]) == math.factorial(n)

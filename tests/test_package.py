@@ -61,6 +61,40 @@ def test_readme_cli_examples_run():
             json.loads(proc.stdout)
 
 
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True, max_examples=5)
+@given(st.integers(0, 10))
+def test_fails(x):
+    assert x < 0
+
+
+def test_after():
+    pass
+"""
+
+
+def test_failing_property_test_reports_its_example(tmp_path):
+    # Under the repository's pytest config (every warning an error), a
+    # failing @given test must print its falsifying example and let the
+    # session go on, not end it in an INTERNALERROR.
+    (tmp_path / "test_property.py").write_text(_FAILING_PROPERTY, encoding="utf-8")
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+            "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-v", "test_property.py",
+        ],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "Falsifying example" in out
+    assert "INTERNALERROR" not in out
+    assert "test_property.py::test_after PASSED" in out
+
+
 def test_readme_library_quick_start_runs():
     # The ```python block under README's "## Library quick start" heading,
     # run as a script with every warning an error.

@@ -185,6 +185,28 @@ def test_brute_force_agrees_with_closed_form(c, r):
     )
 
 
+@pytest.mark.parametrize("c", [0.0, 0.3, 0.7, 0.95])
+@pytest.mark.parametrize("r", [0.2, 0.5, 0.8])
+def test_brute_force_relabels_like_closed_form(c, r):
+    # Off the regime boundary sqrt(min(r, s) / max(r, s)) = c, with r < s,
+    # r > s and r = s: the oracle must map its big/small-prior failure
+    # probabilities back onto p and q exactly as the closed form does.
+    priors = Priors(r, 1.0 - r)
+    exact = optimal_strategy(c, priors)
+    oracle = brute_force_strategy(c, priors, 1000)
+    assert (oracle.swapped, oracle.regime) == (exact.swapped, exact.regime)
+    assert abs(oracle.fail_p - exact.fail_p) < 1e-6
+    assert abs(oracle.fail_q - exact.fail_q) < 1e-6
+    if r != 0.5:
+        mirrored = Priors(1.0 - r, r)
+        for a, b in [
+            (exact, optimal_strategy(c, mirrored)),
+            (oracle, brute_force_strategy(c, mirrored, 1000)),
+        ]:
+            assert b.swapped is not a.swapped
+            assert (b.fail_p, b.fail_q) == (a.fail_q, a.fail_p)
+
+
 def test_brute_force_maximizer_saturates_constraint():
     for c, r in [(0.3, 0.5), (0.6, 0.8), (0.9, 0.2), (0.45, 0.95)]:
         oracle = brute_force_strategy(c, Priors(r, 1.0 - r), 1000)
@@ -250,7 +272,7 @@ def test_povm_saturated_regime_never_identifies_unlikely_state():
 
 def test_povm_rejects_identical_pair():
     pair = state_pair_with_overlap(1.0, 2, 0)
-    with pytest.raises(DegeneratePairError):
+    with pytest.raises(DegeneratePairError, match="POVM"):
         build_povm(pair, optimal_strategy(1.0, Priors(0.5, 0.5)))
 
 
@@ -309,7 +331,7 @@ def test_neumark_rejects_inconsistent_strategy():
 
 def test_neumark_rejects_identical_pair():
     pair = state_pair_with_overlap(1.0, 2, 0)
-    with pytest.raises(DegeneratePairError):
+    with pytest.raises(DegeneratePairError, match="dilation"):
         neumark_model(pair, optimal_strategy(1.0, Priors(0.5, 0.5)))
 
 
