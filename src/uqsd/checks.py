@@ -60,7 +60,7 @@ def verify(seed: int, count: int) -> Verification:
         priors = Priors(r, 1.0 - r)
         dev = abs(
             optimal_strategy(c, priors).p_success
-            - brute_force_strategy(c, priors, 300).p_success
+            - brute_force_strategy(c, priors).p_success
         )
         record("closed_form_vs_oracle", dev, {"c": c, "r": r})
 

@@ -282,15 +282,10 @@ def cmd_protocol(scenario: Scenario, quiet: bool = False) -> dict:
     instance = scenario.instance
     order = scenario.order or tuple(range(instance.n_parties))
     result = run_protocol(instance, order)
-    body = {
-        "order": list(order),
-        "p_success": result.p_success,
-        "p_inconclusive": result.p_inconclusive,
-        "expected_measurements": result.expected_measurements,
-        "local_global_gap": abs(result.p_success - global_optimum(instance)),
-    }
-    if not quiet:
-        body["transcript"] = result.transcript
+    gap = abs(result.p_success - global_optimum(instance))
+    body = {"order": list(order), "local_global_gap": gap, **_fields(result)}
+    if quiet:
+        del body["transcript"]
     return _report("protocol", scenario, body)
 
 
@@ -430,12 +425,10 @@ def main(argv=None) -> int:
         elif args.command == "sweep":
             report = cmd_sweep(scenario)
             if args.csv:
-                print("c,r,regime,p_global,p_locc,e_count")
+                print(",".join(field.name for field in dataclasses.fields(checks.SweepRow)))
                 for row in report["rows"]:
-                    print(
-                        f"{row.c!r},{row.r!r},{row.regime.value},"
-                        f"{row.p_global!r},{row.p_locc!r},{row.e_count!r}"
-                    )
+                    cells = _fields(row).values()
+                    print(",".join(v.value if isinstance(v, enum.Enum) else repr(v) for v in cells))
             else:
                 _emit(report)
         return 0

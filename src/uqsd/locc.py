@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from collections.abc import Sequence
 from typing import NamedTuple
 
@@ -70,10 +71,7 @@ def checked_order(order: Sequence[int], n: int) -> Order:
 
 def global_overlap(instance: ProductInstance) -> float:
     """Overlap of the full product states: the product of party overlaps."""
-    c = 1.0
-    for pair in instance.parties:
-        c *= pair.overlap_c
-    return c
+    return math.prod(pair.overlap_c for pair in instance.parties)
 
 
 def global_optimum(instance: ProductInstance) -> float:

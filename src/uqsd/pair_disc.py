@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .states import PROB_TOL, LocalPair, Priors, checked_integer, checked_number
+from .states import PROB_TOL, LocalPair, Priors, checked_number, inner_product
 
 
 class Regime(enum.Enum):
@@ -151,21 +151,27 @@ def failure_posterior(strategy: Strategy, priors: Priors) -> Priors:
     )
 
 
-def brute_force_strategy(c: float, priors: Priors, grid_points: int) -> Strategy:
+def brute_force_strategy(c: float, priors: Priors) -> Strategy:
     """Grid-search oracle for the optimal strategy, independent of the
     closed form.
 
     Maximizes big*(1-b) + small*(1-d) over b in [c^2, 1] with d = c^2 / b
     (the failure probabilities of a valid conclusive measurement satisfy
-    b*d >= c^2; the optimum saturates the constraint).  The grid is refined
-    around the running maximizer until its spacing is at most 1e-8.
+    b*d >= c^2; the optimum saturates the constraint).  The grid, a fixed
+    number of points per pass, is refined around the running maximizer until
+    its spacing is at most 1e-8.
     """
-    c = checked_number(c, "c", 0.0, 1.0)
-    grid_points = checked_integer(grid_points, "grid_points", 100)
-    return _relabeled(_grid_search, priors, c, grid_points)
+    return _relabeled(_grid_search, priors, checked_number(c, "c", 0.0, 1.0))
 
 
-def _grid_search(big: float, small: float, c: float, points: int) -> tuple[Regime, float, float]:
+# Points per pass of the grid search.  Not a parameter: the grid is refined
+# until its spacing is at most 1e-8, so this only sets how many passes that
+# takes (on 900 random (c, r), p_success moved by at most 5e-15 between 100
+# and 10 000 points).
+_GRID_POINTS = 300
+
+
+def _grid_search(big: float, small: float, c: float) -> tuple[Regime, float, float]:
     if c * c == 0.0:
         # includes subnormal c whose square underflows: the grid cannot
         # resolve failure probabilities that small and the optimum is 1
@@ -173,11 +179,11 @@ def _grid_search(big: float, small: float, c: float, points: int) -> tuple[Regim
         return Regime.EQUAL_POSTERIOR, 0.0, 0.0
     lo, hi = c * c, 1.0
     while True:
-        bs = np.linspace(lo, hi, points)
+        bs = np.linspace(lo, hi, _GRID_POINTS)
         ds = np.minimum(1.0, (c * c) / bs)
         scores = big * (1.0 - bs) + small * (1.0 - ds)
         k = int(np.argmax(scores))  # first maximum -> smallest b on ties
-        step = (hi - lo) / (points - 1)
+        step = (hi - lo) / (_GRID_POINTS - 1)
         if step <= 1e-8:
             break
         lo = max(c * c, bs[k] - step)
@@ -201,9 +207,7 @@ def _realizable(pair: LocalPair, strategy: Strategy, realization: str):
     fail_q = checked_number(strategy.fail_q, "fail_q", 0.0, 1.0)
     if fail_p * fail_q < c * c - PROB_TOL:
         raise InconsistentStrategyError(f"fail_p * fail_q = {fail_p * fail_q!r} < c^2 = {c * c!r}")
-    phase = (
-        complex(np.vdot(pair.p.amplitudes, pair.q.amplitudes)) / c if c > 0.0 else 1.0 + 0.0j
-    )
+    phase = inner_product(pair.p, pair.q) / c if c > 0.0 else 1.0 + 0.0j
     states = np.array([[1.0, 0.0], [c * phase, math.sqrt(1.0 - c * c)]], dtype=np.complex128)
     states.setflags(write=False)
     return c, fail_p, fail_q, PairSpan(phase, states)

@@ -62,9 +62,12 @@ def checked_integer(value, name: str, lo: int, hi: int | None = None) -> int:
     return int(value)
 
 
-def _checked_seed(seed):
-    # A tuple seed names a sub-stream and is left for numpy to read.
-    return seed if isinstance(seed, tuple) else checked_integer(seed, "seed", 0)
+def _checked_seed(seed, name: str = "seed"):
+    # A seed is an integer >= 0 or a non-empty tuple of seeds, which names a
+    # sub-stream; each entry is checked under its index, e.g. seed[0][1].
+    if isinstance(seed, tuple) and seed:
+        return tuple(_checked_seed(entry, f"{name}[{i}]") for i, entry in enumerate(seed))
+    return checked_integer(seed, name, 0)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -186,6 +189,14 @@ class ProductInstance:
         return len(self.parties)
 
 
+def _complex_normals(rng: np.random.Generator, dim: int, shape: tuple = ()) -> np.ndarray:
+    # Complex Gaussian vectors of length dim, one per index of `shape`, from
+    # one standard_normal((*shape, 2, dim)) draw with each real part before
+    # its imaginary part: the layout every seeded construction reads.
+    draws = rng.standard_normal((*shape, 2, dim))
+    return draws[..., 0, :] + 1j * draws[..., 1, :]
+
+
 def random_pure_state(dim: int, seed) -> PureState:
     """Sample a Haar-random pure state.
 
@@ -197,8 +208,7 @@ def random_pure_state(dim: int, seed) -> PureState:
         A PureState whose 2*dim real Gaussian components were normalized.
     """
     dim = checked_integer(dim, "dim", 2)
-    re, im = np.random.default_rng(_checked_seed(seed)).standard_normal((2, dim))
-    vec = re + 1j * im
+    vec = _complex_normals(np.random.default_rng(_checked_seed(seed)), dim)
     return _normalized(vec, _norm(vec))
 
 
@@ -217,13 +227,11 @@ def state_pair_with_overlap(c: float, dim: int, seed) -> LocalPair:
         rng = seed
     else:
         rng = np.random.default_rng(_checked_seed(seed))
-    re, im = rng.standard_normal((2, dim))
-    raw = re + 1j * im
+    raw = _complex_normals(rng, dim)
     p = _normalized(raw, _norm(raw))
     p_vec = p.amplitudes
     while True:
-        re, im = rng.standard_normal((2, dim))
-        raw = re + 1j * im
+        raw = _complex_normals(rng, dim)
         resid = raw - p_vec * np.vdot(p_vec, raw)
         if (resid_norm := _norm(resid)) > 1e-6:
             break
@@ -255,8 +263,7 @@ def random_instance(n: int, dim: int, seed) -> ProductInstance:
     n = checked_integer(n, "n", 1)
     dim = checked_integer(dim, "dim", 2)
     rng = np.random.default_rng(_checked_seed(seed))
-    draws = rng.standard_normal((n, 2, 2, dim))
-    vecs = draws[:, :, 0] + 1j * draws[:, :, 1]
+    vecs = _complex_normals(rng, dim, (n, 2))
     parties = tuple(
         LocalPair(*(_normalized(vec, _norm(vec)) for vec in party)) for party in vecs
     )

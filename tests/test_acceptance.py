@@ -55,7 +55,7 @@ def test_acceptance_01_closed_form_matches_oracle():
             priors = Priors(r, 1.0 - r)
             dev = abs(
                 optimal_strategy(c, priors).p_success
-                - brute_force_strategy(c, priors, 300).p_success
+                - brute_force_strategy(c, priors).p_success
             )
             worst = max(worst, dev)
         elapsed = time.perf_counter() - start

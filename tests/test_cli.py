@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line layer, driven through main()."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -167,6 +168,21 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
             "sweep.r[1]",
         ),
     ],
+    # Explicit ids, the names these cases were first collected under, so a
+    # case added anywhere in the list renames no other.
+    ids=[
+        "doc0-priors", "doc1-abstract/explicit", "doc2-overlaps", "doc3-overlaps[0]", "doc4-dim",
+        "doc5-priors", "doc6-order", "doc7-trials", "doc8-engine", "doc9-sweep", "doc10-bogus",
+        "doc11-'seed'", "doc12-abstract.seed", "doc13-engine", "doc14-engine", "doc15-priors.r",
+        "doc16-priors.r", "doc17-priors.r", "doc18-priors.s", "doc19-overlaps[0]",
+        "doc20-overlaps[0]", "doc21-overlaps[0]", "doc22-dim", "doc23-dim", "doc24-abstract.seed",
+        "doc25-abstract.seed", "doc26-trials", "doc27-trials", "doc28-trials", "doc29-trials",
+        "doc30-'seed'", "doc31-'seed'", "doc32-'seed'", "doc33-'seed'", "doc34-order",
+        "doc35-order", "doc36-order", "doc37-order", "doc38-sweep.c[0]", "doc39-sweep.r[0]",
+        "doc40-abstract.dim", "doc41-abstract.dim",
+        "doc42-scenario field 'explicit.parties[0].u[0]'", "doc43-'abstract.overlaps'",
+        "doc44-'sweep.c'", "doc45-sweep.r[1]",
+    ],
 )
 def test_invalid_scenarios_exit_one(tmp_path, capsys, doc, fragment):
     path = write_scenario(tmp_path, doc)
@@ -283,6 +299,17 @@ def test_protocol_quiet_drops_transcript(tripartite_path, capsys):
     code, out, _ = run_cli(capsys, "protocol", "--scenario", tripartite_path, "--quiet")
     assert code == 0
     assert "transcript" not in json.loads(out)
+
+
+def test_protocol_quiet_report_is_full_report_minus_transcript(tripartite_path, capsys):
+    _, full, _ = run_cli(capsys, "protocol", "--scenario", tripartite_path, "--order", "2,0,1")
+    code, quiet, _ = run_cli(
+        capsys, "protocol", "--scenario", tripartite_path, "--order", "2,0,1", "--quiet"
+    )
+    assert code == 0
+    expected = json.loads(full)
+    del expected["transcript"]
+    assert json.loads(quiet) == expected
 
 
 def test_bad_order_override_is_an_input_error(tripartite_path, capsys):
@@ -530,6 +557,23 @@ def test_sweep_json_rows_match_grid(tmp_path, capsys):
         assert set(row) == {"c", "r", "regime", "p_global", "p_locc", "e_count"}
         assert abs(row["p_global"] - row["p_locc"]) < 1e-12
         assert 1.0 <= row["e_count"] <= 2.0
+
+
+def test_sweep_csv_matches_json_cell_by_cell(capsys):
+    path = str(SCENARIOS / "sweep.json")
+    code, out, _ = run_cli(capsys, "sweep", "--scenario", path, "--csv")
+    assert code == 0
+    header, *lines = out.splitlines()
+    names = [field.name for field in dataclasses.fields(checks.SweepRow)]
+    assert header.split(",") == names
+    _, out, _ = run_cli(capsys, "sweep", "--scenario", path)
+    rows = json.loads(out)["rows"]
+    assert len(lines) == len(rows) > 1
+    for line, row in zip(lines, rows):
+        cells = dict(zip(names, line.split(","), strict=True))
+        assert cells.pop("regime") == row["regime"]
+        for name, cell in cells.items():
+            assert float(cell) == row[name], (name, cell, row)
 
 
 def test_sweep_builds_one_instance_per_overlap_column(monkeypatch):

@@ -176,10 +176,7 @@ BOUNDED = {
     "random_instance.seed": ("seed", lambda v: uqsd.random_instance(2, 2, v), np.int64(3), -1),
     "optimal_strategy.c": ("c", lambda v: uqsd.optimal_strategy(v, _FLAT), np.float64(0.5), -0.2),
     "brute_force_strategy.c": (
-        "c", lambda v: uqsd.brute_force_strategy(v, _FLAT, 100), np.float64(0.5), 1.2,
-    ),
-    "brute_force_strategy.grid_points": (
-        "grid_points", lambda v: uqsd.brute_force_strategy(0.5, _FLAT, v), np.int64(100), 99,
+        "c", lambda v: uqsd.brute_force_strategy(v, _FLAT), np.float64(0.5), 1.2,
     ),
     "simulate.trials": (
         "trials",
@@ -212,6 +209,34 @@ def test_every_public_numeric_parameter_is_range_checked(parameter):
         with pytest.raises(ValueError) as excinfo:
             call(value)
         assert str(excinfo.value).startswith(f"{name}: expected "), (value, excinfo.value)
+
+
+_SEEDED = {
+    "random_pure_state": lambda seed: uqsd.random_pure_state(2, seed),
+    "state_pair_with_overlap": lambda seed: uqsd.state_pair_with_overlap(0.5, 2, seed),
+    "state_pairs_with_overlaps": lambda seed: uqsd.state_pairs_with_overlaps([0.5], 2, seed),
+    "random_instance": lambda seed: uqsd.random_instance(2, 2, seed),
+}
+
+
+@pytest.mark.parametrize("construction", _SEEDED)
+@pytest.mark.parametrize(
+    "seed, name",
+    [
+        ((1.5,), "seed[0]"),
+        ((math.nan,), "seed[0]"),
+        ((True,), "seed[0]"),
+        ((), "seed"),
+        ((1, -1), "seed[1]"),
+        ((0, (1, "2")), "seed[1][1]"),
+        (((0, 1), (2, ())), "seed[1][1]"),
+    ],
+    ids=["float", "nan", "bool", "empty", "negative", "nested-str", "nested-empty"],
+)
+def test_tuple_seed_entries_are_checked_like_integer_seeds(construction, seed, name):
+    with pytest.raises(ValueError) as excinfo:
+        _SEEDED[construction](seed)
+    assert str(excinfo.value).startswith(f"{name}: expected an integer >= 0, got "), excinfo.value
 
 
 def test_product_instance_requires_dim_two_everywhere():

@@ -344,6 +344,20 @@ def test_seeded_constructions_are_pinned():
     assert _digest(*members, extra=extra) == "717dc0204c0332c9"
 
 
+def test_nested_tuple_seeds_are_pinned():
+    # A tuple seed's entries may be tuples and numpy integers; checking them
+    # must leave the stream numpy reads unchanged.
+    seed = ((np.int64(0), 1), 2)
+    assert _digest(random_pure_state(3, seed)) == "b59cd4a5afbf8907"
+    pair = state_pair_with_overlap(0.6, 3, seed)
+    assert _digest(pair.p, pair.q) == "36437d8e2f11715e"
+    pairs = state_pairs_with_overlaps([0.6, 0.3], 3, seed)
+    assert _digest(*[s for p in pairs for s in (p.p, p.q)]) == "7f9b1270b8893f24"
+    inst = random_instance(2, 3, seed)
+    members = [s for p in inst.parties for s in (p.p, p.q)]
+    assert _digest(*members, extra=(inst.priors.r,)) == "c161dfdb4e9f5ef7"
+
+
 def test_one_random_stream_per_seeded_construction(monkeypatch):
     streams = []
     real = np.random.default_rng
