@@ -116,6 +116,14 @@ def verify(seed: int, count: int) -> Verification:
 
 @dataclasses.dataclass(frozen=True)
 class SweepRow:
+    """One (c, r) cell of `sweep`: the closed form against the protocol.
+
+    regime and p_global are the closed form's at overlap c and priors
+    (r, 1 - r); p_locc and e_count are the success probability and expected
+    measurement count of the two-party protocol whose local overlaps are
+    both sqrt(c).
+    """
+
     c: float
     r: float
     regime: Regime

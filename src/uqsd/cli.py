@@ -42,6 +42,14 @@ class ScenarioError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class Scenario:
+    """A validated scenario file, flags applied.
+
+    order is the visiting order of `protocol` and `simulate`, or None for
+    the parties' listed order; trials, seed and engine drive `simulate`, and
+    seed also draws `sweep`'s pairs; sweep holds the 'c' and 'r' grids, or
+    None when the file has none.
+    """
+
     instance: ProductInstance
     order: tuple[int, ...] | None
     trials: int

@@ -47,6 +47,14 @@ class StepRecord:
 
 @dataclasses.dataclass(frozen=True)
 class ProtocolResult:
+    """A protocol run's exact figures and what each party saw and did.
+
+    p_success is the probability that some step concludes, p_inconclusive
+    that every step fails; expected_measurements is the expected number of
+    non-skipped steps reached, each of which measures once.  transcript has
+    one StepRecord per party in visiting order, skipped parties included.
+    """
+
     p_success: float
     p_inconclusive: float
     expected_measurements: float
@@ -230,12 +238,14 @@ def group(instance: ProductInstance, partition: Sequence[Sequence[int]]) -> Prod
     except ValueError:
         raise ValueError(f"{parts} is not a partition of 0..{n - 1}") from None
     merged = []
-    for part in parts:
-        p_vec = np.array([1.0], dtype=np.complex128)
-        q_vec = np.array([1.0], dtype=np.complex128)
-        for i in part:
-            # For 1-D vectors the flattened outer product is the Kronecker product.
-            p_vec = np.outer(p_vec, instance.parties[i].p.amplitudes).ravel()
-            q_vec = np.outer(q_vec, instance.parties[i].q.amplitudes).ravel()
-        merged.append(LocalPair(PureState.normalized(p_vec), PureState.normalized(q_vec)))
+    for first, *rest in parts:
+        pair = instance.parties[first]  # a one-party part keeps its pair as is
+        if rest:
+            p_vec, q_vec = pair.p.amplitudes, pair.q.amplitudes
+            for i in rest:
+                # For 1-D vectors the flattened outer product is the Kronecker product.
+                p_vec = np.outer(p_vec, instance.parties[i].p.amplitudes).ravel()
+                q_vec = np.outer(q_vec, instance.parties[i].q.amplitudes).ravel()
+            pair = LocalPair(PureState.normalized(p_vec), PureState.normalized(q_vec))
+        merged.append(pair)
     return ProductInstance(parties=tuple(merged), priors=instance.priors)

@@ -4,9 +4,13 @@ Both engines compile the protocol into one outcome table: for each
 non-skipped step, P(identify p, identify q, fail | truth).  The POVM engine
 fills it from Born probabilities, the Neumark engine by evolving each state
 with the ancilla unitary, both in the two-dimensional span of the step's
-pair and for all steps at once.  One vectorized sampler reads the table,
-drawing trials in blocks of BLOCK rows; block b draws from the stream seeded
-(seed, b).  Aggregation uses integer counters only, so results are
+pair and for all steps at once.  One sampler reads the table as stop cells:
+per truth, "step k identifies p", "step k identifies q" for every step, and
+"every step failed".  Trials run in blocks of BLOCK rows; block b draws one
+(rows, 2) uniform matrix from the stream seeded (seed, b), whose column 0
+picks the truth and column 1 the stop cell, by inversion of that truth's
+cumulative cell probabilities.  A trial thus draws two uniforms whatever
+the party count.  Aggregation uses integer counters only, so results are
 bit-identical regardless of how blocks are scheduled.
 """
 
@@ -27,15 +31,10 @@ from .states import NORM_TOL, InternalFaultError, ProductInstance, checked_integ
 # that vanish identically; zeroing them keeps impossible branches impossible.
 _PROB_FLOOR = 1e-30
 
-# Trials per block.  Block b of a run draws its (rows, 1 + steps) uniform
-# matrix from np.random.default_rng((seed, b)), so the block, not the trial,
-# is the unit of reproducibility.
+# Trials per block.  Block b of a run draws its (rows, 2) uniform matrix from
+# np.random.default_rng((seed, b)), so the block, not the trial, is the unit
+# of reproducibility.
 BLOCK = 16_384
-
-# Most uniforms drawn in one call.  Deep instances draw a block's rows in
-# several calls; the generator fills rows in order, so the values are the
-# same as from one call and only peak memory changes.
-_DRAW_CAP = 1 << 20
 
 
 class Engine(enum.Enum):
@@ -59,7 +58,13 @@ class Analytic:
 
 @dataclasses.dataclass(frozen=True)
 class SimStats:
-    """Sampled figures vs `analytic`; a z-score is None if its stderr is 0 yet the two differ."""
+    """Sampled figures vs `analytic`.
+
+    success_stderr is the binomial stderr sqrt(p (1 - p) / trials) at the
+    analytic success probability p, as count_stderr is for the measurement
+    count.  A z-score is None only if its stderr is 0, so the analytic value
+    calls the outcome certain, yet the sampled figure differs.
+    """
 
     trials: int
     success_rate: float
@@ -129,50 +134,52 @@ def _outcome_table(
     return table
 
 
-def _sample(table: np.ndarray, prior_r: float, u: np.ndarray):
-    """Run one trial per row of the uniform matrix u, shape (n, 1 + steps).
+def _stop_cells(table: np.ndarray) -> np.ndarray:
+    """Cumulative P(stop cell | truth), shape (2, 2 * steps + 1); row 0 is p.
 
-    Column 0 picks the truth (p when below prior_r); column k picks step k's
-    outcome against the cumulative thresholds of its table row.  Returns
-    integer arrays (truth index, conclusion index, measurements used).
+    Cell 2k + o is "step k concludes o" (0 identifies p, 1 identifies q), with
+    probability reach_k * table[k, truth, o], where reach_k is the product of
+    the earlier steps' fail entries; the last cell is "every step failed".
+    A cross entry is a cell of its own, so a nonzero one would still be
+    sampled, as a misidentification.
     """
-    n, steps = u.shape[0], u.shape[1] - 1
+    by_truth = table.transpose(1, 0, 2)
+    reach = np.ones((2, len(table) + 1))
+    reach[:, 1:] = by_truth[:, :, _FAIL].cumprod(axis=1)
+    concluded = reach[:, :-1, None] * by_truth[:, :, :_FAIL]
+    return np.concatenate([concluded.reshape(2, -1), reach[:, -1:]], axis=1).cumsum(axis=1)
+
+
+def _sample(cells: np.ndarray, prior_r: float, u: np.ndarray):
+    """Truth (0 is p) and stop cell of one trial per row of u, shape (n, 2).
+
+    Column 0 prepares p when below prior_r.  Column 1, scaled by the total of
+    the truth's own cumulative row, picks the first cell whose upper end lies
+    above it: a zero-width cell is never picked, and no pick passes the last
+    cell.
+    """
     truth = (u[:, 0] >= prior_r).astype(np.intp)
-    if not steps:
-        return truth, np.full(n, _FAIL, dtype=np.intp), np.zeros(n, dtype=np.intp)
-    rows = np.arange(n)
-    # The first step whose uniform falls below its conclusive threshold ends
-    # the trial.  A zero entry makes an empty interval, so impossible
-    # outcomes stay impossible.
-    conclusive = table[:, :, 0] + table[:, :, 1]
-    hits = u[:, 1:] < np.take(conclusive.T, truth, axis=0)
-    stop = hits.argmax(axis=1)
-    concluded = hits[rows, stop]
-    # Only the stop step is read against its lower threshold, so a nonzero
-    # cross entry would still come out as a misidentification.
-    conclusion = np.where(concluded, u[rows, stop + 1] >= table[stop, truth, 0], _FAIL)
-    used = np.where(concluded, stop + 1, steps)
-    return truth, conclusion, used
+    p_cell, q_cell = (np.searchsorted(row, u[:, 1] * row[-1], side="right") for row in cells)
+    return truth, np.where(truth, q_cell, p_cell)
 
 
 def _tally(table: np.ndarray, prior_r: float, trials: int, seed: int) -> tuple[int, int, int]:
     """Successes, misidentifications and measurements used over `trials` trials."""
-    width = 1 + len(table)
-    rows_per_draw = max(1, _DRAW_CAP // width)
-    # cells[truth * 3 + conclusion] counts trials per (truth, conclusion).
-    cells = np.zeros(6, dtype=np.int64)
-    measurements = 0
+    cells = _stop_cells(table)
+    width = cells.shape[1]
+    counts = np.zeros(2 * width, dtype=np.int64)
     for block, start in enumerate(range(0, trials, BLOCK)):
-        rng = np.random.default_rng((seed, block))
-        left = min(BLOCK, trials - start)
-        while left:
-            take = min(left, rows_per_draw)
-            truth, conclusion, used = _sample(table, prior_r, rng.random((take, width)))
-            cells += np.bincount(3 * truth + conclusion, minlength=6)
-            measurements += int(used.sum())
-            left -= take
-    (p_p, p_q, _), (q_p, q_q, _) = cells.reshape(2, 3).tolist()
-    return p_p + q_q, p_q + q_p, measurements
+        u = np.random.default_rng((seed, block)).random((min(BLOCK, trials - start), 2))
+        truth, cell = _sample(cells, prior_r, u)
+        counts += np.bincount(width * truth + cell, minlength=2 * width)
+    counts = counts.reshape(2, width)
+    # stopped[truth, k, conclusion] counts the trials that step k ended; they
+    # used k + 1 measurements, and the trials in the last cell used them all.
+    steps = len(table)
+    stopped = counts[:, :-1].reshape(2, steps, 2)
+    (p_p, p_q), (q_p, q_q) = stopped.sum(axis=1).tolist()
+    used = stopped.sum(axis=(0, 2)) @ np.arange(1, steps + 1) + steps * counts[:, -1].sum()
+    return p_p + q_q, p_q + q_p, int(used)
 
 
 def _z_score(delta: float, stderr: float) -> float | None:
@@ -190,11 +197,12 @@ def simulate(
 ) -> SimStats:
     """Aggregate many independent trials and compare them with run_protocol.
 
-    Trials run in blocks of BLOCK; block b draws from the stream seeded
-    (seed, b), so the statistics are reproducible and independent of how
-    blocks would be scheduled, and a run of n trials is the first n trials
-    of any longer run with the same seed.  Misidentifications are counted
-    from the sampled (truth, conclusion) pairs.
+    Trials run in blocks of BLOCK; block b draws one (rows, 2) uniform
+    matrix from the stream seeded (seed, b), one row per trial: the truth,
+    then the stop cell.  So the statistics are reproducible and independent
+    of how blocks would be scheduled, and a run of n trials is the first n
+    trials of any longer run with the same seed.  Misidentifications are
+    counted from the sampled (truth, stop cell) pairs.
     """
     trials = checked_integer(trials, "trials", 1)
     seed = checked_integer(seed, "seed", 0)
@@ -202,7 +210,7 @@ def simulate(
     table = _outcome_table(instance, result.transcript, engine)
     successes, misidentifications, measurements = _tally(table, instance.priors.r, trials, seed)
     rate = successes / trials
-    success_stderr = math.sqrt(rate * (1.0 - rate) / trials)
+    success_stderr = math.sqrt(result.p_success * (1.0 - result.p_success) / trials)
     mean = measurements / trials
     dist = measurement_count_distribution(result)
     count_var = sum(k * k * p for k, p in dist) - result.expected_measurements**2

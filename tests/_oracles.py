@@ -13,11 +13,18 @@ against the whole system in two ways, both kept here:
   state vectors and two complete QR factorizations, without the span, and
   return its Born probabilities.
 
-`sample_trial` is the scalar reading of one Monte Carlo trial from one row of
-uniforms, kept as the oracle of the vectorized sampler
-`uqsd.montecarlo._sample`.
+Two scalar readings of one Monte Carlo trial check the sampler of
+`uqsd.montecarlo`, whose block b of trials draws one (rows, 2) uniform
+matrix from the stream seeded (seed, b), one row per trial:
+
+- `stop_cell_trial` builds the stop cells with plain loops and picks one
+  from the same two uniforms as `uqsd.montecarlo._sample`, so the two must
+  agree uniform for uniform;
+- `sample_trial` walks the steps one at a time, one uniform per step, as the
+  protocol does; the stop-cell sampler must have its law.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -119,3 +126,23 @@ def sample_trial(table, prior_r, row):
         if row[1 + k] < id_p + id_q:
             return truth, 1, k + 1
     return truth, 2, len(table)
+
+
+def stop_cell_trial(table, prior_r, pair):
+    """(truth, stop cell) of one trial from two uniforms, the slow way.
+
+    `pair[0]` prepares p below `prior_r`, else q.  The truth's stop cells are
+    "step k identifies p" (cell 2k), "step k identifies q" (cell 2k + 1), each
+    weighted by the chance that every earlier step failed, and last "every
+    step failed".  `pair[1]`, scaled by their total, picks the first cell
+    whose running sum exceeds it."""
+    truth = 0 if pair[0] < prior_r else 1
+    cells, reach = [], 1.0
+    for outcomes in table:
+        id_p, id_q, fail = (float(x) for x in outcomes[truth])
+        cells += [reach * id_p, reach * id_q]
+        reach *= fail
+    cells.append(reach)
+    bounds = list(itertools.accumulate(cells))
+    target = pair[1] * bounds[-1]
+    return truth, next(j for j, upper in enumerate(bounds) if target < upper)

@@ -1,8 +1,10 @@
+import collections
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from uqsd import (
     run_protocol,
     simulate,
     state_pair_with_overlap,
+    state_pairs_with_overlaps,
 )
 
-from _oracles import full_neumark_probs, full_povm_probs, sample_trial
+from _oracles import full_neumark_probs, full_povm_probs, sample_trial, stop_cell_trial
 
 
 def _abstract_instance(overlaps, r, seed=0):
@@ -68,11 +71,32 @@ def test_simulate_rejects_nonpositive_trials():
 
 
 def test_simulate_stderr_formula():
+    # The binomial stderr at the analytic success probability, not at the
+    # sampled rate.
     inst = _abstract_instance([0.5, 0.5], 0.5)
     stats = simulate(inst, (0, 1), 4000, 2, Engine.POVM_SAMPLING)
-    expected = math.sqrt(stats.success_rate * (1 - stats.success_rate) / stats.trials)
-    assert stats.success_stderr == expected
+    p = stats.analytic.p_success
+    assert stats.success_stderr == math.sqrt(p * (1 - p) / stats.trials)
+    assert stats.success_stderr != math.sqrt(
+        stats.success_rate * (1 - stats.success_rate) / stats.trials
+    )
     assert stats.misidentifications == 0
+
+
+def test_one_trial_has_a_success_z_score(monkeypatch):
+    # One trial's rate is 0 or 1; the stderr of an analytic 0.76 is not 0, so
+    # the z-score is a number, not None.
+    inst = random_instance(3, 2, 5)
+    stats = simulate(inst, (0, 1, 2), 1, 0, Engine.POVM_SAMPLING)
+    p = stats.analytic.p_success
+    assert 0.7 < p < 0.8 and stats.success_rate in (0.0, 1.0)
+    assert stats.z_success == (stats.success_rate - p) / math.sqrt(p * (1 - p))
+    # None is left for an outcome the analytic value calls impossible: here
+    # no party can conclude, yet the patched table identifies p every time.
+    monkeypatch.setattr(mc, "_outcome_table", lambda *args: np.array([[[1.0, 0.0, 0.0]] * 2]))
+    stats = simulate(_abstract_instance([1.0], 0.5), (0,), 10, 0, Engine.POVM_SAMPLING)
+    assert stats.analytic.p_success == 0.0 and stats.success_rate > 0.0
+    assert stats.z_success is None
 
 
 def _count_stderr(result, trials):
@@ -91,7 +115,7 @@ def test_simulation_tracks_analytic_values():
         order = tuple(range(inst.n_parties))
         analytic = run_protocol(inst, order)
         stats = simulate(inst, order, trials, k, engine)
-        band = 5 * max(stats.success_stderr, 1e-9)
+        band = 5 * stats.success_stderr
         assert abs(stats.success_rate - analytic.p_success) <= band
         count_band = 5 * max(_count_stderr(analytic, trials), 1e-9)
         assert abs(stats.mean_measurements - analytic.expected_measurements) <= count_band
@@ -113,7 +137,7 @@ def test_degenerate_parties_cost_no_measurements():
     assert stats.mean_measurements == 1.0  # only the informative party measures
 
 
-# --- The outcome table and the block sampler -------------------------------
+# --- The outcome table and the stop-cell sampler ---------------------------
 
 
 def _counts(stats):
@@ -122,6 +146,12 @@ def _counts(stats):
         round(stats.success_rate * stats.trials),
         round(stats.mean_measurements * stats.trials),
     )
+
+
+def _outcome(cell, steps):
+    # (conclusion, measurements used) of a stop cell: cell 2k + o is "step k
+    # concludes o", the last cell "every step failed".
+    return (cell % 2, cell // 2 + 1) if cell < 2 * steps else (mc._FAIL, steps)
 
 
 def test_misidentifications_are_counted_from_the_sampler(monkeypatch):
@@ -149,55 +179,89 @@ def test_block_is_the_unit_of_reproducibility(engine):
     # The 7 trials past the first block are the first 7 rows of stream
     # (seed, 1).
     table = _table(inst, order, engine)
-    u = np.random.default_rng((seed, 1)).random((7, 1 + len(table)))
-    truth, conclusion, used = mc._sample(table, inst.priors.r, u)
+    u = np.random.default_rng((seed, 1)).random((7, 2))
+    truth, cell = mc._sample(mc._stop_cells(table), inst.priors.r, u)
+    tail = [(t, *_outcome(c, len(table))) for t, c in zip(truth.tolist(), cell.tolist())]
     head_correct, head_measurements = _counts(head)
     full_correct, full_measurements = _counts(full)
-    assert full_correct == head_correct + int(np.sum(conclusion == truth))
-    assert full_measurements == head_measurements + int(used.sum())
+    assert full_correct == head_correct + sum(t == conclusion for t, conclusion, _ in tail)
+    assert full_measurements == head_measurements + sum(used for _, _, used in tail)
 
 
-def test_row_chunked_draws_match_one_draw(monkeypatch):
-    inst = _abstract_instance([0.5, 0.7, 0.3, 0.8], 0.6)
-    order = (3, 1, 0, 2)
-    whole = simulate(inst, order, mc.BLOCK + 100, 21, Engine.POVM_SAMPLING)
-    # Rows of 5 uniforms drawn 3 rows at a time, across a block boundary.
-    monkeypatch.setattr(mc, "_DRAW_CAP", 15)
-    chunked = simulate(inst, order, mc.BLOCK + 100, 21, Engine.POVM_SAMPLING)
-    assert chunked == whole
+def test_each_block_draws_two_uniforms_per_trial(monkeypatch):
+    # Whatever the party count, block b draws one (rows, 2) matrix.
+    rng = np.random.default_rng(615)
+    instances = [
+        ProductInstance(state_pairs_with_overlaps(rng.uniform(0.2, 0.95, n), 2, 615),
+                        Priors(0.4, 0.6))
+        for n in (3, 2048)
+    ]
+    shapes = []
+    real = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self._rng = real(seed)
+
+        def random(self, size):
+            shapes.append(size)
+            return self._rng.random(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    for inst in instances:
+        shapes.clear()
+        simulate(inst, tuple(range(inst.n_parties)), mc.BLOCK + 7, 1, Engine.POVM_SAMPLING)
+        assert shapes == [(mc.BLOCK, 2), (7, 2)]
+
+
+def test_tally_memory_does_not_grow_with_the_step_count():
+    # A block's peak memory is its two uniforms per row and the row's picks,
+    # whatever the number of steps.
+    rng = np.random.default_rng(625)
+    peaks = []
+    for steps in (8, 2048):
+        table = _random_table(rng, steps)
+        tracemalloc.start()
+        try:
+            mc._tally(table, 0.5, mc.BLOCK, 3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 # (successes, misidentifications, measurements) over BLOCK + 7 trials.  Any
-# change to the block streams, the tables or the stop rule shows here.
+# change to the block streams, the tables or the stop cells shows here.
 _PINNED_TALLIES = {
-    "tripartite": ([0.5, 0.7, 0.3], 0.4, (2, 0, 1), 13, (14722, 0, 23573)),
+    "tripartite": ([0.5, 0.7, 0.3], 0.4, (2, 0, 1), 13, (14720, 0, 23532)),
     "deep": ([0.9, 0.8, 0.95, 0.7, 0.85, 0.9, 0.75, 0.6], 0.45, tuple(range(8)), 5,
-             (13616, 0, 79317)),
+             (13691, 0, 78694)),
     "skipped": ([1.0, 1.0, 1.0], 0.6, (0, 1, 2), 3, (0, 0, 0)),
-    "orthogonal": ([0.6, 0.0, 0.8], 0.35, (0, 1, 2), 8, (16391, 0, 25803)),
+    "orthogonal": ([0.6, 0.0, 0.8], 0.35, (0, 1, 2), 8, (16391, 0, 25738)),
 }
 
 
 @pytest.mark.parametrize("engine", list(Engine), ids=lambda e: e.value)
-@pytest.mark.parametrize("case, draw_cap", [
-    *((case, None) for case in _PINNED_TALLIES),
-    # Rows of 9 uniforms drawn 2 rows at a time, across a block boundary.
-    ("deep", 20),
-])
-def test_simulate_tallies_are_pinned(monkeypatch, engine, case, draw_cap):
+# The ids end in "-None", the names these cases are listed under, so recorded
+# test lists still match them.
+@pytest.mark.parametrize("case", list(_PINNED_TALLIES), ids=lambda case: f"{case}-None")
+def test_simulate_tallies_are_pinned(engine, case):
     overlaps, r, order, seed, tallies = _PINNED_TALLIES[case]
-    if draw_cap is not None:
-        monkeypatch.setattr(mc, "_DRAW_CAP", draw_cap)
     stats = simulate(_abstract_instance(overlaps, r), order, mc.BLOCK + 7, seed, engine)
     correct, measurements = _counts(stats)
     assert (correct, stats.misidentifications, measurements) == tallies
 
 
 def _assert_sample_is_the_oracle(table, prior_r, u):
-    got = mc._sample(table, prior_r, u)
+    cells = mc._stop_cells(table)
+    got = mc._sample(cells, prior_r, u)
     assert all(a.dtype == np.intp and a.shape == (len(u),) for a in got)
-    want = [sample_trial(table, prior_r, row) for row in u.tolist()]
+    want = [stop_cell_trial(table, prior_r, row) for row in u.tolist()]
     assert list(zip(*(a.tolist() for a in got))) == want
+    # Every pick lies in a cell of positive width, within the row.
+    truth, cell = got
+    widths = np.diff(cells, axis=1, prepend=0.0)
+    assert (widths[truth, cell] > 0.0).all()
 
 
 def _random_table(rng, steps):
@@ -213,27 +277,29 @@ def test_sample_matches_the_scalar_oracle_on_random_tables():
     for i in range(60):
         steps = i % 7
         table = _random_table(rng, steps)
-        _assert_sample_is_the_oracle(table, rng.random(), rng.random((50, 1 + steps)))
+        _assert_sample_is_the_oracle(table, rng.random(), rng.random((50, 2)))
 
 
 def test_sample_matches_the_scalar_oracle_on_thresholds():
-    # Each step uniform is 0, a threshold of the row's truth, or one ulp
-    # below one: an interval's lower end is inside it, its upper end not.
+    # Each uniform is 0, one ulp below one, or a cell boundary of the row's
+    # truth (scaled by the row's total) or one ulp either side of it: a
+    # cell's lower end is inside it, its upper end not.
     rng = np.random.default_rng(595)
     for i in range(40):
         steps, r = 1 + i % 5, rng.random()
         table = _random_table(rng, steps)
-        u = np.empty((64, 1 + steps))
+        cells = mc._stop_cells(table)
+        u = np.empty((64, 2))
         u[:, 0] = rng.choice([0.0, np.nextafter(r, 0.0), r, np.nextafter(1.0, 0.0)], size=64)
         truth = (u[:, 0] >= r).astype(int)
-        for k in range(steps):
-            lower = table[k, truth, 0]
-            upper = lower + table[k, truth, 1]
-            picks = np.stack([
-                np.zeros(64), lower, upper,
-                np.nextafter(lower, 0.0), np.nextafter(upper, 0.0),
-            ])
-            u[:, 1 + k] = picks[rng.integers(0, 5, size=64), np.arange(64)]
+        bounds = cells[truth, rng.integers(0, cells.shape[1], size=64)] / cells[truth, -1]
+        picks = np.stack([
+            np.zeros(64), np.full(64, np.nextafter(1.0, 0.0)), bounds,
+            np.nextafter(bounds, 0.0), np.nextafter(bounds, 1.0),
+        ])
+        # A uniform is below 1, so the last boundary's upper neighbour is not.
+        picked = picks[rng.integers(0, 5, size=64), np.arange(64)]
+        u[:, 1] = np.minimum(picked, np.nextafter(1.0, 0.0))
         _assert_sample_is_the_oracle(table, r, u)
 
 
@@ -254,10 +320,56 @@ def test_sample_matches_the_scalar_oracle_on_thresholds():
 def test_sample_matches_the_scalar_oracle_on_zero_probabilities(table):
     table = np.array(table, dtype=float).reshape(-1, 2, 3)
     rng = np.random.default_rng(605)
-    u = rng.random((200, 1 + len(table)))
+    u = rng.random((200, 2))
     u[::7] = 0.0
-    u[1::7, 1:] = np.nextafter(1.0, 0.0)
+    u[1::7, 1] = np.nextafter(1.0, 0.0)
     _assert_sample_is_the_oracle(table, 0.6, u)
+
+
+# Upper 1e-3 point of the standard normal: the chi-square tests below reject
+# at significance 1e-3.
+_Z_1E3 = 3.090232306167813
+
+
+def _chi2_critical(df):
+    # Upper 1e-3 point of chi-square with df degrees of freedom, by the
+    # Wilson-Hilferty cube-root normal approximation.
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + _Z_1E3 * math.sqrt(h)) ** 3
+
+
+@pytest.mark.parametrize(
+    "overlaps, r",
+    [
+        # A skipped party, then an overlap-0 party that ends every trial.
+        ([0.6, 1.0, 0.8, 0.0], 0.4),
+        # Overlaps near 1: most trials fail at every step.
+        ([0.999, 0.9995, 0.99, 0.9999, 0.998], 0.55),
+        ([0.3, 0.9, 0.5, 0.7, 0.95, 0.2], 0.7),
+    ],
+    ids=["skipped-and-orthogonal", "near-one", "mixed"],
+)
+def test_stop_cell_sampler_has_the_law_of_the_per_step_sampler(overlaps, r):
+    # Two-sample chi-square over (truth, step, outcome) against the per-step
+    # oracle, equal sample sizes, cells with fewer than 10 trials pooled.
+    inst = _abstract_instance(overlaps, r)
+    table = _table(inst, tuple(range(len(overlaps))), Engine.POVM_SAMPLING)
+    rng, n = np.random.default_rng(635), 20_000
+    truth, cell = mc._sample(mc._stop_cells(table), r, rng.random((n, 2)))
+    ours = collections.Counter(
+        (t, *_outcome(c, len(table))) for t, c in zip(truth.tolist(), cell.tolist())
+    )
+    theirs = collections.Counter(
+        sample_trial(table, r, row) for row in rng.random((n, 1 + len(table))).tolist()
+    )
+    pairs = [(ours[key], theirs[key]) for key in ours.keys() | theirs.keys()]
+    bins = [pair for pair in pairs if sum(pair) >= 10]
+    rare = [pair for pair in pairs if sum(pair) < 10]
+    if rare:
+        bins.append((sum(a for a, _ in rare), sum(b for _, b in rare)))
+    stat = sum((a - b) ** 2 / (a + b) for a, b in bins)
+    assert len(bins) > 2
+    assert stat <= _chi2_critical(len(bins) - 1)
 
 
 def test_povm_and_neumark_tables_agree():
@@ -291,15 +403,16 @@ def test_table_fail_entries_match_the_protocol(engine):
 
 @pytest.mark.parametrize("engine", list(Engine))
 def test_zero_step_uniform_never_misidentifies(engine):
-    # A step uniform of 0.0 falls below every positive threshold: with a
-    # rounding residue in a cross entry it would name the wrong state.
+    # A cell uniform of 0.0 picks the first cell of positive width: with a
+    # rounding residue in a cross entry that cell would name the wrong state.
     for i in range(30):
         inst = random_instance(2 + i % 3, 2 + i % 2, (535, i))
         table = _table(inst, tuple(range(inst.n_parties)), engine)
-        u = np.zeros((2, 1 + len(table)))
+        u = np.zeros((2, 2))
         u[1, 0] = np.nextafter(1.0, 0.0)  # prepares q; row 0 prepares p
-        truth, conclusion, _ = mc._sample(table, inst.priors.r, u)
+        truth, cell = mc._sample(mc._stop_cells(table), inst.priors.r, u)
         assert truth.tolist() == [0, 1]
+        conclusion = [_outcome(c, len(table))[0] for c in cell.tolist()]
         assert conclusion[0] in (0, mc._FAIL) and conclusion[1] in (1, mc._FAIL)
 
 
