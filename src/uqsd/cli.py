@@ -2,8 +2,9 @@
 
 Commands print one JSON document on one line (or CSV for `sweep --csv`) to
 stdout; `python -m json.tool` pretty-prints it.  Exit codes: 0 on success, 1
-on any input problem, 2 when the `verify` property suite finds a violation, 3
-on an internal fault (traceback on stderr).
+on any input problem or a stdout closed before the report was written, 2 when
+the `verify` property suite finds a violation, 3 on an internal fault
+(traceback on stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import dataclasses
 import enum
 import functools
 import json
+import os
 import sys
 import traceback
 from typing import Any
@@ -276,8 +278,9 @@ def _report(command: str, scenario: Scenario | None, body: dict) -> dict:
 
 def _emit(report: dict):
     # No `indent`: with it json falls back from its C encoder to the pure-Python
-    # one, which costs about three times as much per report.
-    print(json.dumps(report, sort_keys=True, allow_nan=False, default=_json_default))
+    # one, which costs about three times as much per report.  The flush makes a
+    # closed stdout fail here, inside `main`, not at interpreter exit.
+    print(json.dumps(report, sort_keys=True, allow_nan=False, default=_json_default), flush=True)
 
 
 def cmd_optimum(scenario: Scenario) -> dict:
@@ -437,11 +440,16 @@ def main(argv=None) -> int:
                 for row in report["rows"]:
                     cells = _fields(row).values()
                     print(",".join(v.value if isinstance(v, enum.Enum) else repr(v) for v in cells))
+                sys.stdout.flush()
             else:
                 _emit(report)
         return 0
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away, e.g. `uqsd order ... | head -c 10`.
+        print("error: stdout was closed before the report was written", file=sys.stderr)
         return 1
     except Exception:
         # Anything else is a fault in uqsd, not in its input.
@@ -450,7 +458,12 @@ def main(argv=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    code = main()
+    # main flushes what it writes.  After a closed pipe, what it could not write
+    # is still buffered; with stdout on devnull the interpreter's final flush
+    # drops it instead of printing "Exception ignored" and exiting 120.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,21 @@ benchmark, order search, and party grouping.
 
 from __future__ import annotations
 
+__all__ = [
+    "Order",
+    "OrderMode",
+    "StepRecord",
+    "ProtocolResult",
+    "EXHAUSTIVE_MAX_PARTIES",
+    "global_overlap",
+    "global_optimum",
+    "run_protocol",
+    "checked_order",
+    "best_order",
+    "group",
+    "measurement_count_distribution",
+]
+
 import dataclasses
 import enum
 import math
@@ -194,10 +209,12 @@ def best_order(
     EXHAUSTIVE, a given `table` list receives one (order,
     expected_measurements, p_success) row per order, in lexicographic order,
     each equal to `run_protocol` on that order, so callers that report every
-    order walk them once.
+    order walk them once; ASCENDING_OVERLAP fills none and refuses one.
     """
     n = instance.n_parties
     if mode is OrderMode.ASCENDING_OVERLAP:
+        if table is not None:
+            raise ValueError("only an EXHAUSTIVE search fills a table")
         order = tuple(sorted(range(n), key=lambda i: (instance.parties[i].overlap_c, i)))
         return order, run_protocol(instance, order).expected_measurements
     if mode is OrderMode.EXHAUSTIVE:

@@ -16,6 +16,12 @@ bit-identical regardless of how blocks are scheduled.
 
 from __future__ import annotations
 
+__all__ = [
+    "Engine",
+    "SimStats",
+    "simulate",
+]
+
 import dataclasses
 import enum
 import math

@@ -10,6 +10,21 @@ two-dimensional span of the pair's states, so they are built there, as
 
 from __future__ import annotations
 
+__all__ = [
+    "Regime",
+    "Strategy",
+    "PairSpan",
+    "Povm",
+    "NeumarkModel",
+    "DegeneratePairError",
+    "InconsistentStrategyError",
+    "optimal_strategy",
+    "failure_posterior",
+    "brute_force_strategy",
+    "build_povm",
+    "neumark_model",
+]
+
 import dataclasses
 import enum
 import math
@@ -46,8 +61,7 @@ class Strategy:
     """Optimal (or candidate) failure probabilities for one pair.
 
     fail_p and fail_q are the probabilities of the inconclusive outcome given
-    each preparation; swapped records whether the larger-prior role belonged
-    to the second hypothesis when the branch formulas were applied.
+    each preparation.
     """
 
     regime: Regime
@@ -55,7 +69,6 @@ class Strategy:
     fail_q: float
     p_success: float
     p_fail: float
-    swapped: bool
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -113,7 +126,7 @@ def _relabeled(solve, priors: Priors, *args) -> Strategy:
     regime, fail_big, fail_small = solve(big, small, *args)
     p_fail = big * fail_big + small * fail_small
     fail_p, fail_q = (fail_small, fail_big) if swapped else (fail_big, fail_small)
-    return Strategy(regime, fail_p, fail_q, 1.0 - p_fail, p_fail, swapped)
+    return Strategy(regime, fail_p, fail_q, 1.0 - p_fail, p_fail)
 
 
 def optimal_strategy(c: float, priors: Priors) -> Strategy:

@@ -2,6 +2,23 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "NORM_TOL",
+    "PROB_TOL",
+    "InternalFaultError",
+    "PureState",
+    "Priors",
+    "LocalPair",
+    "ProductInstance",
+    "checked_number",
+    "checked_integer",
+    "inner_product",
+    "random_pure_state",
+    "state_pair_with_overlap",
+    "state_pairs_with_overlaps",
+    "random_instance",
+]
+
 import dataclasses
 import math
 from collections.abc import Sequence
@@ -128,16 +145,21 @@ def _set_fields(state: PureState, vec: np.ndarray, norm_sq: float) -> PureState:
 
 @dataclasses.dataclass(frozen=True)
 class Priors:
-    """Preparation probabilities (r, s) of the two hypotheses, r + s = 1."""
+    """Preparation probabilities (r, s) of the two hypotheses, r + s = 1.
+
+    Both are stored as Python floats, whatever real type they were given as.
+    """
 
     r: float
     s: float
 
     def __post_init__(self):
-        checked_number(self.r, "r", 0.0, 1.0)
-        checked_number(self.s, "s", 0.0, 1.0)
-        if abs(self.r + self.s - 1.0) > NORM_TOL:
-            raise ValueError(f"priors must sum to 1, got {self.r + self.s!r}")
+        r = checked_number(self.r, "r", 0.0, 1.0)
+        s = checked_number(self.s, "s", 0.0, 1.0)
+        if abs(r + s - 1.0) > NORM_TOL:
+            raise ValueError(f"priors must sum to 1, got {r + s!r}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "s", s)
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -178,9 +200,13 @@ class ProductInstance:
     priors: Priors
 
     def __post_init__(self):
+        if not isinstance(self.priors, Priors):
+            raise TypeError(f"priors: expected Priors, got {type(self.priors).__name__}")
         parties = tuple(self.parties)
         checked_integer(len(parties), "number of parties", 1)
         for k, pair in enumerate(parties):
+            if not isinstance(pair, LocalPair):
+                raise TypeError(f"party {k}: expected LocalPair, got {type(pair).__name__}")
             checked_integer(pair.p.dim, f"party {k} dim", 2)
         object.__setattr__(self, "parties", parties)
 

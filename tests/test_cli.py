@@ -716,6 +716,41 @@ def test_overflowing_amplitude_norm_is_one_error_line(tmp_path):
     )
 
 
+def test_closed_stdout_is_one_error_line(tmp_path):
+    # The reader closes the pipe after 10 bytes of a 7-party order report
+    # (about 1 MB): one error line and exit 1, with no traceback and no
+    # "Exception ignored" from the interpreter's final flush.
+    overlaps = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+    path = write_scenario(tmp_path, {"priors": {"r": 0.6}, "abstract": {"overlaps": overlaps}})
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "uqsd.cli", "order", "--scenario", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b'{"ascendin'
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (
+        1, "error: stdout was closed before the report was written\n"
+    )
+
+
+class _ClosedPipe:
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("argv", [["optimum"], ["sweep", "--csv"]], ids=["json", "csv"])
+def test_main_maps_a_closed_stdout_to_exit_one(monkeypatch, capsys, argv):
+    scenario = str(SCENARIOS / ("sweep.json" if "--csv" in argv else "bipartite.json"))
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main([*argv, "--scenario", scenario])
+    assert (code, capsys.readouterr().err) == (
+        1, "error: stdout was closed before the report was written\n"
+    )
+
+
 _UNIT_V = [[0.6, 0], [0.8, 0]]
 
 

@@ -322,6 +322,14 @@ def test_best_order_exhaustive_table_lists_every_order_once():
     assert best == (2, 0, 1, 3)
 
 
+def test_best_order_ascending_refuses_a_table():
+    # Only the exhaustive search fills a table; an ascending search given one
+    # would leave it silently empty.
+    inst = _abstract_instance([0.4, 0.1], 0.5)
+    with pytest.raises(ValueError, match="EXHAUSTIVE"):
+        best_order(inst, OrderMode.ASCENDING_OVERLAP, table=[])
+
+
 _EDGE_OVERLAPS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(min_value=0.0, max_value=1.0))
 _EDGE_PRIORS = st.one_of(
     st.sampled_from([0.0, 1.0, 0.5, 1e-9, 1.0 - 1e-9, 0.97]),

@@ -24,6 +24,28 @@ def test_public_exports_resolve():
     assert [name for name in uqsd.__all__ if not hasattr(uqsd, name)] == []
 
 
+_EXPORTING = [uqsd.states, uqsd.pair_disc, uqsd.locc, uqsd.montecarlo]
+
+
+def test_package_exports_exactly_its_modules_all():
+    lists = [module.__all__ for module in _EXPORTING]
+    names = [name for names in lists for name in names]
+    assert len(set(names)) == len(names)  # disjoint, and no name twice in one list
+    assert uqsd.__all__ == [*names, "__version__"]
+    for module in _EXPORTING:
+        for name in module.__all__:
+            assert getattr(uqsd, name) is getattr(module, name), name
+    # Nothing else public leaks in through the star imports, e.g. np or math.
+    # A fresh interpreter, because importing uqsd.cli or uqsd.checks binds
+    # them on the package too.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import uqsd; print(*sorted(set(dir(uqsd)) - set(uqsd.__all__)))"],
+        capture_output=True, text=True, timeout=120,
+    )
+    extra = [name for name in proc.stdout.split() if not name.startswith("_")]
+    assert (proc.returncode, extra) == (0, ["locc", "montecarlo", "pair_disc", "states"])
+
+
 def test_library_has_no_assert_statements():
     # `python -O` strips assert statements, so no check may rely on one.
     found = []

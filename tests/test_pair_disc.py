@@ -189,7 +189,7 @@ def test_brute_force_relabels_like_closed_form(c, r):
     priors = Priors(r, 1.0 - r)
     exact = optimal_strategy(c, priors)
     oracle = brute_force_strategy(c, priors)
-    assert (oracle.swapped, oracle.regime) == (exact.swapped, exact.regime)
+    assert oracle.regime == exact.regime
     assert abs(oracle.fail_p - exact.fail_p) < 1e-6
     assert abs(oracle.fail_q - exact.fail_q) < 1e-6
     if r != 0.5:
@@ -198,7 +198,6 @@ def test_brute_force_relabels_like_closed_form(c, r):
             (exact, optimal_strategy(c, mirrored)),
             (oracle, brute_force_strategy(c, mirrored)),
         ]:
-            assert b.swapped is not a.swapped
             assert (b.fail_p, b.fail_q) == (a.fail_q, a.fail_p)
 
 
@@ -318,7 +317,6 @@ def test_neumark_rejects_inconsistent_strategy():
         fail_q=0.9,  # product 0.81 != 0.25
         p_success=0.1,
         p_fail=0.9,
-        swapped=False,
     )
     with pytest.raises(InconsistentStrategyError):
         neumark_model(pair, bad)
@@ -365,7 +363,7 @@ def test_realizations_reject_strategies_they_cannot_realize(
     realize, fail_p, fail_q, error, message
 ):
     pair = state_pair_with_overlap(0.5, 2, 1)
-    bad = Strategy(Regime.EQUAL_POSTERIOR, fail_p, fail_q, 0.5, 0.5, False)
+    bad = Strategy(Regime.EQUAL_POSTERIOR, fail_p, fail_q, 0.5, 0.5)
     with pytest.raises(error, match=message):
         realize(pair, bad)
 

@@ -76,6 +76,21 @@ def test_priors_validation():
         Priors(-0.1, 1.1)
 
 
+def test_priors_store_the_checked_floats():
+    # A numpy or int prior is kept as the float the check returns, so the
+    # protocol computes in float64 and a report can serialize the priors.
+    f32 = Priors(np.float32(0.9), 1 - np.float32(0.9))
+    assert (type(f32.r), type(f32.s)) == (float, float)
+    assert (f32.r, f32.s) == (float(np.float32(0.9)), float(1 - np.float32(0.9)))
+    ints = Priors(1, 0)
+    assert (type(ints.r), type(ints.s)) == (float, float)
+    assert json.dumps(uqsd.cli._json_default(ints)) == '{"r": 1.0, "s": 0.0}'
+    inst = random_instance(3, 2, 4)
+    result = uqsd.run_protocol(ProductInstance(inst.parties, f32), (0, 1, 2))
+    assert type(result.p_success) is float
+    json.dumps(result, default=uqsd.cli._json_default)
+
+
 def test_random_pure_state_deterministic():
     a = random_pure_state(2, 7)
     b = random_pure_state(2, 7)
@@ -207,6 +222,15 @@ def test_random_instance_validation():
 def test_product_instance_rejects_empty():
     with pytest.raises(ValueError):
         ProductInstance(parties=(), priors=Priors(0.5, 0.5))
+
+
+def test_product_instance_rejects_what_it_cannot_use():
+    # Each would otherwise fail later, inside run_protocol, as an AttributeError.
+    pair = state_pair_with_overlap(0.5, 2, 0)
+    with pytest.raises(TypeError, match=r"^priors: expected Priors, got NoneType$"):
+        ProductInstance((pair,), None)
+    with pytest.raises(TypeError, match=r"^party 1: expected LocalPair, got tuple$"):
+        ProductInstance((pair, (pair.p, pair.q)), Priors(0.5, 0.5))
 
 
 def test_pure_state_rejects_non_finite_amplitudes():
