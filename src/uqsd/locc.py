@@ -32,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .pair_disc import Regime, Strategy, failure_posterior, optimal_strategy
-from .states import LocalPair, Priors, ProductInstance, PureState, checked_integer
+from .states import LocalPair, Priors, ProductInstance, _checked_type, _norm, _normalized
+from .states import checked_integer
 
 Order = tuple[int, ...]
 
@@ -94,6 +95,7 @@ def checked_order(order: Sequence[int], n: int) -> Order:
 
 def global_overlap(instance: ProductInstance) -> float:
     """Overlap of the full product states: the product of party overlaps."""
+    _checked_type(instance, "instance", ProductInstance)
     return math.prod(pair.overlap_c for pair in instance.parties)
 
 
@@ -144,6 +146,7 @@ def run_protocol(instance: ProductInstance, order: Sequence[int]) -> ProtocolRes
     with certainty; any remaining steps are recorded but unreachable.  The
     run computes one strategy per distinct (priors, overlap) it meets.
     """
+    _checked_type(instance, "instance", ProductInstance)
     order = checked_order(order, instance.n_parties)
     walk = _Walk(instance.priors)
     memo: dict = {}
@@ -178,6 +181,7 @@ def measurement_count_distribution(result: ProtocolResult) -> tuple[tuple[int, f
     The protocol stops at the first conclusive outcome; trials that exhaust
     every party count all non-skipped steps.
     """
+    _checked_type(result, "result", ProtocolResult)
     probs: dict[int, float] = {}
     reach = 1.0
     used = 0
@@ -211,6 +215,7 @@ def best_order(
     each equal to `run_protocol` on that order, so callers that report every
     order walk them once; ASCENDING_OVERLAP fills none and refuses one.
     """
+    _checked_type(instance, "instance", ProductInstance)
     n = instance.n_parties
     if mode is OrderMode.ASCENDING_OVERLAP:
         if table is not None:
@@ -246,6 +251,7 @@ def group(instance: ProductInstance, partition: Sequence[Sequence[int]]) -> Prod
     products of the members' states (in the listed order); the overlap of the
     merged pair is then automatically the product of member overlaps.
     """
+    _checked_type(instance, "instance", ProductInstance)
     n = instance.n_parties
     parts = [tuple(part) for part in partition]
     if any(not part for part in parts):
@@ -263,6 +269,6 @@ def group(instance: ProductInstance, partition: Sequence[Sequence[int]]) -> Prod
                 # For 1-D vectors the flattened outer product is the Kronecker product.
                 p_vec = np.outer(p_vec, instance.parties[i].p.amplitudes).ravel()
                 q_vec = np.outer(q_vec, instance.parties[i].q.amplitudes).ravel()
-            pair = LocalPair(PureState.normalized(p_vec), PureState.normalized(q_vec))
+            pair = LocalPair(_normalized(p_vec, _norm(p_vec)), _normalized(q_vec, _norm(q_vec)))
         merged.append(pair)
     return ProductInstance(parties=tuple(merged), priors=instance.priors)

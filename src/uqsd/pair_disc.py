@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .states import PROB_TOL, LocalPair, Priors, checked_number, inner_product
+from .states import PROB_TOL, LocalPair, Priors, _checked_type, checked_number, inner_product
 
 
 class Regime(enum.Enum):
@@ -121,6 +121,7 @@ def _relabeled(solve, priors: Priors, *args) -> Strategy:
     # Relabel the hypotheses so big = max(r, s) and small = min(r, s), solve
     # for (regime, fail_big, fail_small) with solve(big, small, *args), and
     # map the failure probabilities back onto p and q.
+    _checked_type(priors, "priors", Priors)
     swapped = priors.s > priors.r
     big, small = (priors.s, priors.r) if swapped else (priors.r, priors.s)
     regime, fail_big, fail_small = solve(big, small, *args)
@@ -152,12 +153,18 @@ def _closed_form(big: float, small: float, c: float) -> tuple[Regime, float, flo
     return Regime.SATURATED, c * c, 1.0
 
 
+# The posterior of every equal-posterior failure; Priors is frozen, so one is shared.
+_EVEN = Priors(0.5, 0.5)
+
+
 def failure_posterior(strategy: Strategy, priors: Priors) -> Priors:
     """Updated priors conditional on the inconclusive outcome."""
+    _checked_type(strategy, "strategy", Strategy)
+    _checked_type(priors, "priors", Priors)
     if strategy.p_fail == 0.0:
         raise ValueError("the failure branch has probability 0; no posterior exists")
     if strategy.regime is Regime.EQUAL_POSTERIOR:
-        return Priors(0.5, 0.5)
+        return _EVEN
     return Priors(
         priors.r * strategy.fail_p / strategy.p_fail,
         priors.s * strategy.fail_q / strategy.p_fail,
@@ -182,6 +189,15 @@ def brute_force_strategy(c: float, priors: Priors) -> Strategy:
 # takes (on 900 random (c, r), p_success moved by at most 5e-15 between 100
 # and 10 000 points).
 _GRID_POINTS = 300
+_RAMP = np.arange(_GRID_POINTS, dtype=np.float64)
+
+
+def _ramp(lo: float, hi: float) -> np.ndarray:
+    # np.linspace(lo, hi, _GRID_POINTS) by linspace's own arithmetic, bit for
+    # bit, without its per-call overhead (most of the grid search's time).
+    bs = _RAMP * ((hi - lo) / (_GRID_POINTS - 1)) + lo
+    bs[-1] = hi
+    return bs
 
 
 def _grid_search(big: float, small: float, c: float) -> tuple[Regime, float, float]:
@@ -192,7 +208,7 @@ def _grid_search(big: float, small: float, c: float) -> tuple[Regime, float, flo
         return Regime.EQUAL_POSTERIOR, 0.0, 0.0
     lo, hi = c * c, 1.0
     while True:
-        bs = np.linspace(lo, hi, _GRID_POINTS)
+        bs = _ramp(lo, hi)
         ds = np.minimum(1.0, (c * c) / bs)
         scores = big * (1.0 - bs) + small * (1.0 - ds)
         k = int(np.argmax(scores))  # first maximum -> smallest b on ties
@@ -213,6 +229,8 @@ def _realizable(pair: LocalPair, strategy: Strategy, realization: str):
     # The pair's overlap, the strategy's failure probabilities and the pair's
     # span, once a measurement on the pair can realize the strategy.
     # `realization` names what a pair of identical states admits none of.
+    _checked_type(pair, "pair", LocalPair)
+    _checked_type(strategy, "strategy", Strategy)
     c = pair.overlap_c
     if c >= 1.0:
         raise DegeneratePairError(f"identical hypothesis states admit no {realization}")

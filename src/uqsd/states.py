@@ -79,6 +79,12 @@ def checked_integer(value, name: str, lo: int, hi: int | None = None) -> int:
     return int(value)
 
 
+def _checked_type(value, name: str, kind: type):
+    # The TypeError of a public boundary given an argument of the wrong type.
+    if not isinstance(value, kind):
+        raise TypeError(f"{name}: expected {kind.__name__}, got {type(value).__name__}")
+
+
 def _checked_seed(seed, name: str = "seed"):
     # A seed is an integer >= 0 or a non-empty tuple of seeds, which names a
     # sub-stream; each entry is checked under its index, e.g. seed[0][1].
@@ -164,6 +170,8 @@ class Priors:
 
 def inner_product(a: PureState, b: PureState) -> complex:
     """Return <a|b> (conjugate-linear in the first argument)."""
+    _checked_type(a, "a", PureState)
+    _checked_type(b, "b", PureState)
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     return complex(np.vdot(a.amplitudes, b.amplitudes))
@@ -189,6 +197,8 @@ class LocalPair:
     overlap_c: float = dataclasses.field(init=False)
 
     def __post_init__(self):
+        _checked_type(self.p, "p", PureState)
+        _checked_type(self.q, "q", PureState)
         object.__setattr__(self, "overlap_c", _snapped_overlap(self.p, self.q))
 
 
@@ -200,14 +210,13 @@ class ProductInstance:
     priors: Priors
 
     def __post_init__(self):
-        if not isinstance(self.priors, Priors):
-            raise TypeError(f"priors: expected Priors, got {type(self.priors).__name__}")
+        _checked_type(self.priors, "priors", Priors)
         parties = tuple(self.parties)
         checked_integer(len(parties), "number of parties", 1)
         for k, pair in enumerate(parties):
-            if not isinstance(pair, LocalPair):
-                raise TypeError(f"party {k}: expected LocalPair, got {type(pair).__name__}")
-            checked_integer(pair.p.dim, f"party {k} dim", 2)
+            if not isinstance(pair, LocalPair) or pair.p.dim < 2:  # name a party only to fault it
+                _checked_type(pair, f"party {k}", LocalPair)
+                checked_integer(pair.p.dim, f"party {k} dim", 2)
         object.__setattr__(self, "parties", parties)
 
     @property

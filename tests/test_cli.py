@@ -7,6 +7,7 @@ import math
 import pathlib
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -515,6 +516,23 @@ def test_failing_verify_case_replays_through_scenario(tmp_path, capsys, monkeypa
     assert abs(p_success - json.loads(out)["p_success"]) == entry["max_deviation"]
 
 
+def test_verify_reports_the_first_row_of_largest_deviation(monkeypatch):
+    # Of the rows that deviate most, order_invariance reports the first one
+    # the walk listed.  A stand-in walk gives the one instance three rows,
+    # the last two tied.
+    def tied_walk(instance, mode, table):
+        target = locc.global_optimum(instance)
+        table += [((2,), 1.0, target + 0.25), ((0,), 1.0, target + 0.5), ((1,), 1.0, target + 0.5)]
+        return (0,), 1.0
+
+    monkeypatch.setattr(checks, "best_order", tied_walk)
+    entry = checks.verify(1, 1).properties["order_invariance"]
+    target = locc.global_optimum(entry["worst"]["instance"])
+    assert entry["pass"] is False
+    assert entry["worst"]["order"] == (0,)
+    assert entry["max_deviation"] == abs(target + 0.5 - target)
+
+
 def test_verify_rejects_nonpositive_count():
     with pytest.raises(cli.ScenarioError):
         cmd_verify(1, 0)
@@ -734,6 +752,36 @@ def test_closed_stdout_is_one_error_line(tmp_path):
     assert (proc.wait(timeout=120), err) == (
         1, "error: stdout was closed before the report was written\n"
     )
+
+
+_FROZEN_ENTRY = """
+import gc
+import uqsd.cli as cli
+
+
+def stub():  # flushes, as main does: entry() then points fd 1 at devnull
+    print(gc.get_freeze_count() > 0, flush=True)
+    return 3
+
+
+cli.main = stub
+cli.entry()
+"""
+
+
+def test_entry_freezes_the_heap_before_main_and_exits_with_its_code():
+    # A fresh interpreter: entry() points fd 1 at devnull, and a freeze here
+    # would pin pytest's own heap.
+    proc = subprocess.run(
+        [sys.executable, "-c", _FROZEN_ENTRY], capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, "True\n", "")
+
+
+@pytest.mark.parametrize("value", [object(), types.SimpleNamespace(r=0.5)], ids=["object", "vars"])
+def test_reports_refuse_values_that_are_not_uqsd_results(value):
+    with pytest.raises(TypeError):
+        cli._json_default(value)
 
 
 class _ClosedPipe:

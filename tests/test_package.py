@@ -233,6 +233,79 @@ def test_every_public_numeric_parameter_is_range_checked(parameter):
         assert str(excinfo.value).startswith(f"{name}: expected "), (value, excinfo.value)
 
 
+_STRATEGY = uqsd.optimal_strategy(0.5, _FLAT)
+_RESULT = uqsd.run_protocol(_INSTANCE, (0,))
+
+# Every public parameter that takes one of uqsd's own types: the name its
+# TypeError starts with, the type it expects, a call that passes the value to
+# it and a valid value.  Before, each of these failed with an AttributeError
+# that named no argument, or took the wrong type without a word.
+TYPED = {
+    "LocalPair.p": ("p", "PureState", lambda v: uqsd.LocalPair(v, _PAIR.q), _PAIR.p),
+    "LocalPair.q": ("q", "PureState", lambda v: uqsd.LocalPair(_PAIR.p, v), _PAIR.q),
+    "inner_product.a": ("a", "PureState", lambda v: uqsd.inner_product(v, _PAIR.q), _PAIR.p),
+    "inner_product.b": ("b", "PureState", lambda v: uqsd.inner_product(_PAIR.p, v), _PAIR.q),
+    "optimal_strategy.priors": (
+        "priors", "Priors", lambda v: uqsd.optimal_strategy(0.5, v), _FLAT,
+    ),
+    "brute_force_strategy.priors": (
+        "priors", "Priors", lambda v: uqsd.brute_force_strategy(0.5, v), _FLAT,
+    ),
+    "failure_posterior.strategy": (
+        "strategy", "Strategy", lambda v: uqsd.failure_posterior(v, _FLAT), _STRATEGY,
+    ),
+    # An equal-posterior strategy never reads the priors, yet they are checked.
+    "failure_posterior.priors": (
+        "priors", "Priors", lambda v: uqsd.failure_posterior(_STRATEGY, v), _FLAT,
+    ),
+    "build_povm.pair": ("pair", "LocalPair", lambda v: uqsd.build_povm(v, _STRATEGY), _PAIR),
+    "build_povm.strategy": (
+        "strategy", "Strategy", lambda v: uqsd.build_povm(_PAIR, v), _STRATEGY,
+    ),
+    "neumark_model.pair": (
+        "pair", "LocalPair", lambda v: uqsd.neumark_model(v, _STRATEGY), _PAIR,
+    ),
+    "neumark_model.strategy": (
+        "strategy", "Strategy", lambda v: uqsd.neumark_model(_PAIR, v), _STRATEGY,
+    ),
+    "global_overlap.instance": (
+        "instance", "ProductInstance", lambda v: uqsd.global_overlap(v), _INSTANCE,
+    ),
+    "global_optimum.instance": (
+        "instance", "ProductInstance", lambda v: uqsd.global_optimum(v), _INSTANCE,
+    ),
+    "run_protocol.instance": (
+        "instance", "ProductInstance", lambda v: uqsd.run_protocol(v, (0,)), _INSTANCE,
+    ),
+    "best_order.instance": (
+        "instance",
+        "ProductInstance",
+        lambda v: uqsd.best_order(v, uqsd.OrderMode.ASCENDING_OVERLAP),
+        _INSTANCE,
+    ),
+    "group.instance": ("instance", "ProductInstance", lambda v: uqsd.group(v, [[0]]), _INSTANCE),
+    "measurement_count_distribution.result": (
+        "result", "ProtocolResult", lambda v: uqsd.measurement_count_distribution(v), _RESULT,
+    ),
+    "simulate.instance": (
+        "instance",
+        "ProductInstance",
+        lambda v: uqsd.simulate(v, (0,), 10, 0, uqsd.Engine.POVM_SAMPLING),
+        _INSTANCE,
+    ),
+}
+
+
+@pytest.mark.parametrize("parameter", TYPED)
+def test_every_public_typed_parameter_is_type_checked(parameter):
+    name, kind, call, valid = TYPED[parameter]
+    call(valid)
+    for value, got in [(None, "NoneType"), ((0.5, 0.5), "tuple")]:
+        with pytest.raises(TypeError) as excinfo:
+            call(value)
+        assert str(excinfo.value) == f"{name}: expected {kind}, got {got}"
+
+
 _SEEDED = {
     "random_pure_state": lambda seed: uqsd.random_pure_state(2, seed),
     "state_pair_with_overlap": lambda seed: uqsd.state_pair_with_overlap(0.5, 2, seed),

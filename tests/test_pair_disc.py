@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import uqsd.pair_disc as pair_disc
 from uqsd import (
     DegeneratePairError,
     InconsistentStrategyError,
@@ -156,6 +157,41 @@ def test_failure_posterior_normalized(c, r):
 def test_brute_force_known_values(c, r, expected):
     oracle = brute_force_strategy(c, Priors(r, 1.0 - r))
     assert abs(oracle.p_success - expected) < 1e-6
+
+
+# Every field of the oracle's result, pinned from the grid search when it
+# still called np.linspace on every pass.
+@pytest.mark.parametrize(
+    "c, r, pinned",
+    [
+        (0.3, 0.5, (Regime.EQUAL_POSTERIOR, 0.29999999806444483, 0.30000000193555515, 0.7, 0.3)),
+        (0.7, 0.2, (Regime.SATURATED, 1.0, 0.48999999999999994, 0.40800000000000003, 0.592)),
+        (0.95, 0.9, (Regime.SATURATED, 0.9025, 1.0, 0.08775, 0.91225)),
+        (
+            0.05,
+            0.6,
+            (
+                Regime.EQUAL_POSTERIOR, 0.04082482653092347, 0.061237247342773936,
+                0.9510102051443363, 0.048989794855663654,
+            ),
+        ),
+        (0.5, 0.99, (Regime.SATURATED, 0.25, 1.0, 0.7424999999999999, 0.2575)),
+    ],
+)
+def test_brute_force_values_are_pinned(c, r, pinned):
+    assert brute_force_strategy(c, Priors(r, 1.0 - r)) == Strategy(*pinned)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(lo=st.floats(min_value=0.0, max_value=1.0), hi=st.floats(min_value=0.0, max_value=1.0))
+def test_grid_ramp_is_linspace_bit_for_bit(lo, hi):
+    lo, hi = sorted((lo, hi))
+    # Where the spacing underflows to 0, as over [0, 5e-324], linspace scales
+    # its ramp another way.  The grid search never gets there: each of its
+    # intervals is one point or wider than 1e-8.
+    assume(lo == hi or (hi - lo) / (pair_disc._GRID_POINTS - 1) > 0.0)
+    expected = np.linspace(lo, hi, pair_disc._GRID_POINTS)
+    assert pair_disc._ramp(lo, hi).tobytes() == expected.tobytes()
 
 
 def test_brute_force_finds_saturated_maximizer():
