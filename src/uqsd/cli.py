@@ -15,6 +15,7 @@ import dataclasses
 import enum
 import functools
 import gc
+import itertools
 import json
 import os
 import sys
@@ -61,8 +62,12 @@ class Scenario:
     sweep: dict | None
 
 
+def _fault(field: str, problem: str) -> ScenarioError:
+    return ScenarioError(f"scenario field '{field}': {problem}")
+
+
 def _fail(field: str, problem: str):
-    raise ScenarioError(f"scenario field '{field}': {problem}")
+    raise _fault(field, problem)
 
 
 def _checked(check, value, field: str, *bounds):
@@ -78,26 +83,50 @@ def _is_number(kind: type) -> bool:
     return issubclass(kind, (int, float)) and not issubclass(kind, bool)  # bool subclasses int
 
 
-def _is_amplitude(pair) -> bool:  # an [re, im] list of two numbers
-    return isinstance(pair, list) and len(pair) == 2 and (
-        _is_number(type(pair[0])) and _is_number(type(pair[1])))
+def _are_amplitudes(rows: list) -> bool:  # [re, im] lists of two numbers, checked per type
+    return (
+        all(issubclass(kind, list) for kind in {*map(type, rows)})
+        and {*map(len, rows)} <= {2}
+        and all(map(_is_number, {*map(type, itertools.chain.from_iterable(rows))}))
+    )
 
 
-def _amplitudes_from_json(entries, field: str) -> PureState:
-    if not isinstance(entries, list) or len(entries) < 2:
-        _fail(field, "expected a list of at least two [re, im] pairs")
-    vec = None  # from one type pass and one conversion of every accepted entry
-    if all(map(_is_amplitude, entries)):
+def _complex_array(rows: list) -> np.ndarray | None:
+    # The rows as one complex vector, from one type pass and one conversion;
+    # None if some row is no amplitude or does not fit in a float.
+    if _are_amplitudes(rows):
         with contextlib.suppress(OverflowError):  # an integer too large for a float
-            vec = np.array(entries, dtype=np.float64).view(np.complex128)[:, 0]
-    if vec is None:  # only names the first bad entry
-        for j, pair in enumerate(entries):
-            if not _is_amplitude(pair):
-                _fail(f"{field}[{j}]", f"expected [re, im], got {pair!r}")
-            try:
-                complex(*pair)
-            except OverflowError:
-                _fail(f"{field}[{j}]", "amplitude does not fit in a float")
+            return np.array(rows, dtype=np.float64).view(np.complex128).ravel()
+    return None
+
+
+def _entry_fault(entries: list, field: str) -> ScenarioError | None:
+    # The fault of the first entry that _complex_array refuses, in list order.
+    for j, pair in enumerate(entries):
+        if not _are_amplitudes([pair]):
+            return _fault(f"{field}[{j}]", f"expected [re, im], got {pair!r}")
+        if _complex_array([pair]) is None:
+            return _fault(f"{field}[{j}]", "amplitude does not fit in a float")
+    return None
+
+
+def _explicit_lists(parties: list) -> tuple[list, ScenarioError | None]:
+    # Every 'u' and 'v' list with its field, in file order, up to the first
+    # fault found without looking inside a list, and that fault (or None).
+    lists = []
+    for i, party in enumerate(parties):
+        if not isinstance(party, dict) or "u" not in party or "v" not in party:
+            problem = "expected an object with keys 'u' and 'v'"
+            return lists, _fault(f"explicit.parties[{i}]", problem)
+        for key in ("u", "v"):
+            field, entries = f"explicit.parties[{i}].{key}", party[key]
+            if not isinstance(entries, list) or len(entries) < 2:
+                return lists, _fault(field, "expected a list of at least two [re, im] pairs")
+            lists.append((field, entries))
+    return lists, None
+
+
+def _unit_state(vec: np.ndarray, field: str) -> PureState:
     norm = _norm(vec)
     if abs(norm - 1.0) > 1e-6:
         _fail(field, f"amplitudes have norm {norm!r}; expected a unit vector")
@@ -146,15 +175,31 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
     parties = block.get("parties")
     if not isinstance(parties, list) or not parties:
         _fail("explicit.parties", "required non-empty list")
-    pairs = []
-    for i, party in enumerate(parties):
-        if not isinstance(party, dict) or "u" not in party or "v" not in party:
-            _fail(f"explicit.parties[{i}]", "expected an object with keys 'u' and 'v'")
-        u = _amplitudes_from_json(party["u"], f"explicit.parties[{i}].u")
-        v = _amplitudes_from_json(party["v"], f"explicit.parties[{i}].v")
-        if u.dim != v.dim:
-            _fail(f"explicit.parties[{i}]", f"'u' has dim {u.dim} but 'v' has dim {v.dim}")
-        pairs.append(LocalPair(u, v))
+    # Faults are named in file order, party by party and 'u' before 'v', as
+    # if each list were checked in turn; but every amplitude is converted in
+    # one np.array call, and each state gets a view of that one array.
+    lists, fault = _explicit_lists(parties)
+    if (vecs := _complex_array([pair for _, entries in lists for pair in entries])) is None:
+        # Some entry is refused: its list's fault comes after every fault of
+        # the lists before it, so convert and check those alone.
+        for k, (field, entries) in enumerate(lists):
+            if (entry_fault := _entry_fault(entries, field)) is not None:
+                lists, fault = lists[:k], entry_fault
+                break
+        vecs = _complex_array([pair for _, entries in lists for pair in entries])
+    pairs, start = [], 0
+    for k, (field, entries) in enumerate(lists):
+        end = start + len(entries)
+        state = _unit_state(vecs[start:end], field)
+        start = end
+        if k % 2 == 0:
+            u = state
+            continue
+        if u.dim != state.dim:
+            _fail(f"explicit.parties[{k // 2}]", f"'u' has dim {u.dim} but 'v' has dim {state.dim}")
+        pairs.append(LocalPair(u, state))
+    if fault is not None:
+        raise fault
     return tuple(pairs)
 
 

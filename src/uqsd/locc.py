@@ -25,9 +25,9 @@ __all__ = [
 
 import dataclasses
 import enum
+import functools
 import math
 from collections.abc import Sequence
-from typing import NamedTuple
 
 import numpy as np
 
@@ -86,11 +86,16 @@ def checked_order(order: Sequence[int], n: int) -> Order:
     entries = order.tolist() if isinstance(order, np.ndarray) else order
     if (
         not isinstance(entries, Sequence)
-        or any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in entries)
+        or not all(map(_is_index, {*map(type, entries)}))
         or sorted(entries) != list(range(n))
     ):
         raise ValueError(f"{order!r} is not a permutation of 0..{n - 1}")
-    return tuple(int(i) for i in entries)
+    return tuple(map(int, entries))
+
+
+@functools.cache  # per type, so that checking an order's entries costs about what type() does
+def _is_index(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)  # bool subclasses int
 
 
 def global_overlap(instance: ProductInstance) -> float:
@@ -104,26 +109,28 @@ def global_optimum(instance: ProductInstance) -> float:
     return optimal_strategy(global_overlap(instance), instance.priors).p_success
 
 
-class _Walk(NamedTuple):
-    """Protocol state after a prefix of the visiting order."""
-
-    priors: Priors
-    p_reach: float = 1.0
-    p_success: float = 0.0
-    expected: float = 0.0
+def _start(priors: Priors) -> tuple:
+    """The protocol state before the first step: see `_step`."""
+    return (priors, 1.0, 0.0, 0.0)
 
 
-def _step(walk: _Walk, c: float, memo: dict) -> tuple[Strategy, _Walk]:
+def _step(state: tuple, c: float, memo: dict) -> tuple[Strategy, tuple]:
     """One protocol step at a party of overlap c: its strategy and the new state.
 
-    A party with overlap 1 is skipped and leaves the state unchanged; when the
-    step cannot fail, later parties are unreachable and the priors are kept.
-    A step's strategy and failure posterior depend on its priors and overlap
-    alone, so `memo` keeps them under (r, s, c) for the next step that meets
-    the same pair.  Every caller goes through here, so a walked order's
-    figures are bit-identical to `run_protocol` on that order.
+    A state is the plain tuple (priors, p_reach, p_success, expected) after a
+    prefix of the visiting order: the priors given that every step so far
+    failed, the probability of getting this far, the probability that some
+    step so far concluded and the expected number of measurements so far.
+    `_start` makes the empty prefix's state.  A party with overlap 1 is
+    skipped and leaves the state unchanged; when the step cannot fail, later
+    parties are unreachable and the priors are kept.  A step's strategy and
+    failure posterior depend on its priors and overlap alone, so `memo`
+    keeps them under (r, s, c) for the next step that meets the same pair,
+    and one memo may serve any number of walks.  `run_protocol`, the
+    exhaustive order walk and `_figures` all step through here, so their
+    figures are bit-identical to `run_protocol` on the same order.
     """
-    priors, p_reach, p_success, expected = walk
+    priors, p_reach, p_success, expected = state
     key = (priors.r, priors.s, c)
     if (decision := memo.get(key)) is None:
         strat = optimal_strategy(c, priors)
@@ -131,11 +138,25 @@ def _step(walk: _Walk, c: float, memo: dict) -> tuple[Strategy, _Walk]:
         decision = memo[key] = (strat, priors if keep else failure_posterior(strat, priors))
     strat, posterior = decision
     if c == 1.0:
-        return strat, walk
+        return strat, state
     # p_fail = 0 leaves p_reach * p_fail = 0 exactly: later parties are unreachable.
-    return strat, _Walk(
+    return strat, (
         posterior, p_reach * strat.p_fail, p_success + p_reach * strat.p_success, expected + p_reach
     )
+
+
+def _figures(instance: ProductInstance, memo: dict) -> tuple[float, float]:
+    """(p_success, expected_measurements) of the protocol in party order.
+
+    The figures of `run_protocol(instance, range(n))` without its transcript,
+    stepped the same way, so they are bit-identical to it; `memo` may be
+    shared with other walks (see `_step`).
+    """
+    state = _start(instance.priors)
+    for pair in instance.parties:
+        _, state = _step(state, pair.overlap_c, memo)
+    _, _, p_success, expected = state
+    return p_success, expected
 
 
 def run_protocol(instance: ProductInstance, order: Sequence[int]) -> ProtocolResult:
@@ -148,29 +169,30 @@ def run_protocol(instance: ProductInstance, order: Sequence[int]) -> ProtocolRes
     """
     _checked_type(instance, "instance", ProductInstance)
     order = checked_order(order, instance.n_parties)
-    walk = _Walk(instance.priors)
+    state = _start(instance.priors)
     memo: dict = {}
     records = []
     for idx in order:
         c = instance.parties[idx].overlap_c
-        strat, after = _step(walk, c, memo)
+        strat, after = _step(state, c, memo)
         skipped = c == 1.0
         records.append(
             StepRecord(
                 idx,
-                walk.priors,
+                state[0],
                 c,
                 strat.regime,
                 0.0 if skipped else strat.p_success,
-                after.priors,
+                after[0],
                 skipped=skipped,
             )
         )
-        walk = after
+        state = after
+    _, p_inconclusive, p_success, expected = state
     return ProtocolResult(
-        p_success=walk.p_success,
-        p_inconclusive=walk.p_reach,
-        expected_measurements=walk.expected,
+        p_success=p_success,
+        p_inconclusive=p_inconclusive,
+        expected_measurements=expected,
         transcript=tuple(records),
     )
 
@@ -205,15 +227,17 @@ def best_order(
 
     ASCENDING_OVERLAP sorts parties by local overlap (ties by party index);
     EXHAUSTIVE evaluates all n! orders and keeps the lexicographically first
-    minimizer.  It walks the order tree depth first, so each prefix is
-    stepped once and shared by every order that starts with it:
-    sum_k n!/(n-k)! steps in all instead of n * n!.  Like every protocol
-    run, the walk keeps one strategy per distinct (priors, overlap) it
-    meets, which on 5 parties is typically 10 to 40 of its 325 steps.  With
-    EXHAUSTIVE, a given `table` list receives one (order,
-    expected_measurements, p_success) row per order, in lexicographic order,
-    each equal to `run_protocol` on that order, so callers that report every
-    order walk them once; ASCENDING_OVERLAP fills none and refuses one.
+    minimizer.  It walks the order tree depth first through `run_protocol`'s
+    own step, so each prefix is stepped once and shared by every order that
+    starts with it: sum_k n!/(n-k)! steps in all instead of n * n!, with no
+    transcript built and each order's row appended by the frame that takes
+    its last step.  Like every protocol run, the walk keeps one strategy per
+    distinct (priors, overlap) it meets, which on 5 parties is typically 10
+    to 40 of its 325 steps.  With EXHAUSTIVE, a given `table` list receives
+    one (order, expected_measurements, p_success) row per order, in
+    lexicographic order, each equal to `run_protocol` on that order, so
+    callers that report every order walk them once; ASCENDING_OVERLAP fills
+    none and refuses one.
     """
     _checked_type(instance, "instance", ProductInstance)
     n = instance.n_parties
@@ -228,14 +252,16 @@ def best_order(
         memo: dict = {}
         rows = []
 
-        def visit(prefix: Order, remaining: Order, walk: _Walk):
-            if not remaining:
-                rows.append((prefix, walk.expected, walk.p_success))
+        def visit(prefix: Order, remaining: Order, state: tuple):
+            last = len(remaining) == 1
             for k, idx in enumerate(remaining):
-                _, after = _step(walk, overlaps[idx], memo)
-                visit(prefix + (idx,), remaining[:k] + remaining[k + 1 :], after)
+                _, after = _step(state, overlaps[idx], memo)
+                if last:  # the order is complete: its row, here rather than one call deeper
+                    rows.append((prefix + (idx,), after[3], after[2]))
+                else:
+                    visit(prefix + (idx,), remaining[:k] + remaining[k + 1 :], after)
 
-        visit((), tuple(range(n)), _Walk(instance.priors))
+        visit((), tuple(range(n)), _start(instance.priors))
         if table is not None:
             table.extend(rows)
         # min keeps the first of equal minima: the lexicographically first order.

@@ -262,17 +262,18 @@ def state_pair_with_overlap(c: float, dim: int, seed) -> LocalPair:
         rng = seed
     else:
         rng = np.random.default_rng(_checked_seed(seed))
-    raw = _complex_normals(rng, dim)
+    # |p> and the first candidate for |t> in one draw: the stream two draws would read.
+    raw, candidate = _complex_normals(rng, dim, (2,))
     p = _normalized(raw, _norm(raw))
     p_vec = p.amplitudes
     while True:
-        raw = _complex_normals(rng, dim)
-        resid = raw - p_vec * np.vdot(p_vec, raw)
+        resid = candidate - p_vec * np.vdot(p_vec, candidate)
         if (resid_norm := _norm(resid)) > 1e-6:
             break
+        candidate = _complex_normals(rng, dim)
     t_vec = _normalized(resid, resid_norm).amplitudes
     phase = np.exp(2j * np.pi * rng.random())
-    q_vec = phase * (c * p_vec + np.sqrt(1.0 - c * c) * t_vec)
+    q_vec = phase * (c * p_vec + math.sqrt(1.0 - c * c) * t_vec)
     return LocalPair(p, _normalized(q_vec, _norm(q_vec)))
 
 

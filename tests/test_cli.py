@@ -11,6 +11,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uqsd.checks as checks
 import uqsd.cli as cli
@@ -19,6 +21,7 @@ from uqsd import (
     InternalFaultError,
     Priors,
     ProductInstance,
+    optimal_strategy,
     state_pair_with_overlap,
     state_pairs_with_overlaps,
 )
@@ -625,6 +628,45 @@ def test_sweep_builds_one_instance_per_overlap_column(monkeypatch):
         assert row.e_count == result.expected_measurements
 
 
+_SWEEP_AXIS = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0, 0.5]), st.floats(min_value=0.0, max_value=1.0)),
+    max_size=4,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cs=_SWEEP_AXIS, rs=_SWEEP_AXIS, seed=st.integers(min_value=0, max_value=2**32), data=st.data()
+)
+def test_sweep_rows_equal_run_protocol_under_the_grid_wide_memo(cs, rs, seed, data):
+    # Every grid holds c = 0 and 1, r = 0 and 1, and for each c the prior
+    # r = 1/(1 + c) at which its parties' first step (overlap sqrt(c)) changes regime.
+    cs = data.draw(st.permutations([*cs, 0.0, 1.0]))
+    rs = data.draw(st.permutations([*rs, 0.0, 1.0, *(1.0 / (1.0 + c) for c in cs)]))
+    rows = checks.sweep(cs, rs, seed)
+    pairs = state_pairs_with_overlaps([math.sqrt(c) for c in cs for _ in range(2)], 2, seed)
+    assert [(row.c, row.r) for row in rows] == [(c, r) for r in rs for c in cs]
+    for k, row in enumerate(rows):
+        i = k % len(cs)
+        priors = Priors(row.r, 1.0 - row.r)
+        result = locc.run_protocol(ProductInstance(pairs[2 * i : 2 * i + 2], priors), (0, 1))
+        assert (row.p_locc, row.e_count) == (result.p_success, result.expected_measurements)
+        strategy = optimal_strategy(row.c, priors)
+        assert (row.regime, row.p_global) == (strategy.regime, strategy.p_success)
+    # The same sweep with a fresh step memo for every cell: one per ProductInstance built.
+    memos = []
+
+    def fresh_memo_instance(pairs, priors):
+        memos.append({})
+        return ProductInstance(pairs, priors)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(checks, "ProductInstance", fresh_memo_instance)
+        patch.setattr(checks, "_figures", lambda instance, memo: locc._figures(instance, memos[-1]))
+        assert checks.sweep(cs, rs, seed) == rows
+    assert len(memos) == len(rows)
+
+
 def test_sweep_requires_grid_block(tmp_path, capsys):
     path = write_scenario(tmp_path, {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}})
     code, _, err = run_cli(capsys, "sweep", "--scenario", path, "--csv")
@@ -855,6 +897,101 @@ def test_integer_and_numpy_amplitudes_parse_like_floats():
     assert _parsed_amplitudes(doc(*as_numpy)) == _parsed_amplitudes(doc(*pairs))
     want = [inst.p.amplitudes.tobytes(), inst.q.amplitudes.tobytes()]
     assert _parsed_amplitudes(doc(*pairs)) == want
+
+
+def _json_amplitudes(state):
+    return [[x.real, x.imag] for x in state.amplitudes.tolist()]
+
+
+def test_explicit_parties_of_mixed_dims_parse_from_one_array_bit_for_bit():
+    pairs = [state_pair_with_overlap(c, dim, dim) for c, dim in ((0.3, 2), (0.8, 5), (0.1, 3))]
+    entries = [_json_amplitudes(state) for pair in pairs for state in (pair.p, pair.q)]
+    entries[2] = [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0]]  # integers convert like floats
+    parties = [{"u": u, "v": v} for u, v in zip(entries[::2], entries[1::2])]
+    doc = {"priors": {"r": 0.5}, "explicit": {"parties": parties}}
+    one_by_one = [
+        np.array(e, dtype=np.float64).view(np.complex128)[:, 0].tobytes() for e in entries
+    ]
+    assert _parsed_amplitudes(doc) == one_by_one
+
+
+_GOOD_PARTY = {"u": [[1, 0], [0, 0]], "v": _UNIT_V}
+
+
+@pytest.mark.parametrize(
+    "parties, error",
+    [
+        (
+            [_GOOD_PARTY, {"u": [[1, 0], [10**400, 0]], "v": _UNIT_V}],
+            "'explicit.parties[1].u[1]': amplitude does not fit in a float",
+        ),
+        (
+            [_GOOD_PARTY, _GOOD_PARTY, {"u": [[1, 0], [0, 0]], "v": [[0.6, 0, 0], [0.8, 0]]}],
+            "'explicit.parties[2].v[0]': expected [re, im], got [0.6, 0, 0]",
+        ),
+        (
+            [_GOOD_PARTY, {"u": [[math.nan, 0], [0, 0]], "v": _UNIT_V}],
+            "'explicit.parties[1].u': amplitudes must be finite",
+        ),
+        (
+            [_GOOD_PARTY, {"u": _UNIT_V, "v": [[2, 0], [0, 0]]}],
+            "'explicit.parties[1].v': amplitudes have norm 2.0; expected a unit vector",
+        ),
+        (
+            [_GOOD_PARTY, {"u": [[1, 0], [0, 0], [0, 0]], "v": _UNIT_V}],
+            "'explicit.parties[1]': 'u' has dim 3 but 'v' has dim 2",
+        ),
+    ],
+    ids=["huge-int", "three-elements", "nan", "off-norm", "dim-mismatch"],
+)
+def test_a_fault_in_a_later_party_is_named(tmp_path, capsys, parties, error):
+    doc = {"priors": {"r": 0.5}, "explicit": {"parties": parties}}
+    code, out, err = run_cli(capsys, "optimum", "--scenario", write_scenario(tmp_path, doc))
+    assert (code, out, err) == (1, "", f"error: scenario field {error}\n")
+
+
+@pytest.mark.parametrize(
+    "parties, error",
+    [
+        (
+            [_GOOD_PARTY, {"u": [[2, 0], [0, 0]], "v": _UNIT_V}, "not a party"],
+            "'explicit.parties[1].u': amplitudes have norm 2.0; expected a unit vector",
+        ),
+        (
+            [
+                {"u": _UNIT_V, "v": [[0.5, 0], [0.5, 0]]},
+                {"u": [[10**400, 0], [0, 0]], "v": _UNIT_V},
+            ],
+            "'explicit.parties[0].v': amplitudes have norm 0.7071067811865476;"
+            " expected a unit vector",
+        ),
+        (
+            [{"u": [[1, 0], [10**400, 0], [True, 0]], "v": _UNIT_V}, {"u": [[None]], "v": _UNIT_V}],
+            "'explicit.parties[0].u[1]': amplitude does not fit in a float",
+        ),
+        (
+            [{"u": [[10**400, 0], [0, 0]], "v": _UNIT_V}, {"u": [[2, 0], [0, 0]], "v": _UNIT_V}],
+            "'explicit.parties[0].u[0]': amplitude does not fit in a float",
+        ),
+        (
+            [
+                {"u": _UNIT_V, "v": [[1, 0], [0, 0], [0, 0]]},
+                {"u": [["1", 0], [0, 0]], "v": _UNIT_V},
+            ],
+            "'explicit.parties[0]': 'u' has dim 2 but 'v' has dim 3",
+        ),
+        (
+            [{"u": [[math.nan, 0], [0, 0]], "v": [[None]]}, {"u": _UNIT_V}],
+            "'explicit.parties[0].u': amplitudes must be finite",
+        ),
+    ],
+    ids=["norm-then-not-an-object", "norm-then-huge-int", "huge-int-then-type",
+         "huge-int-then-norm", "dim-then-type", "nan-then-type-then-missing-key"],
+)
+def test_of_two_faulty_parties_the_first_is_named(tmp_path, capsys, parties, error):
+    doc = {"priors": {"r": 0.5}, "explicit": {"parties": parties}}
+    code, out, err = run_cli(capsys, "optimum", "--scenario", write_scenario(tmp_path, doc))
+    assert (code, out, err) == (1, "", f"error: scenario field {error}\n")
 
 
 def test_order_walks_each_visiting_order_once(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import collections.abc
 import itertools
 import math
 
@@ -96,6 +97,53 @@ def test_run_protocol_rejects_bad_order():
     for order in [(0, 0), (0,), (0, 1, 2), (0.9, 1.2), (True, False), ("0", "1"), 1, None]:
         with pytest.raises(ValueError, match="permutation"):
             run_protocol(inst, order)
+
+
+class _PlainSequence(collections.abc.Sequence):
+    """The entries of an order in a Sequence type that is no tuple, list or range."""
+
+    def __init__(self, order):
+        self.order, self.entries = order, list(order)
+
+    def __getitem__(self, k):
+        return self.entries[k]
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __repr__(self):  # so that both error texts quote the same order
+        return repr(self.order)
+
+
+@pytest.mark.parametrize(
+    "order, n, want",
+    [
+        ((0, True), 2, None),
+        ((1, 1), 2, None),
+        ((0, 2), 2, None),
+        ((0, 1, 2), 2, None),
+        ([1.0, 0], 2, None),
+        (range(3), 3, (0, 1, 2)),
+        ([2, 0, 1], 3, (2, 0, 1)),
+        ((np.int64(1), np.int64(0)), 2, (1, 0)),
+        ([np.int64(2), 0, np.int64(1)], 3, (2, 0, 1)),
+    ],
+    ids=["bool", "repeat", "out-of-range", "wrong-length", "float", "range", "list", "int64",
+         "mixed-int64"],
+)
+def test_checked_order_does_not_depend_on_the_sequence_type(order, n, want):
+    def outcome(value):
+        try:
+            return checked_order(value, n)
+        except ValueError as exc:
+            return str(exc)
+
+    plain, general = outcome(order), outcome(_PlainSequence(order))
+    assert plain == general
+    if want is None:
+        assert plain == f"{order!r} is not a permutation of 0..{n - 1}"
+    else:
+        assert plain == want and all(type(i) is int for i in plain)
 
 
 @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, np.intp])
