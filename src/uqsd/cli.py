@@ -30,7 +30,7 @@ from .locc import global_optimum, global_overlap
 from .montecarlo import Engine, simulate
 from .pair_disc import optimal_strategy
 from .states import LocalPair, Priors, ProductInstance, PureState, _norm, _normalized
-from .states import checked_integer, checked_number, state_pairs_with_overlaps
+from .states import _is_real, checked_integer, checked_number, state_pairs_with_overlaps
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
@@ -62,12 +62,8 @@ class Scenario:
     sweep: dict | None
 
 
-def _fault(field: str, problem: str) -> ScenarioError:
-    return ScenarioError(f"scenario field '{field}': {problem}")
-
-
 def _fail(field: str, problem: str):
-    raise _fault(field, problem)
+    raise ScenarioError(f"scenario field '{field}': {problem}")
 
 
 def _checked(check, value, field: str, *bounds):
@@ -78,16 +74,11 @@ def _checked(check, value, field: str, *bounds):
         raise ScenarioError(str(exc)) from None
 
 
-@functools.cache  # per type, so that the type pass costs about what type() does
-def _is_number(kind: type) -> bool:
-    return issubclass(kind, (int, float)) and not issubclass(kind, bool)  # bool subclasses int
-
-
 def _are_amplitudes(rows: list) -> bool:  # [re, im] lists of two numbers, checked per type
     return (
         all(issubclass(kind, list) for kind in {*map(type, rows)})
         and {*map(len, rows)} <= {2}
-        and all(map(_is_number, {*map(type, itertools.chain.from_iterable(rows))}))
+        and all(map(_is_real, {*map(type, itertools.chain.from_iterable(rows))}))
     )
 
 
@@ -98,32 +89,6 @@ def _complex_array(rows: list) -> np.ndarray | None:
         with contextlib.suppress(OverflowError):  # an integer too large for a float
             return np.array(rows, dtype=np.float64).view(np.complex128).ravel()
     return None
-
-
-def _entry_fault(entries: list, field: str) -> ScenarioError | None:
-    # The fault of the first entry that _complex_array refuses, in list order.
-    for j, pair in enumerate(entries):
-        if not _are_amplitudes([pair]):
-            return _fault(f"{field}[{j}]", f"expected [re, im], got {pair!r}")
-        if _complex_array([pair]) is None:
-            return _fault(f"{field}[{j}]", "amplitude does not fit in a float")
-    return None
-
-
-def _explicit_lists(parties: list) -> tuple[list, ScenarioError | None]:
-    # Every 'u' and 'v' list with its field, in file order, up to the first
-    # fault found without looking inside a list, and that fault (or None).
-    lists = []
-    for i, party in enumerate(parties):
-        if not isinstance(party, dict) or "u" not in party or "v" not in party:
-            problem = "expected an object with keys 'u' and 'v'"
-            return lists, _fault(f"explicit.parties[{i}]", problem)
-        for key in ("u", "v"):
-            field, entries = f"explicit.parties[{i}].{key}", party[key]
-            if not isinstance(entries, list) or len(entries) < 2:
-                return lists, _fault(field, "expected a list of at least two [re, im] pairs")
-            lists.append((field, entries))
-    return lists, None
 
 
 def _unit_state(vec: np.ndarray, field: str) -> PureState:
@@ -175,18 +140,29 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
     parties = block.get("parties")
     if not isinstance(parties, list) or not parties:
         _fail("explicit.parties", "required non-empty list")
-    # Faults are named in file order, party by party and 'u' before 'v', as
-    # if each list were checked in turn; but every amplitude is converted in
-    # one np.array call, and each state gets a view of that one array.
-    lists, fault = _explicit_lists(parties)
+    # Three passes, each in file order (party by party, 'u' before 'v'); the
+    # first fault of the first pass that finds one is named.  The structure:
+    # every party an object with 'u' and 'v', every list at least two long.
+    lists = []
+    for i, party in enumerate(parties):
+        if not isinstance(party, dict) or "u" not in party or "v" not in party:
+            _fail(f"explicit.parties[{i}]", "expected an object with keys 'u' and 'v'")
+        for key in ("u", "v"):
+            field, entries = f"explicit.parties[{i}].{key}", party[key]
+            if not isinstance(entries, list) or len(entries) < 2:
+                _fail(field, "expected a list of at least two [re, im] pairs")
+            lists.append((field, entries))
+    # The entries: every amplitude converted in one np.array call; only if
+    # that refuses some entry are they checked one by one, to name it.
     if (vecs := _complex_array([pair for _, entries in lists for pair in entries])) is None:
-        # Some entry is refused: its list's fault comes after every fault of
-        # the lists before it, so convert and check those alone.
-        for k, (field, entries) in enumerate(lists):
-            if (entry_fault := _entry_fault(entries, field)) is not None:
-                lists, fault = lists[:k], entry_fault
-                break
-        vecs = _complex_array([pair for _, entries in lists for pair in entries])
+        for field, entries in lists:
+            for j, pair in enumerate(entries):
+                if not _are_amplitudes([pair]):
+                    _fail(f"{field}[{j}]", f"expected [re, im], got {pair!r}")
+                if _complex_array([pair]) is None:
+                    _fail(f"{field}[{j}]", "amplitude does not fit in a float")
+    # The values: each state, a view of that one array, must be a unit
+    # vector, and each party's two states must have one dim.
     pairs, start = [], 0
     for k, (field, entries) in enumerate(lists):
         end = start + len(entries)
@@ -198,8 +174,6 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
         if u.dim != state.dim:
             _fail(f"explicit.parties[{k // 2}]", f"'u' has dim {u.dim} but 'v' has dim {state.dim}")
         pairs.append(LocalPair(u, state))
-    if fault is not None:
-        raise fault
     return tuple(pairs)
 
 
@@ -225,8 +199,7 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
 
     engine_name = doc.get("engine", "povm")
     try:
-        # Engine(None) raises, so a name that is not a string fails here too.
-        engine = Engine(engine_name if isinstance(engine_name, str) else None)
+        engine = Engine(engine_name)
     except ValueError:
         _fail("engine", f"expected 'povm' or 'neumark', got {engine_name!r}")
 

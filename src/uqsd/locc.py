@@ -25,15 +25,14 @@ __all__ = [
 
 import dataclasses
 import enum
-import functools
 import math
 from collections.abc import Sequence
 
 import numpy as np
 
 from .pair_disc import Regime, Strategy, failure_posterior, optimal_strategy
-from .states import LocalPair, Priors, ProductInstance, _checked_type, _norm, _normalized
-from .states import checked_integer
+from .states import LocalPair, Priors, ProductInstance, _checked_type, _is_integer, _norm
+from .states import _normalized, checked_integer
 
 Order = tuple[int, ...]
 
@@ -86,16 +85,11 @@ def checked_order(order: Sequence[int], n: int) -> Order:
     entries = order.tolist() if isinstance(order, np.ndarray) else order
     if (
         not isinstance(entries, Sequence)
-        or not all(map(_is_index, {*map(type, entries)}))
+        or not all(map(_is_integer, {*map(type, entries)}))
         or sorted(entries) != list(range(n))
     ):
         raise ValueError(f"{order!r} is not a permutation of 0..{n - 1}")
     return tuple(map(int, entries))
-
-
-@functools.cache  # per type, so that checking an order's entries costs about what type() does
-def _is_index(kind: type) -> bool:
-    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)  # bool subclasses int
 
 
 def global_overlap(instance: ProductInstance) -> float:
@@ -240,34 +234,33 @@ def best_order(
     none and refuses one.
     """
     _checked_type(instance, "instance", ProductInstance)
+    _checked_type(mode, "mode", OrderMode)
     n = instance.n_parties
     if mode is OrderMode.ASCENDING_OVERLAP:
         if table is not None:
             raise ValueError("only an EXHAUSTIVE search fills a table")
         order = tuple(sorted(range(n), key=lambda i: (instance.parties[i].overlap_c, i)))
         return order, run_protocol(instance, order).expected_measurements
-    if mode is OrderMode.EXHAUSTIVE:
-        checked_integer(n, "parties in an exhaustive search", 1, EXHAUSTIVE_MAX_PARTIES)
-        overlaps = [pair.overlap_c for pair in instance.parties]
-        memo: dict = {}
-        rows = []
+    checked_integer(n, "parties in an exhaustive search", 1, EXHAUSTIVE_MAX_PARTIES)
+    overlaps = [pair.overlap_c for pair in instance.parties]
+    memo: dict = {}
+    rows = []
 
-        def visit(prefix: Order, remaining: Order, state: tuple):
-            last = len(remaining) == 1
-            for k, idx in enumerate(remaining):
-                _, after = _step(state, overlaps[idx], memo)
-                if last:  # the order is complete: its row, here rather than one call deeper
-                    rows.append((prefix + (idx,), after[3], after[2]))
-                else:
-                    visit(prefix + (idx,), remaining[:k] + remaining[k + 1 :], after)
+    def visit(prefix: Order, remaining: Order, state: tuple):
+        last = len(remaining) == 1
+        for k, idx in enumerate(remaining):
+            _, after = _step(state, overlaps[idx], memo)
+            if last:  # the order is complete: its row, here rather than one call deeper
+                rows.append((prefix + (idx,), after[3], after[2]))
+            else:
+                visit(prefix + (idx,), remaining[:k] + remaining[k + 1 :], after)
 
-        visit((), tuple(range(n)), _start(instance.priors))
-        if table is not None:
-            table.extend(rows)
-        # min keeps the first of equal minima: the lexicographically first order.
-        best, cost, _ = min(rows, key=lambda row: row[1])
-        return best, cost
-    raise ValueError(f"unknown order mode: {mode!r}")
+    visit((), tuple(range(n)), _start(instance.priors))
+    if table is not None:
+        table.extend(rows)
+    # min keeps the first of equal minima: the lexicographically first order.
+    best, cost, _ = min(rows, key=lambda row: row[1])
+    return best, cost
 
 
 def group(instance: ProductInstance, partition: Sequence[Sequence[int]]) -> ProductInstance:

@@ -31,7 +31,8 @@ import numpy as np
 
 from .locc import StepRecord, measurement_count_distribution, run_protocol
 from .pair_disc import build_povm, neumark_model, optimal_strategy
-from .states import NORM_TOL, InternalFaultError, ProductInstance, checked_integer
+from .states import NORM_TOL, InternalFaultError, ProductInstance, _checked_type
+from .states import checked_integer
 
 # Outcome probabilities below this are artifacts of float rounding on terms
 # that vanish identically; zeroing them keeps impossible branches impossible.
@@ -101,7 +102,7 @@ def _branch_weights(steps) -> np.ndarray:
     gain = np.abs(weights.sum(axis=2) - (np.abs(states) ** 2).sum(axis=2))
     if not (gain <= NORM_TOL).all():
         raise InternalFaultError(
-            f"Neumark evolution is not unitary: it changes a norm^2 by {gain.max()!r}"
+            f"Neumark evolution is not unitary: it changes a norm^2 by {float(gain.max())!r}"
         )
     fail = weights[:, :, 2:].sum(axis=2, keepdims=True)
     return np.concatenate([weights[:, :, :2], fail], axis=2)
@@ -116,12 +117,7 @@ def _outcome_table(
     order; the truth axis lists p first.  The entries that contradict the
     truth are exactly 0, so no uniform, not even 0.0, can misidentify.
     """
-    if engine is Engine.POVM_SAMPLING:
-        compile_steps = _born_probabilities
-    elif engine is Engine.NEUMARK_EVOLUTION:
-        compile_steps = _branch_weights
-    else:
-        raise ValueError(f"unknown engine: {engine!r}")
+    compile_steps = _born_probabilities if engine is Engine.POVM_SAMPLING else _branch_weights
     steps = [
         (instance.parties[rec.party_index], optimal_strategy(rec.local_overlap, rec.priors_before))
         for rec in transcript
@@ -135,7 +131,9 @@ def _outcome_table(
     # P(identify q | p) and P(identify p | q): rounding residues at most.
     cross = table[:, [0, 1], [1, 0]]
     if not (cross <= NORM_TOL).all():
-        raise InternalFaultError(f"outcome table misidentifies with probability {cross.max()!r}")
+        raise InternalFaultError(
+            f"outcome table misidentifies with probability {float(cross.max())!r}"
+        )
     table[:, [0, 1], [1, 0]] = 0.0
     return table
 
@@ -212,6 +210,7 @@ def simulate(
     """
     trials = checked_integer(trials, "trials", 1)
     seed = checked_integer(seed, "seed", 0)
+    _checked_type(engine, "engine", Engine)
     result = run_protocol(instance, order)
     table = _outcome_table(instance, result.transcript, engine)
     successes, misidentifications, measurements = _tally(table, instance.priors.r, trials, seed)

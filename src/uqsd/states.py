@@ -20,6 +20,7 @@ __all__ = [
 ]
 
 import dataclasses
+import functools
 import math
 from collections.abc import Sequence
 
@@ -52,16 +53,24 @@ def _norm(vec: np.ndarray) -> float:
     return math.sqrt(_norm_sq(vec))
 
 
-# Python and numpy scalars.  bool subclasses int, so it is excluded by name.
-_INTEGERS = (int, np.integer)
-_REALS = (float, np.floating, *_INTEGERS)
+# What counts as an integer or a real number, decided once per type so that a
+# check costs about what type() does: Python and numpy scalars, bool excluded
+# (it subclasses int).
+@functools.cache
+def _is_integer(kind: type) -> bool:
+    return issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+
+
+@functools.cache
+def _is_real(kind: type) -> bool:
+    return issubclass(kind, (float, np.floating)) or _is_integer(kind)
 
 
 def checked_number(value, name: str, lo: float, hi: float) -> float:
     """`value` as a float if it is a real number in [lo, hi] (NaN is not), else ValueError."""
     if type(value) is float and lo <= value <= hi:  # the common case, at half the cost
         return value
-    if isinstance(value, bool) or not isinstance(value, _REALS) or not lo <= value <= hi:
+    if not _is_real(type(value)) or not lo <= value <= hi:
         raise ValueError(f"{name}: expected a number in [{lo:g}, {hi:g}], got {value!r}")
     return float(value)
 
@@ -73,7 +82,7 @@ def checked_integer(value, name: str, lo: int, hi: int | None = None) -> int:
     top = math.inf if hi is None else hi
     if type(value) is int and lo <= value <= top:  # the common case, at half the cost
         return value
-    if isinstance(value, bool) or not isinstance(value, _INTEGERS) or not lo <= value <= top:
+    if not _is_integer(type(value)) or not lo <= value <= top:
         expected = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise ValueError(f"{name}: expected an integer {expected}, got {value!r}")
     return int(value)

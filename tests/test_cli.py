@@ -171,6 +171,24 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
             {"priors": {"r": 0.5}, "abstract": {"overlaps": [0]}, "sweep": {"c": [0], "r": [0, 2]}},
             "sweep.r[1]",
         ),
+        # Block shapes, each matched as the whole error line.
+        ([], "error: scenario root must be an object, got list\n"),
+        (
+            {"priors": {"r": 0.5}, "abstract": [0.5]},
+            "error: scenario field 'abstract': expected an object\n",
+        ),
+        (
+            {"priors": {"r": 0.5}, "explicit": []},
+            "error: scenario field 'explicit': expected an object\n",
+        ),
+        (
+            {"priors": {"r": 0.5}, "explicit": {"parties": []}},
+            "error: scenario field 'explicit.parties': required non-empty list\n",
+        ),
+        (
+            {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": [0.5]},
+            "error: scenario field 'sweep': expected an object with keys 'c' and 'r'\n",
+        ),
     ],
     # Explicit ids, the names these cases were first collected under, so a
     # case added anywhere in the list renames no other.
@@ -185,7 +203,8 @@ def test_missing_file_is_an_input_error(tmp_path, capsys):
         "doc35-order", "doc36-order", "doc37-order", "doc38-sweep.c[0]", "doc39-sweep.r[0]",
         "doc40-abstract.dim", "doc41-abstract.dim",
         "doc42-scenario field 'explicit.parties[0].u[0]'", "doc43-'abstract.overlaps'",
-        "doc44-'sweep.c'", "doc45-sweep.r[1]",
+        "doc44-'sweep.c'", "doc45-sweep.r[1]", "root-list", "abstract-list", "explicit-list",
+        "explicit-parties-empty", "sweep-list",
     ],
 )
 def test_invalid_scenarios_exit_one(tmp_path, capsys, doc, fragment):
@@ -690,6 +709,10 @@ def test_usage_errors_map_to_exit_one(capsys):
         assert (code, out) == (1, "")
         assert "unrecognized arguments: --quiet" in err
 
+    code, out, err = run_cli(capsys, "protocol", "--scenario", bipartite, "--order", "a,b")
+    assert (code, out) == (1, "")
+    assert err == "error: argument --order: expected a comma list of integers, got 'a,b'\n"
+
 
 def test_shipped_scenarios_parse_and_run(capsys):
     for name in ("bipartite", "tripartite", "sweep"):
@@ -955,19 +978,18 @@ def test_a_fault_in_a_later_party_is_named(tmp_path, capsys, parties, error):
     [
         (
             [_GOOD_PARTY, {"u": [[2, 0], [0, 0]], "v": _UNIT_V}, "not a party"],
-            "'explicit.parties[1].u': amplitudes have norm 2.0; expected a unit vector",
+            "'explicit.parties[2]': expected an object with keys 'u' and 'v'",
         ),
         (
             [
                 {"u": _UNIT_V, "v": [[0.5, 0], [0.5, 0]]},
                 {"u": [[10**400, 0], [0, 0]], "v": _UNIT_V},
             ],
-            "'explicit.parties[0].v': amplitudes have norm 0.7071067811865476;"
-            " expected a unit vector",
+            "'explicit.parties[1].u[0]': amplitude does not fit in a float",
         ),
         (
             [{"u": [[1, 0], [10**400, 0], [True, 0]], "v": _UNIT_V}, {"u": [[None]], "v": _UNIT_V}],
-            "'explicit.parties[0].u[1]': amplitude does not fit in a float",
+            "'explicit.parties[1].u': expected a list of at least two [re, im] pairs",
         ),
         (
             [{"u": [[10**400, 0], [0, 0]], "v": _UNIT_V}, {"u": [[2, 0], [0, 0]], "v": _UNIT_V}],
@@ -978,17 +1000,21 @@ def test_a_fault_in_a_later_party_is_named(tmp_path, capsys, parties, error):
                 {"u": _UNIT_V, "v": [[1, 0], [0, 0], [0, 0]]},
                 {"u": [["1", 0], [0, 0]], "v": _UNIT_V},
             ],
-            "'explicit.parties[0]': 'u' has dim 2 but 'v' has dim 3",
+            "'explicit.parties[1].u[0]': expected [re, im], got ['1', 0]",
         ),
         (
             [{"u": [[math.nan, 0], [0, 0]], "v": [[None]]}, {"u": _UNIT_V}],
-            "'explicit.parties[0].u': amplitudes must be finite",
+            "'explicit.parties[0].v': expected a list of at least two [re, im] pairs",
         ),
     ],
     ids=["norm-then-not-an-object", "norm-then-huge-int", "huge-int-then-type",
          "huge-int-then-norm", "dim-then-type", "nan-then-type-then-missing-key"],
 )
-def test_of_two_faulty_parties_the_first_is_named(tmp_path, capsys, parties, error):
+def test_the_first_fault_of_the_earliest_failing_pass_is_named(tmp_path, capsys, parties, error):
+    # An explicit block is checked in three passes, each in file order: the
+    # structure of every party, then every [re, im] entry, then every state's
+    # norm and each party's dims.  A fault in an earlier pass is named even
+    # when a later pass would have found one in an earlier party.
     doc = {"priors": {"r": 0.5}, "explicit": {"parties": parties}}
     code, out, err = run_cli(capsys, "optimum", "--scenario", write_scenario(tmp_path, doc))
     assert (code, out, err) == (1, "", f"error: scenario field {error}\n")

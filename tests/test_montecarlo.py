@@ -1,4 +1,6 @@
 import collections
+import dataclasses
+import json
 import math
 import os
 import pathlib
@@ -9,12 +11,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import uqsd.cli as cli
 import uqsd.montecarlo as mc
 from uqsd import (
     Engine,
     InternalFaultError,
+    LocalPair,
     Priors,
     ProductInstance,
+    PureState,
     measurement_count_distribution,
     optimal_strategy,
     random_instance,
@@ -68,6 +73,39 @@ def test_simulate_rejects_nonpositive_trials():
     inst = _abstract_instance([0.5], 0.5)
     with pytest.raises(ValueError):
         simulate(inst, (0,), 0, 1, Engine.POVM_SAMPLING)
+
+
+def test_simulate_checks_its_engine_before_running_the_protocol(monkeypatch):
+    runs = []
+    monkeypatch.setattr(mc, "run_protocol", lambda *args: runs.append(args))
+    with pytest.raises(TypeError, match=r"^engine: expected Engine, got str$"):
+        simulate(_abstract_instance([0.5], 0.5), (0,), 10, 0, "povm")
+    assert runs == []
+
+
+def test_a_misidentifying_outcome_table_is_an_internal_fault(tmp_path, capsys, monkeypatch):
+    # A POVM with e_p and e_q swapped names the wrong state every time it
+    # concludes; on orthogonal states it always concludes.
+    real = mc.build_povm
+    monkeypatch.setattr(
+        mc,
+        "build_povm",
+        lambda pair, strat: dataclasses.replace(
+            real(pair, strat), elements=real(pair, strat).elements[[1, 0, 2]]
+        ),
+    )
+    message = "outcome table misidentifies with probability 1.0"
+    pair = LocalPair(PureState(2, [1, 0]), PureState(2, [0, 1]))
+    with pytest.raises(InternalFaultError, match=rf"^{message}$"):
+        simulate(ProductInstance((pair,), Priors(0.5, 0.5)), (0,), 10, 0, Engine.POVM_SAMPLING)
+
+    path = tmp_path / "orthogonal.json"
+    party = {"u": [[1, 0], [0, 0]], "v": [[0, 0], [1, 0]]}
+    path.write_text(json.dumps({"priors": {"r": 0.5}, "explicit": {"parties": [party]}}))
+    code = cli.main(["simulate", "--scenario", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err.endswith(f"InternalFaultError: {message}\n")
 
 
 def test_simulate_stderr_formula():

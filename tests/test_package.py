@@ -293,6 +293,18 @@ TYPED = {
         lambda v: uqsd.simulate(v, (0,), 10, 0, uqsd.Engine.POVM_SAMPLING),
         _INSTANCE,
     ),
+    "simulate.engine": (
+        "engine",
+        "Engine",
+        lambda v: uqsd.simulate(_INSTANCE, (0,), 10, 0, v),
+        uqsd.Engine.POVM_SAMPLING,
+    ),
+    "best_order.mode": (
+        "mode",
+        "OrderMode",
+        lambda v: uqsd.best_order(_INSTANCE, v),
+        uqsd.OrderMode.ASCENDING_OVERLAP,
+    ),
 }
 
 
@@ -338,3 +350,31 @@ def test_product_instance_requires_dim_two_everywhere():
     line = uqsd.PureState(1, np.array([1.0]))
     with pytest.raises(ValueError, match=r"^party 1 dim: expected an integer >= 2, got 1$"):
         uqsd.ProductInstance((_PAIR, uqsd.LocalPair(line, line)), _FLAT)
+
+
+def test_code_line_counter_skips_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "module.py").write_text(
+        '"""Module docstring."""\n'
+        "\n"
+        "# a comment\n"
+        "x = (1,\n"
+        "     2)  # a trailing comment\n"
+        "\n"
+        "\n"
+        "class C:\n"
+        '    """Class docstring,\n'
+        '    on two lines."""\n'
+        "\n"
+        "    def f(self):\n"
+        '        """Function docstring."""\n'
+        '        return """a string\n'
+        '        that is code"""\n',
+        encoding="utf-8",
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "code_lines.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "    6 module.py\n    6 total\n"
