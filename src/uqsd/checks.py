@@ -70,9 +70,9 @@ def verify(seed: int, count: int) -> Verification:
         target = global_optimum(instance)
         rows = []
         best_order(instance, OrderMode.EXHAUSTIVE, table=rows)
-        devs = [abs(p_success - target) for _, _, p_success in rows]
+        devs = [abs(row["p_success"] - target) for row in rows]
         k = devs.index(max(devs))  # the first row of largest deviation, as `record` keeps it
-        record("order_invariance", devs[k], {"instance": instance, "order": rows[k][0]})
+        record("order_invariance", devs[k], {"instance": instance, "order": rows[k]["order"]})
 
     # Merging parties into effective parties leaves the result unchanged.
     for i in range(count):

@@ -35,9 +35,12 @@ from .states import _is_real, checked_integer, checked_number, state_pairs_with_
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
 # Largest `abstract.dim`.  Nothing computed grows faster than dim, but every
-# report embeds the scenario's amplitudes in explicit form, about 200 KB of
+# report embeds the scenario's amplitudes in explicit form, about 95 KB of
 # JSON per party at this size.
 MAX_ABSTRACT_DIM = 1024
+# The top-level fields of a scenario file; a command-line flag of the same
+# name replaces the field.
+SCENARIO_FIELDS = {"priors", "abstract", "explicit", "order", "trials", "seed", "engine", "sweep"}
 
 
 class ScenarioError(ValueError):
@@ -181,9 +184,8 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(f"scenario root must be an object, got {type(doc).__name__}")
     doc = {**doc, **flags}
-    known = {"priors", "abstract", "explicit", "order", "trials", "seed", "engine", "sweep"}
     for key in doc:
-        if key not in known:
+        if key not in SCENARIO_FIELDS:
             _fail(key, "unknown field")
     priors = _parse_priors(doc)
     pairs = _parse_parties(doc)
@@ -201,7 +203,7 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
     try:
         engine = Engine(engine_name)
     except ValueError:
-        _fail("engine", f"expected 'povm' or 'neumark', got {engine_name!r}")
+        _fail("engine", f"expected {' or '.join(repr(e.value) for e in Engine)}, got {engine_name!r}")
 
     sweep = doc.get("sweep")
     if sweep is not None:
@@ -222,9 +224,9 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
 def parse_scenario(path: str, **flags) -> Scenario:
     """Read and validate a scenario file.
 
-    `flags` (order, trials, seed, engine) replace the top-level fields of
-    the same name before validation, so a flag is checked exactly like the
-    field it stands in for.
+    `flags` replace the top-level fields of the same name (any of
+    SCENARIO_FIELDS) before validation, so a flag is checked exactly like
+    the field it stands in for.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -235,7 +237,7 @@ def parse_scenario(path: str, **flags) -> Scenario:
         raise ScenarioError(
             f"scenario file {path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # e.g. an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as exc:  # e.g. too many digits, or too deep nesting
         raise ScenarioError(f"scenario file {path} cannot be read as JSON: {exc}") from exc
     return _parse_scenario_dict(doc, **flags)
 
@@ -350,10 +352,7 @@ def cmd_order(scenario: Scenario, exhaustive: bool = False, quiet: bool = False)
         best, cost = best_order(instance, OrderMode.EXHAUSTIVE, table=table)
         exhaustive_body = {"best_order": list(best), "best_cost": cost}
         if table is not None:
-            exhaustive_body["table"] = [
-                {"order": list(perm), "expected_measurements": e_count, "p_success": p_success}
-                for perm, e_count, p_success in table
-            ]
+            exhaustive_body["table"] = table
         body["exhaustive"] = exhaustive_body
     return _report("order", scenario, body)
 
@@ -434,10 +433,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Flags that stand in for the scenario field of the same name.
-_FIELD_FLAGS = ("order", "trials", "seed", "engine")
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -445,7 +440,7 @@ def main(argv=None) -> int:
             report, ok = cmd_verify(args.seed, args.trials)
             _emit(report)
             return 0 if ok else 2
-        flags = {k: v for k, v in vars(args).items() if k in _FIELD_FLAGS and v is not None}
+        flags = {k: v for k, v in vars(args).items() if k in SCENARIO_FIELDS and v is not None}
         scenario = parse_scenario(args.scenario, **flags)
         if args.command == "optimum":
             _emit(cmd_optimum(scenario))

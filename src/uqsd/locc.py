@@ -27,6 +27,7 @@ import dataclasses
 import enum
 import math
 from collections.abc import Sequence
+from operator import itemgetter
 
 import numpy as np
 
@@ -228,10 +229,10 @@ def best_order(
     its last step.  Like every protocol run, the walk keeps one strategy per
     distinct (priors, overlap) it meets, which on 5 parties is typically 10
     to 40 of its 325 steps.  With EXHAUSTIVE, a given `table` list receives
-    one (order, expected_measurements, p_success) row per order, in
-    lexicographic order, each equal to `run_protocol` on that order, so
-    callers that report every order walk them once; ASCENDING_OVERLAP fills
-    none and refuses one.
+    one row per order, in lexicographic order: a dict with the keys
+    'order' (a tuple), 'expected_measurements' and 'p_success', each figure
+    equal to `run_protocol`'s on that order, so callers that report every
+    order walk them once; ASCENDING_OVERLAP fills none and refuses one.
     """
     _checked_type(instance, "instance", ProductInstance)
     _checked_type(mode, "mode", OrderMode)
@@ -251,7 +252,9 @@ def best_order(
         for k, idx in enumerate(remaining):
             _, after = _step(state, overlaps[idx], memo)
             if last:  # the order is complete: its row, here rather than one call deeper
-                rows.append((prefix + (idx,), after[3], after[2]))
+                rows.append(
+                    {"order": prefix + (idx,), "expected_measurements": after[3], "p_success": after[2]}
+                )
             else:
                 visit(prefix + (idx,), remaining[:k] + remaining[k + 1 :], after)
 
@@ -259,8 +262,8 @@ def best_order(
     if table is not None:
         table.extend(rows)
     # min keeps the first of equal minima: the lexicographically first order.
-    best, cost, _ = min(rows, key=lambda row: row[1])
-    return best, cost
+    best = min(rows, key=itemgetter("expected_measurements"))
+    return best["order"], best["expected_measurements"]
 
 
 def group(instance: ProductInstance, partition: Sequence[Sequence[int]]) -> ProductInstance:

@@ -90,6 +90,16 @@ def test_malformed_json_reports_location(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+def test_too_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    # json.load raises RecursionError, not ValueError, past the recursion limit.
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "optimum", "--scenario", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: scenario file {path} cannot be read as JSON: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_missing_file_is_an_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "optimum", "--scenario", str(tmp_path / "nope.json"))
     assert code == 1
@@ -376,6 +386,43 @@ def test_bad_flags_exit_one_naming_the_field(tmp_path, capsys, argv, fragment):
     assert f"scenario field {fragment}" in err
 
 
+def test_unknown_engine_error_names_every_engine(tmp_path, capsys):
+    doc = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}}
+    path = write_scenario(tmp_path, doc)
+    code, out, err = run_cli(capsys, "simulate", "--scenario", path, "--engine", "magic")
+    assert (code, out) == (1, "")
+    assert err == "error: scenario field 'engine': expected 'povm' or 'neumark', got 'magic'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (
+            ["simulate", "--order", "0", "--trials", "5", "--seed", "1", "--engine", "povm", "--quiet"],
+            {"order": [0], "trials": 5, "seed": 1, "engine": "povm"},
+        ),
+        (["sweep", "--seed", "2", "--csv"], {"seed": 2}),
+        (["order", "--quiet", "--exhaustive"], {}),
+    ],
+    ids=["simulate", "sweep", "order"],
+)
+def test_main_hands_parse_scenario_the_field_flags_it_was_given(
+    tmp_path, capsys, monkeypatch, argv, flags
+):
+    doc = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": {"c": [0], "r": [0]}}
+    path = write_scenario(tmp_path, doc)
+    seen = []
+
+    def recording(scenario_path, **given):
+        seen.append((scenario_path, given))
+        return parse_scenario(scenario_path, **given)
+
+    monkeypatch.setattr(cli, "parse_scenario", recording)
+    code, _, _ = run_cli(capsys, argv[0], "--scenario", path, *argv[1:])
+    assert code == 0
+    assert seen == [(path, flags)]
+
+
 def test_flags_override_invalid_file_fields(tmp_path, capsys):
     # A flag replaces its field before validation, in the same single pass.
     doc = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5, 0.5]}, "trials": 0, "seed": -3}
@@ -462,6 +509,18 @@ def test_order_quiet_drops_table(tripartite_path, capsys):
     assert "table" not in json.loads(out)["exhaustive"]
 
 
+def test_order_report_table_is_the_walks_rows(tripartite_path, capsys):
+    # The report writes best_order's rows as the library filled them.
+    rows = []
+    cli.best_order(parse_scenario(tripartite_path).instance, cli.OrderMode.EXHAUSTIVE, table=rows)
+    code, out, _ = run_cli(capsys, "order", "--scenario", tripartite_path)
+    assert code == 0
+    table = json.loads(out)["exhaustive"]["table"]
+    assert table == json.loads(json.dumps(rows))
+    for row in rows + table:
+        assert set(row) == {"order", "expected_measurements", "p_success"}
+
+
 def test_order_exhaustive_refused_for_many_parties(tmp_path, capsys):
     path = write_scenario(
         tmp_path, {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5] * 9}}
@@ -544,7 +603,10 @@ def test_verify_reports_the_first_row_of_largest_deviation(monkeypatch):
     # the last two tied.
     def tied_walk(instance, mode, table):
         target = locc.global_optimum(instance)
-        table += [((2,), 1.0, target + 0.25), ((0,), 1.0, target + 0.5), ((1,), 1.0, target + 0.5)]
+        table += [
+            {"order": (k,), "expected_measurements": 1.0, "p_success": target + deviation}
+            for k, deviation in ((2, 0.25), (0, 0.5), (1, 0.5))
+        ]
         return (0,), 1.0
 
     monkeypatch.setattr(checks, "best_order", tied_walk)

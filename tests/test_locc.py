@@ -360,13 +360,17 @@ def test_best_order_exhaustive_table_lists_every_order_once():
     table = []
     best, cost = best_order(inst, OrderMode.EXHAUSTIVE, table=table)
     perms = list(itertools.permutations(range(4)))
-    assert [row[0] for row in table] == perms
-    for perm, e_count, p_success in table:
-        result = run_protocol(inst, perm)
-        assert (e_count, p_success) == (result.expected_measurements, result.p_success)
+    assert [row["order"] for row in table] == perms
+    for row in table:
+        result = run_protocol(inst, row["order"])
+        assert (row["expected_measurements"], row["p_success"]) == (
+            result.expected_measurements,
+            result.p_success,
+        )
     # The first order, in permutation order, that reaches the minimum.
-    first = next(row for row in table if row[1] == min(r[1] for r in table))
-    assert (best, cost) == first[:2]
+    least = min(row["expected_measurements"] for row in table)
+    first = next(row for row in table if row["expected_measurements"] == least)
+    assert (best, cost) == (first["order"], first["expected_measurements"])
     assert best == (2, 0, 1, 3)
 
 
@@ -410,11 +414,11 @@ def test_exhaustive_walk_rows_equal_run_protocol(overlaps, r):
         inst = _abstract_instance(overlaps, r)
     table = []
     best_order(inst, OrderMode.EXHAUSTIVE, table=table)
-    assert [row[0] for row in table] == list(itertools.permutations(range(inst.n_parties)))
-    for perm, e_count, p_success in table:
-        result = run_protocol(inst, perm)
-        assert e_count == result.expected_measurements
-        assert p_success == result.p_success
+    assert [row["order"] for row in table] == list(itertools.permutations(range(inst.n_parties)))
+    for row in table:
+        result = run_protocol(inst, row["order"])
+        assert row["expected_measurements"] == result.expected_measurements
+        assert row["p_success"] == result.p_success
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
