@@ -14,7 +14,7 @@ import numpy as np
 
 from .locc import OrderMode, _figures, best_order, global_optimum, group, run_protocol
 from .pair_disc import Regime, brute_force_strategy, optimal_strategy
-from .states import Priors, ProductInstance, checked_integer, checked_number
+from .states import Priors, checked_integer, checked_number
 from .states import random_instance, state_pairs_with_overlaps
 
 # Largest deviation each property may show and still pass.
@@ -140,23 +140,25 @@ def sweep(cs: Sequence[float], rs: Sequence[float], seed: int) -> list[SweepRow]
     the closed form alone.  The pairs depend on c only, so they are drawn
     once per overlap column: all 2 * len(cs) pairs come from one
     `state_pairs_with_overlaps` stream seeded with `seed`, and column i
-    (overlap cs[i]) takes pairs 2i and 2i+1.  Every cell builds its
-    ProductInstance from them with its own priors and takes its figures from
-    `locc._figures`, which steps like `run_protocol` but builds no transcript.
+    (overlap cs[i]) takes the overlaps of pairs 2i and 2i+1.  Every cell
+    hands its own priors and its column's two overlaps to `locc._figures`,
+    which steps like `run_protocol` but builds no instance and no transcript.
     One step memo serves the whole grid: an entry depends on (r, s, c) alone,
-    so every row is bit-identical to `run_protocol` on its cell's instance.
+    so every row is bit-identical to `run_protocol` on the instance of its
+    cell's priors and pairs.
     """
     cs = [checked_number(c, f"cs[{i}]", 0.0, 1.0) for i, c in enumerate(cs)]
     rs = [checked_number(r, f"rs[{j}]", 0.0, 1.0) for j, r in enumerate(rs)]
     seed = checked_integer(seed, "seed", 0)
     pairs = state_pairs_with_overlaps([math.sqrt(c) for c in cs for _ in range(2)], 2, seed)
-    columns = [pairs[2 * i : 2 * i + 2] for i in range(len(cs))]
+    overlaps = [pair.overlap_c for pair in pairs]
+    columns = [overlaps[2 * i : 2 * i + 2] for i in range(len(cs))]
     memo: dict = {}
     rows = []
     for r in rs:
         priors = Priors(r, 1.0 - r)
-        for c, pairs in zip(cs, columns):
+        for c, column in zip(cs, columns):
             strat = optimal_strategy(c, priors)
-            p_locc, e_count = _figures(ProductInstance(pairs, priors), memo)
+            p_locc, e_count = _figures(priors, column, memo)
             rows.append(SweepRow(c, r, strat.regime, strat.p_success, p_locc, e_count))
     return rows

@@ -30,7 +30,7 @@ from .locc import global_optimum, global_overlap
 from .montecarlo import Engine, simulate
 from .pair_disc import optimal_strategy
 from .states import LocalPair, Priors, ProductInstance, PureState, _norm, _normalized
-from .states import _is_real, checked_integer, checked_number, state_pairs_with_overlaps
+from .states import _is_real, _shown, checked_integer, checked_number, state_pairs_with_overlaps
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
@@ -69,12 +69,23 @@ def _fail(field: str, problem: str):
     raise ScenarioError(f"scenario field '{field}': {problem}")
 
 
-def _checked(check, value, field: str, *bounds):
-    # The one place a bounded-number field's ValueError becomes a ScenarioError.
+def _checked(check, value, field: str, *bounds, label: str = "scenario field '{}'"):
+    # The one place a bounded number's ValueError becomes a ScenarioError.  Its
+    # message names the value by `label` with `field` filled in: a scenario
+    # field by default, or, for `verify`, a flag that stands for no field.
     try:
-        return check(value, f"scenario field '{field}'", *bounds)
+        return check(value, label.format(field), *bounds)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
+
+
+def _as_field(field: str, call, *args):
+    # The one place any other library ValueError, whose message names no
+    # field, becomes a ScenarioError for `field`.
+    try:
+        return call(*args)
+    except ValueError as exc:
+        _fail(field, str(exc))
 
 
 def _are_amplitudes(rows: list) -> bool:  # [re, im] lists of two numbers, checked per type
@@ -98,10 +109,8 @@ def _unit_state(vec: np.ndarray, field: str) -> PureState:
     norm = _norm(vec)
     if abs(norm - 1.0) > 1e-6:
         _fail(field, f"amplitudes have norm {norm!r}; expected a unit vector")
-    try:
-        return _normalized(vec, norm)
-    except ValueError as exc:  # e.g. NaN amplitudes, whose norm passes the test above
-        _fail(field, str(exc))
+    # _normalized still refuses e.g. NaN amplitudes, whose norm passes the test above.
+    return _as_field(field, _normalized, vec, norm)
 
 
 def _probabilities(values, field: str) -> list[float]:
@@ -116,10 +125,7 @@ def _parse_priors(doc: dict) -> Priors:
         _fail("priors", "required object with key 'r' (and optionally 's')")
     r = _checked(checked_number, block.get("r"), "priors.r", 0.0, 1.0)
     s = _checked(checked_number, block.get("s", 1.0 - r), "priors.s", 0.0, 1.0)
-    try:
-        return Priors(r, s)
-    except ValueError as exc:
-        _fail("priors", str(exc))
+    return _as_field("priors", Priors, r, s)
 
 
 def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
@@ -161,7 +167,7 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
         for field, entries in lists:
             for j, pair in enumerate(entries):
                 if not _are_amplitudes([pair]):
-                    _fail(f"{field}[{j}]", f"expected [re, im], got {pair!r}")
+                    _fail(f"{field}[{j}]", f"expected [re, im], got {_shown(pair)}")
                 if _complex_array([pair]) is None:
                     _fail(f"{field}[{j}]", "amplitude does not fit in a float")
     # The values: each state, a view of that one array, must be a unit
@@ -186,7 +192,7 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
     doc = {**doc, **flags}
     for key in doc:
         if key not in SCENARIO_FIELDS:
-            _fail(key, "unknown field")
+            raise ScenarioError(f"scenario field {_shown(key)}: unknown field")
     priors = _parse_priors(doc)
     pairs = _parse_parties(doc)
     # The parser has already checked the party count and every dim.
@@ -194,16 +200,14 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
 
     order = doc.get("order")
     if order is not None:
-        try:
-            order = checked_order(order, len(pairs))
-        except ValueError as exc:
-            _fail("order", str(exc))
+        order = _as_field("order", checked_order, order, len(pairs))
 
     engine_name = doc.get("engine", "povm")
     try:
         engine = Engine(engine_name)
     except ValueError:
-        _fail("engine", f"expected {' or '.join(repr(e.value) for e in Engine)}, got {engine_name!r}")
+        names = " or ".join(repr(e.value) for e in Engine)
+        _fail("engine", f"expected {names}, got {_shown(engine_name)}")
 
     sweep = doc.get("sweep")
     if sweep is not None:
@@ -249,7 +253,7 @@ def _amplitudes_json(amplitudes: np.ndarray) -> list:
 def _instance_json(instance: ProductInstance) -> dict:
     """An instance in the scenario file's explicit form."""
     return {
-        "priors": _fields(instance.priors),
+        "priors": dict(vars(instance.priors)),  # a copy: serialize_scenario hands it out
         "explicit": {
             "parties": [
                 {
@@ -274,22 +278,19 @@ def serialize_scenario(scenario: Scenario) -> dict:
     }
 
 
-def _fields(obj) -> dict:
-    return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
-
-
 def _json_default(obj):
     # Reports hold library results as they are: an enum is written as its
     # value, an instance as a scenario that replays it, any other dataclass
     # as its fields.  uqsd's dataclasses have no slots and no attributes but
-    # their fields, so the instance's own __dict__ is exactly those fields.
+    # their fields, in field order, so `vars` of one is exactly its fields,
+    # here and in every command's report body.
     if isinstance(obj, enum.Enum):
         return obj.value
     if isinstance(obj, ProductInstance):
         return _instance_json(obj)
     if not dataclasses.is_dataclass(obj):
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return obj.__dict__
+    return vars(obj)
 
 
 def _report(command: str, scenario: Scenario | None, body: dict) -> dict:
@@ -310,7 +311,7 @@ def _emit(report: dict):
 def cmd_optimum(scenario: Scenario) -> dict:
     c = global_overlap(scenario.instance)
     strategy = optimal_strategy(c, scenario.instance.priors)
-    return _report("optimum", scenario, {"global_overlap": c, **_fields(strategy)})
+    return _report("optimum", scenario, {"global_overlap": c, **vars(strategy)})
 
 
 def cmd_protocol(scenario: Scenario, quiet: bool = False) -> dict:
@@ -318,7 +319,7 @@ def cmd_protocol(scenario: Scenario, quiet: bool = False) -> dict:
     order = scenario.order or tuple(range(instance.n_parties))
     result = run_protocol(instance, order)
     gap = abs(result.p_success - global_optimum(instance))
-    body = {"order": list(order), "local_global_gap": gap, **_fields(result)}
+    body = {"order": list(order), "local_global_gap": gap, **vars(result)}
     if quiet:
         del body["transcript"]
     return _report("protocol", scenario, body)
@@ -329,7 +330,7 @@ def cmd_simulate(scenario: Scenario) -> dict:
     order = scenario.order or tuple(range(instance.n_parties))
     stats = simulate(instance, order, scenario.trials, scenario.seed, scenario.engine)
     body = {"engine": scenario.engine, "seed": scenario.seed, "order": list(order)}
-    return _report("simulate", scenario, {**body, **_fields(stats)})
+    return _report("simulate", scenario, {**body, **vars(stats)})
 
 
 def cmd_order(scenario: Scenario, exhaustive: bool = False, quiet: bool = False) -> dict:
@@ -348,12 +349,11 @@ def cmd_order(scenario: Scenario, exhaustive: bool = False, quiet: bool = False)
         "exhaustive": None,
     }
     if walk:
-        table = None if quiet else []
+        table = []
         best, cost = best_order(instance, OrderMode.EXHAUSTIVE, table=table)
-        exhaustive_body = {"best_order": list(best), "best_cost": cost}
-        if table is not None:
-            exhaustive_body["table"] = table
-        body["exhaustive"] = exhaustive_body
+        body["exhaustive"] = {"best_order": list(best), "best_cost": cost, "table": table}
+        if quiet:
+            del body["exhaustive"]["table"]
     return _report("order", scenario, body)
 
 
@@ -362,10 +362,13 @@ def cmd_verify(seed: int, count: int) -> tuple[dict, bool]:
 
     Returns the report and whether every property stayed within tolerance.
     """
+    # verify reads no scenario, so its errors name flags, worded as argparse's own.
+    flag = "argument --{}"
     result = checks.verify(
-        _checked(checked_integer, seed, "seed", 0), _checked(checked_integer, count, "trials", 1)
+        _checked(checked_integer, seed, "seed", 0, label=flag),
+        _checked(checked_integer, count, "trials", 1, label=flag),
     )
-    return _report("verify", None, _fields(result)), result.all_pass
+    return _report("verify", None, vars(result)), result.all_pass
 
 
 def cmd_sweep(scenario: Scenario) -> dict:
@@ -381,7 +384,7 @@ def _int_list(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a comma list of integers, got {text!r}"
+            f"expected a comma list of integers, got {_shown(text)}"
         ) from None
 
 
@@ -455,7 +458,7 @@ def main(argv=None) -> int:
             if args.csv:
                 print(",".join(field.name for field in dataclasses.fields(checks.SweepRow)))
                 for row in report["rows"]:
-                    cells = _fields(row).values()
+                    cells = vars(row).values()
                     print(",".join(v.value if isinstance(v, enum.Enum) else repr(v) for v in cells))
                 sys.stdout.flush()
             else:

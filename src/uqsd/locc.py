@@ -33,7 +33,7 @@ import numpy as np
 
 from .pair_disc import Regime, Strategy, failure_posterior, optimal_strategy
 from .states import LocalPair, Priors, ProductInstance, _checked_type, _is_integer, _norm
-from .states import _normalized, checked_integer
+from .states import _normalized, _shown, checked_integer
 
 Order = tuple[int, ...]
 
@@ -89,7 +89,7 @@ def checked_order(order: Sequence[int], n: int) -> Order:
         or not all(map(_is_integer, {*map(type, entries)}))
         or sorted(entries) != list(range(n))
     ):
-        raise ValueError(f"{order!r} is not a permutation of 0..{n - 1}")
+        raise ValueError(f"{_shown(order)} is not a permutation of 0..{n - 1}")
     return tuple(map(int, entries))
 
 
@@ -140,16 +140,17 @@ def _step(state: tuple, c: float, memo: dict) -> tuple[Strategy, tuple]:
     )
 
 
-def _figures(instance: ProductInstance, memo: dict) -> tuple[float, float]:
-    """(p_success, expected_measurements) of the protocol in party order.
+def _figures(priors: Priors, overlaps: Sequence[float], memo: dict) -> tuple[float, float]:
+    """(p_success, expected_measurements) of the protocol over parties of these overlaps.
 
-    The figures of `run_protocol(instance, range(n))` without its transcript,
-    stepped the same way, so they are bit-identical to it; `memo` may be
+    The figures of `run_protocol` on an instance with these priors whose
+    parties, visited in turn, have these overlaps, without its transcript;
+    stepped the same way, so they are bit-identical to it.  `memo` may be
     shared with other walks (see `_step`).
     """
-    state = _start(instance.priors)
-    for pair in instance.parties:
-        _, state = _step(state, pair.overlap_c, memo)
+    state = _start(priors)
+    for c in overlaps:
+        _, state = _step(state, c, memo)
     _, _, p_success, expected = state
     return p_success, expected
 
@@ -281,7 +282,7 @@ def group(instance: ProductInstance, partition: Sequence[Sequence[int]]) -> Prod
     try:
         checked_order([i for part in parts for i in part], n)
     except ValueError:
-        raise ValueError(f"{parts} is not a partition of 0..{n - 1}") from None
+        raise ValueError(f"{_shown(parts)} is not a partition of 0..{n - 1}") from None
     merged = []
     for first, *rest in parts:
         pair = instance.parties[first]  # a one-party part keeps its pair as is

@@ -66,12 +66,23 @@ def _is_real(kind: type) -> bool:
     return issubclass(kind, (float, np.floating)) or _is_integer(kind)
 
 
+# The most characters of a bad value that an error message shows: enough to
+# recognize the value, and the message stays one short line however large it is.
+_SHOWN_CHARS = 60
+
+
+def _shown(value) -> str:
+    """repr(value) for an error message: past _SHOWN_CHARS characters, its start and '...'."""
+    text = repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[: _SHOWN_CHARS - 3] + "..."
+
+
 def checked_number(value, name: str, lo: float, hi: float) -> float:
     """`value` as a float if it is a real number in [lo, hi] (NaN is not), else ValueError."""
     if type(value) is float and lo <= value <= hi:  # the common case, at half the cost
         return value
     if not _is_real(type(value)) or not lo <= value <= hi:
-        raise ValueError(f"{name}: expected a number in [{lo:g}, {hi:g}], got {value!r}")
+        raise ValueError(f"{name}: expected a number in [{lo:g}, {hi:g}], got {_shown(value)}")
     return float(value)
 
 
@@ -84,7 +95,7 @@ def checked_integer(value, name: str, lo: int, hi: int | None = None) -> int:
         return value
     if not _is_integer(type(value)) or not lo <= value <= top:
         expected = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ValueError(f"{name}: expected an integer {expected}, got {value!r}")
+        raise ValueError(f"{name}: expected an integer {expected}, got {_shown(value)}")
     return int(value)
 
 

@@ -100,6 +100,35 @@ def test_too_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+_LARGE = 100_000
+_VALID = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}}
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({**_VALID, "priors": {"r": [0] * _LARGE}}, "'priors.r'"),
+        ({**_VALID, "order": [0] * _LARGE}, "'order'"),
+        ({**_VALID, "engine": "x" * _LARGE}, "'engine'"),
+        ({**_VALID, "k" * _LARGE: 0}, "'kkkkkkkkkk"),
+        (
+            {
+                "priors": {"r": 0.5},
+                "explicit": {"parties": [{"u": [[0.0] * _LARGE, [0, 0]], "v": [[1, 0], [0, 0]]}]},
+            },
+            "'explicit.parties[0].u[0]'",
+        ),
+    ],
+    ids=["priors", "order", "engine", "unknown-key", "explicit-entry"],
+)
+def test_an_error_shows_only_the_start_of_a_large_bad_value(tmp_path, capsys, doc, field):
+    code, out, err = run_cli(capsys, "optimum", "--scenario", write_scenario(tmp_path, doc))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: scenario field {field}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 300
+
+
 def test_missing_file_is_an_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "optimum", "--scenario", str(tmp_path / "nope.json"))
     assert code == 1
@@ -373,17 +402,27 @@ def test_file_and_flag_orders_share_one_validator(tmp_path, tripartite_path, cap
         (["sweep", "--seed", "-1"], "'seed'"),
         (["simulate", "--trials", "0"], "'trials'"),
         (["simulate", "--engine", "magic"], "'engine'"),
-        (["verify", "--seed", "-1"], "'seed'"),
-        (["verify", "--trials", "0"], "'trials'"),
+        # verify reads no scenario: its flags are named as argparse names them.
+        pytest.param(
+            ["verify", "--seed", "-1"],
+            "argument --seed: expected an integer >= 0, got -1",
+            id="verify-seed",
+        ),
+        pytest.param(
+            ["verify", "--trials", "0"],
+            "argument --trials: expected an integer >= 1, got 0",
+            id="verify-trials",
+        ),
     ],
 )
 def test_bad_flags_exit_one_naming_the_field(tmp_path, capsys, argv, fragment):
     doc = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": {"c": [0], "r": [0]}}
     if argv[0] != "verify":
         argv = [argv[0], "--scenario", write_scenario(tmp_path, doc), *argv[1:]]
+        fragment = f"scenario field {fragment}"
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert f"scenario field {fragment}" in err
+    assert fragment in err
 
 
 def test_unknown_engine_error_names_every_engine(tmp_path, capsys):
@@ -678,27 +717,28 @@ def test_sweep_csv_matches_json_cell_by_cell(capsys):
             assert float(cell) == row[name], (name, cell, row)
 
 
-def test_sweep_builds_one_instance_per_overlap_column(monkeypatch):
-    built, used = [], []
+def test_sweep_draws_pairs_once_per_overlap_column(monkeypatch):
+    built, cells = [], []
 
     def counted(*args):
         built.append(state_pairs_with_overlaps(*args))
         return built[-1]
 
-    def recorded(pairs, priors):
-        used.append(pairs)
-        return ProductInstance(pairs, priors)
+    def recorded(priors, overlaps, memo):
+        cells.append((priors, overlaps))
+        return locc._figures(priors, overlaps, memo)
 
     monkeypatch.setattr(checks, "state_pairs_with_overlaps", counted)
-    monkeypatch.setattr(checks, "ProductInstance", recorded)
+    monkeypatch.setattr(checks, "_figures", recorded)
     cs, rs, seed = [0.1, 0.5, 0.9], [0.2, 0.5, 0.7, 1.0], 3
     rows = checks.sweep(cs, rs, seed)
-    # 2 * len(cs) pairs, built once and reused for every r.
+    # 2 * len(cs) pairs, built once, and every r steps through the same two overlaps.
     assert [len(pairs) for pairs in built] == [2 * len(cs)]
-    assert len(used) == len(rs) * len(cs)
-    for k, pairs in enumerate(used):
+    assert len(cells) == len(rs) * len(cs)
+    for k, (priors, overlaps) in enumerate(cells):
         i = k % len(cs)
-        assert all(a is b for a, b in zip(pairs, built[0][2 * i : 2 * i + 2], strict=True))
+        assert priors == Priors(rs[k // len(cs)], 1.0 - rs[k // len(cs)])
+        assert list(overlaps) == [pair.overlap_c for pair in built[0][2 * i : 2 * i + 2]]
     assert [(row.c, row.r) for row in rows] == [(c, r) for r in rs for c in cs]
     expected = state_pairs_with_overlaps([math.sqrt(c) for c in cs for _ in range(2)], 2, seed)
     for k, row in enumerate(rows):
@@ -734,16 +774,15 @@ def test_sweep_rows_equal_run_protocol_under_the_grid_wide_memo(cs, rs, seed, da
         assert (row.p_locc, row.e_count) == (result.p_success, result.expected_measurements)
         strategy = optimal_strategy(row.c, priors)
         assert (row.regime, row.p_global) == (strategy.regime, strategy.p_success)
-    # The same sweep with a fresh step memo for every cell: one per ProductInstance built.
+    # The same sweep with a fresh step memo for every cell.
     memos = []
 
-    def fresh_memo_instance(pairs, priors):
+    def fresh_memo_figures(priors, overlaps, memo):
         memos.append({})
-        return ProductInstance(pairs, priors)
+        return locc._figures(priors, overlaps, memos[-1])
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(checks, "ProductInstance", fresh_memo_instance)
-        patch.setattr(checks, "_figures", lambda instance, memo: locc._figures(instance, memos[-1]))
+        patch.setattr(checks, "_figures", fresh_memo_figures)
         assert checks.sweep(cs, rs, seed) == rows
     assert len(memos) == len(rows)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqsd import (
+    NORM_TOL,
     LocalPair,
     Priors,
     ProductInstance,
@@ -148,6 +149,28 @@ def test_state_pair_rejects_bad_overlap():
         state_pair_with_overlap(1.5, 2, 0)
     with pytest.raises(ValueError):
         state_pair_with_overlap(-0.1, 2, 0)
+
+
+def test_state_pair_redraws_a_candidate_parallel_to_p(monkeypatch):
+    # The first draw's candidate for |t> is a multiple of its |p>: nothing of
+    # it is orthogonal to |p>, so the construction must draw a new candidate.
+    draws = []
+    original = uqsd.states._complex_normals
+
+    def parallel_first(rng, dim, shape=()):
+        vecs = original(rng, dim, shape)
+        if not draws:
+            vecs[1] = (0.5 - 2j) * vecs[0]
+        draws.append((rng, shape))
+        return vecs
+
+    monkeypatch.setattr(uqsd.states, "_complex_normals", parallel_first)
+    pair = state_pair_with_overlap(0.3, 3, 11)
+    assert abs(pair.overlap_c - 0.3) <= NORM_TOL
+    assert abs(abs(inner_product(pair.p, pair.q)) - 0.3) <= NORM_TOL
+    # |p> and its candidate in one draw, then exactly one redraw from the same stream.
+    assert [shape for _, shape in draws] == [(2,), ()]
+    assert draws[1][0] is draws[0][0]
 
 
 def test_overlap_is_derived_once_per_pair(monkeypatch, tmp_path):
