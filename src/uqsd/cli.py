@@ -23,6 +23,7 @@ import traceback
 from typing import Any
 
 import numpy as np
+import orjson
 
 from . import __version__, checks
 from .locc import EXHAUSTIVE_MAX_PARTIES, OrderMode, best_order, checked_order, run_protocol
@@ -30,12 +31,16 @@ from .locc import global_optimum, global_overlap
 from .montecarlo import Engine, simulate
 from .pair_disc import optimal_strategy
 from .states import LocalPair, Priors, ProductInstance, PureState, _norm, _normalized
-from .states import _is_real, _shown, checked_integer, checked_number, state_pairs_with_overlaps
+from .states import _SHOWN_CHARS, _is_real, _shown, checked_integer, checked_number
+from .states import state_pairs_with_overlaps
 
 DEFAULT_TRIALS = 100_000
 DEFAULT_SEED = 0
+# Largest seed or trial count, in a scenario or a flag: reports echo both, and
+# orjson writes no integer wider than 64 bits.
+UINT64_MAX = 2**64 - 1
 # Largest `abstract.dim`.  Nothing computed grows faster than dim, but every
-# report embeds the scenario's amplitudes in explicit form, about 95 KB of
+# report embeds the scenario's amplitudes in explicit form, about 91 KB of
 # JSON per party at this size.
 MAX_ABSTRACT_DIM = 1024
 # The top-level fields of a scenario file; a command-line flag of the same
@@ -77,6 +82,12 @@ def _checked(check, value, field: str, *bounds, label: str = "scenario field '{}
         return check(value, label.format(field), *bounds)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from None
+
+
+def _given(text: str) -> str:
+    # A command-line argument named in an error, as given; past _SHOWN_CHARS
+    # characters, cut as _shown cuts a value.
+    return text if len(text) <= _SHOWN_CHARS else _shown(text)
 
 
 def _as_field(field: str, call, *args):
@@ -218,8 +229,8 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
     return Scenario(
         instance=instance,
         order=order,
-        trials=_checked(checked_integer, doc.get("trials", DEFAULT_TRIALS), "trials", 1),
-        seed=_checked(checked_integer, doc.get("seed", DEFAULT_SEED), "seed", 0),
+        trials=_checked(checked_integer, doc.get("trials", DEFAULT_TRIALS), "trials", 1, UINT64_MAX),
+        seed=_checked(checked_integer, doc.get("seed", DEFAULT_SEED), "seed", 0, UINT64_MAX),
         engine=engine,
         sweep=sweep,
     )
@@ -236,7 +247,12 @@ def parse_scenario(path: str, **flags) -> Scenario:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
+        # A path that opens is at most PATH_MAX long, but one that does not can
+        # be any length, and the OSError's own text names it again: a path
+        # that _given cuts is named once, with the reason alone.
+        name = _given(path)
+        reason = exc if name is path else exc.strerror
+        raise ScenarioError(f"cannot read scenario file {name}: {reason}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"scenario file {path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -267,15 +283,21 @@ def _instance_json(instance: ProductInstance) -> dict:
 
 
 def serialize_scenario(scenario: Scenario) -> dict:
-    """Canonical (explicit) form of a scenario; parsing it back is a no-op."""
-    return {
+    """Canonical (explicit) form of a scenario; parsing it back is a no-op.
+
+    An absent `order` or `sweep` is left out, as a file leaves it out.
+    """
+    doc = {
         **_instance_json(scenario.instance),
-        "order": None if scenario.order is None else list(scenario.order),
         "trials": scenario.trials,
         "seed": scenario.seed,
         "engine": scenario.engine.value,
-        "sweep": scenario.sweep,
     }
+    if scenario.order is not None:
+        doc["order"] = list(scenario.order)
+    if scenario.sweep is not None:
+        doc["sweep"] = scenario.sweep
+    return doc
 
 
 def _json_default(obj):
@@ -293,6 +315,11 @@ def _json_default(obj):
     return vars(obj)
 
 
+# Keys sorted at every level; dataclasses go through _json_default, so an
+# instance is written as a scenario.
+_REPORT_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
+
+
 def _report(command: str, scenario: Scenario | None, body: dict) -> dict:
     report = {"command": command, "version": __version__}
     if scenario is not None:
@@ -302,10 +329,18 @@ def _report(command: str, scenario: Scenario | None, body: dict) -> dict:
 
 
 def _emit(report: dict):
-    # No `indent`: with it json falls back from its C encoder to the pure-Python
-    # one, which costs about three times as much per report.  The flush makes a
-    # closed stdout fail here, inside `main`, not at interpreter exit.
-    print(json.dumps(report, sort_keys=True, allow_nan=False, default=_json_default), flush=True)
+    # orjson writes the shortest round-trip digits of every float, as float's
+    # repr does, at a fraction of json's cost.  It writes NaN and +-inf as null,
+    # as it writes None, so only a report with a null in it (none of the
+    # common ones) is encoded once more, by json's strict encoder, which raises
+    # on a non-finite number: an internal fault, with nothing on stdout.
+    text = orjson.dumps(report, default=_json_default, option=_REPORT_OPTIONS)
+    if b"null" in text:
+        json.dumps(report, allow_nan=False, default=_json_default)
+    # The report and then its newline, as two writes: after a large first
+    # write to a pipe whose reader has gone, only the second one fails.  The
+    # flush makes a closed stdout fail here, inside `main`, not at exit.
+    print(text.decode(), flush=True)
 
 
 def cmd_optimum(scenario: Scenario) -> dict:
@@ -365,8 +400,8 @@ def cmd_verify(seed: int, count: int) -> tuple[dict, bool]:
     # verify reads no scenario, so its errors name flags, worded as argparse's own.
     flag = "argument --{}"
     result = checks.verify(
-        _checked(checked_integer, seed, "seed", 0, label=flag),
-        _checked(checked_integer, count, "trials", 1, label=flag),
+        _checked(checked_integer, seed, "seed", 0, UINT64_MAX, label=flag),
+        _checked(checked_integer, count, "trials", 1, UINT64_MAX, label=flag),
     )
     return _report("verify", None, vars(result)), result.all_pass
 
@@ -388,11 +423,33 @@ def _int_list(text: str) -> list[int]:
         ) from None
 
 
+def _int(text: str) -> int:
+    # argparse's `type=int`, with the bad value cut as _shown cuts it.
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; remap onto the
     # input-error path (exit 1) instead.
     def error(self, message):
         raise ScenarioError(message)
+
+    # argparse's own two checks that echo an argument, with their wording, but
+    # the argument cut as _shown cuts a value.
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            message = f"invalid choice: {_shown(value)} (choose from {choices})"
+            raise argparse.ArgumentError(action, message)
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {_given(' '.join(extra))}")
+        return args
 
 
 @functools.cache
@@ -418,8 +475,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("simulate", "Monte Carlo the protocol and compare with the analytic values")
     p.add_argument("--quiet", action="store_true", help="accepted; changes nothing")
     p.add_argument("--order", type=_int_list, help="comma-separated visiting order")
-    p.add_argument("--trials", type=int, help="number of trials (default from scenario)")
-    p.add_argument("--seed", type=int, help="simulation seed (default from scenario)")
+    p.add_argument("--trials", type=_int, help="number of trials (default from scenario)")
+    p.add_argument("--seed", type=_int, help="simulation seed (default from scenario)")
     p.add_argument("--engine", help="sampling engine: povm or neumark")
 
     p = add("order", "best visiting order: ascending heuristic plus exhaustive table")
@@ -427,12 +484,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true", help="require the exhaustive search")
 
     p = add("verify", "run the property suite on random instances", scenario=False)
-    p.add_argument("--seed", type=int, default=1, help="root seed (default 1)")
-    p.add_argument("--trials", type=int, default=100, help="instances per property (default 100)")
+    p.add_argument("--seed", type=_int, default=1, help="root seed (default 1)")
+    p.add_argument("--trials", type=_int, default=100, help="instances per property (default 100)")
 
     p = add("sweep", "tabulate p_success over the scenario's (c, r) grid")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
-    p.add_argument("--seed", type=int, help="seed for the per-row state construction")
+    p.add_argument("--seed", type=_int, help="seed for the per-row state construction")
     return parser
 
 

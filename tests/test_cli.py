@@ -10,6 +10,7 @@ import sys
 import types
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from uqsd.cli import (
     parse_scenario,
     serialize_scenario,
 )
+from uqsd.states import _shown
 
 SCENARIOS = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -126,6 +128,47 @@ def test_an_error_shows_only_the_start_of_a_large_bad_value(tmp_path, capsys, do
     assert (code, out) == (1, "")
     assert err.startswith(f"error: scenario field {field}")
     assert err.count("\n") == 1 and err.endswith("\n")
+    assert len(err.encode()) < 300
+
+
+_LONG = 100_000
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        pytest.param(
+            ["verify", "--trials", "x" * _LONG],
+            f"argument --trials: invalid int value: {_shown('x' * _LONG)}",
+            id="int-flag",
+        ),
+        pytest.param(
+            ["c" * _LONG],
+            f"argument command: invalid choice: {_shown('c' * _LONG)} (choose from 'optimum',"
+            " 'protocol', 'simulate', 'order', 'verify', 'sweep')",
+            id="command",
+        ),
+        pytest.param(
+            ["simulate", "--scenario", str(SCENARIOS / "bipartite.json"), "--seed", "y" * _LONG],
+            f"argument --seed: invalid int value: {_shown('y' * _LONG)}",
+            id="seed-flag",
+        ),
+        pytest.param(
+            ["optimum", "--scenario", "p" * _LONG],
+            f"cannot read scenario file {_shown('p' * _LONG)}: File name too long",
+            id="path",
+        ),
+        pytest.param(
+            ["optimum", "--scenario", str(SCENARIOS / "bipartite.json"), "z" * _LONG],
+            f"unrecognized arguments: {_shown('z' * _LONG)}",
+            id="unrecognized",
+        ),
+    ],
+)
+def test_a_long_command_line_argument_is_shown_cut(capsys, argv, line):
+    # argparse's own messages, and the OSError of a path, would echo it whole.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {line}\n")
     assert len(err.encode()) < 300
 
 
@@ -405,12 +448,12 @@ def test_file_and_flag_orders_share_one_validator(tmp_path, tripartite_path, cap
         # verify reads no scenario: its flags are named as argparse names them.
         pytest.param(
             ["verify", "--seed", "-1"],
-            "argument --seed: expected an integer >= 0, got -1",
+            "argument --seed: expected an integer in [0, 18446744073709551615], got -1",
             id="verify-seed",
         ),
         pytest.param(
             ["verify", "--trials", "0"],
-            "argument --trials: expected an integer >= 1, got 0",
+            "argument --trials: expected an integer in [1, 18446744073709551615], got 0",
             id="verify-trials",
         ),
     ],
@@ -423,6 +466,63 @@ def test_bad_flags_exit_one_naming_the_field(tmp_path, capsys, argv, fragment):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert fragment in err
+
+
+_TOO_WIDE = str(2**64)
+_WIDEST = str(2**64 - 1)
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["simulate", "--seed", _TOO_WIDE], "scenario field 'seed'"),
+        (["simulate", "--trials", _TOO_WIDE], "scenario field 'trials'"),
+        (["sweep", "--seed", _TOO_WIDE], "scenario field 'seed'"),
+        (["verify", "--seed", _TOO_WIDE], "argument --seed"),
+        (["verify", "--trials", _TOO_WIDE], "argument --trials"),
+    ],
+)
+def test_seeds_and_trials_past_64_bits_exit_one_naming_the_field(
+    tmp_path, capsys, argv, fragment
+):
+    # Reports echo seeds and trial counts, and orjson writes no wider integer.
+    if argv[0] != "verify":
+        doc = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": {"c": [0], "r": [0]}}
+        argv = [argv[0], "--scenario", write_scenario(tmp_path, doc), *argv[1:]]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {fragment}: expected an integer in [")
+    assert err.endswith(f", 18446744073709551615], got {_TOO_WIDE}\n")
+
+
+def test_seeds_and_trials_of_64_bits_are_reported(tmp_path, capsys, monkeypatch):
+    doc = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}}
+    path = write_scenario(tmp_path, {**doc, "trials": 2**64 - 1, "seed": 2**64 - 1})
+    code, out, _ = run_cli(capsys, "optimum", "--scenario", path)
+    assert code == 0
+    assert json.loads(out)["scenario"]["trials"] == json.loads(out)["scenario"]["seed"] == 2**64 - 1
+
+    path = write_scenario(tmp_path, doc)
+    code, out, _ = run_cli(
+        capsys, "simulate", "--scenario", path, "--seed", _WIDEST, "--trials", "10"
+    )
+    assert code == 0
+    assert json.loads(out)["seed"] == 2**64 - 1
+
+    code, out, _ = run_cli(capsys, "verify", "--seed", _WIDEST, "--trials", "2")
+    assert code == 0
+    assert json.loads(out)["seed"] == 2**64 - 1
+    # 2**64 - 1 instances would take forever: the suite runs two, and the
+    # report carries the count asked for.
+    real_verify = checks.verify
+
+    def verify_two(seed, count):
+        return dataclasses.replace(real_verify(seed, 2), count=count)
+
+    monkeypatch.setattr(checks, "verify", verify_two)
+    code, out, _ = run_cli(capsys, "verify", "--trials", _WIDEST)
+    assert code == 0
+    assert json.loads(out)["count"] == 2**64 - 1
 
 
 def test_unknown_engine_error_names_every_engine(tmp_path, capsys):
@@ -828,8 +928,10 @@ def test_shipped_scenarios_parse_and_run(capsys):
 
 
 def test_reports_are_one_line_of_sorted_json(tmp_path, tripartite_path, capsys):
-    # Reports are written by json's C encoder: no indent, sorted keys, default
-    # separators, and no NaN or Infinity.
+    # Reports are written by orjson: one line, compact separators, keys sorted
+    # at every level, and no NaN or Infinity.  Re-encoding the parsed report
+    # with sorted keys gives back the same bytes, which a report with any
+    # unsorted object, or any other spacing, would not.
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
@@ -849,7 +951,37 @@ def test_reports_are_one_line_of_sorted_json(tmp_path, tripartite_path, capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out.count("\n") == 1
-        assert out == json.dumps(json.loads(out, parse_constant=reject), sort_keys=True) + "\n"
+        doc = json.loads(out, parse_constant=reject)
+        assert out == orjson.dumps(doc, option=orjson.OPT_SORT_KEYS).decode() + "\n"
+
+
+def test_a_non_finite_report_value_is_an_internal_fault(capsys, monkeypatch):
+    # orjson writes NaN as null; the strict check behind it still refuses it.
+    strategy = optimal_strategy(0.5, Priors(0.5, 0.5))
+    object.__setattr__(strategy, "p_success", math.nan)
+    monkeypatch.setattr(cli, "optimal_strategy", lambda c, priors: strategy)
+    code, out, err = run_cli(capsys, "optimum", "--scenario", str(SCENARIOS / "bipartite.json"))
+    assert (code, out) == (3, "")
+    assert err.rstrip().endswith("ValueError: Out of range float values are not JSON compliant")
+
+
+def test_only_a_report_with_a_null_is_strictly_checked(tmp_path, capsys, monkeypatch):
+    # Above 8 parties `order` reports "exhaustive": null, which is also how
+    # orjson writes NaN, so json's strict encoder checks that report once.
+    overlaps = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]
+    path = write_scenario(tmp_path, {"priors": {"r": 0.4}, "abstract": {"overlaps": overlaps}})
+    strict = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *args, **kw: strict.append(kw) or dumps(*args, **kw))
+    code, out, _ = run_cli(capsys, "order", "--scenario", path)
+    assert code == 0
+    assert json.loads(out)["exhaustive"] is None
+    assert [kw["allow_nan"] for kw in strict] == [False]
+
+    strict.clear()
+    for argv in (["optimum"], ["protocol"], ["order"], ["simulate", "--trials", "50"]):
+        assert run_cli(capsys, *argv, "--scenario", str(SCENARIOS / "tripartite.json"))[0] == 0
+    assert strict == []
 
 
 def test_module_is_runnable_as_a_script(tmp_path):
