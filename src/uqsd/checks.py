@@ -14,8 +14,7 @@ import numpy as np
 
 from .locc import OrderMode, _figures, best_order, global_optimum, group, run_protocol
 from .pair_disc import Regime, brute_force_strategy, optimal_strategy
-from .states import Priors, checked_integer, checked_number
-from .states import random_instance, state_pairs_with_overlaps
+from .states import Priors, checked_integer, checked_number, random_instance
 
 # Largest deviation each property may show and still pass.
 TOLERANCES = {
@@ -132,27 +131,21 @@ class SweepRow:
     e_count: float
 
 
-def sweep(cs: Sequence[float], rs: Sequence[float], seed: int) -> list[SweepRow]:
+def sweep(cs: Sequence[float], rs: Sequence[float]) -> list[SweepRow]:
     """Closed form and sequential protocol over the (c, r) grid, r outermost.
 
-    Each row's protocol column comes from a two-party instance whose local
-    overlaps are both sqrt(c), so the physical path is exercised rather than
-    the closed form alone.  The pairs depend on c only, so they are drawn
-    once per overlap column: all 2 * len(cs) pairs come from one
-    `state_pairs_with_overlaps` stream seeded with `seed`, and column i
-    (overlap cs[i]) takes the overlaps of pairs 2i and 2i+1.  Every cell
-    hands its own priors and its column's two overlaps to `locc._figures`,
+    Each row's protocol column is a two-party protocol whose local overlaps
+    are both sqrt(c), exactly: the local optimum depends on a party's overlap
+    alone, so the sweep builds no states and reads no seed.  Every cell hands
+    its own priors and the overlaps [sqrt(c), sqrt(c)] to `locc._figures`,
     which steps like `run_protocol` but builds no instance and no transcript.
-    One step memo serves the whole grid: an entry depends on (r, s, c) alone,
-    so every row is bit-identical to `run_protocol` on the instance of its
-    cell's priors and pairs.
+    One step memo serves the whole grid: an entry depends on (c, r, s) alone,
+    so every row is bit-identical to `run_protocol` on an instance of its
+    cell's priors whose two parties have overlap sqrt(c).
     """
     cs = [checked_number(c, f"cs[{i}]", 0.0, 1.0) for i, c in enumerate(cs)]
     rs = [checked_number(r, f"rs[{j}]", 0.0, 1.0) for j, r in enumerate(rs)]
-    seed = checked_integer(seed, "seed", 0)
-    pairs = state_pairs_with_overlaps([math.sqrt(c) for c in cs for _ in range(2)], 2, seed)
-    overlaps = [pair.overlap_c for pair in pairs]
-    columns = [overlaps[2 * i : 2 * i + 2] for i in range(len(cs))]
+    columns = [(math.sqrt(c),) * 2 for c in cs]
     memo: dict = {}
     rows = []
     for r in rs:

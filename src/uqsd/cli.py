@@ -30,7 +30,7 @@ from .locc import EXHAUSTIVE_MAX_PARTIES, OrderMode, best_order, checked_order, 
 from .locc import global_optimum, global_overlap
 from .montecarlo import Engine, simulate
 from .pair_disc import optimal_strategy
-from .states import LocalPair, Priors, ProductInstance, PureState, _norm, _normalized
+from .states import LocalPair, Priors, ProductInstance, PureState, _normalized, _norms
 from .states import _SHOWN_CHARS, _is_real, _shown, checked_integer, checked_number
 from .states import state_pairs_with_overlaps
 
@@ -39,6 +39,8 @@ DEFAULT_SEED = 0
 # Largest seed or trial count, in a scenario or a flag: reports echo both, and
 # orjson writes no integer wider than 64 bits.
 UINT64_MAX = 2**64 - 1
+# Largest `verify --trials`: at about 0.9 ms per instance, about 15 minutes.
+MAX_VERIFY_COUNT = 10**6
 # Largest `abstract.dim`.  Nothing computed grows faster than dim, but every
 # report embeds the scenario's amplitudes in explicit form, about 91 KB of
 # JSON per party at this size.
@@ -57,9 +59,10 @@ class Scenario:
     """A validated scenario file, flags applied.
 
     order is the visiting order of `protocol` and `simulate`, or None for
-    the parties' listed order; trials, seed and engine drive `simulate`, and
-    seed also draws `sweep`'s pairs; sweep holds the 'c' and 'r' grids, or
-    None when the file has none.
+    the parties' listed order; trials, seed and engine drive `simulate`;
+    sweep holds the 'c' and 'r' grids, or None when the file has none.  The
+    `sweep` command steps each grid column on local overlaps sqrt(c) and
+    reads no seed.
     """
 
     instance: ProductInstance
@@ -112,12 +115,12 @@ def _complex_array(rows: list) -> np.ndarray | None:
     # None if some row is no amplitude or does not fit in a float.
     if _are_amplitudes(rows):
         with contextlib.suppress(OverflowError):  # an integer too large for a float
-            return np.array(rows, dtype=np.float64).view(np.complex128).ravel()
+            reals = itertools.chain.from_iterable(rows)
+            return np.fromiter(reals, np.float64, 2 * len(rows)).view(np.complex128)
     return None
 
 
-def _unit_state(vec: np.ndarray, field: str) -> PureState:
-    norm = _norm(vec)
+def _unit_state(vec: np.ndarray, norm: float, field: str) -> PureState:
     if abs(norm - 1.0) > 1e-6:
         _fail(field, f"amplitudes have norm {norm!r}; expected a unit vector")
     # _normalized still refuses e.g. NaN amplitudes, whose norm passes the test above.
@@ -181,13 +184,21 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
                     _fail(f"{field}[{j}]", f"expected [re, im], got {_shown(pair)}")
                 if _complex_array([pair]) is None:
                     _fail(f"{field}[{j}]", "amplitude does not fit in a float")
-    # The values: each state, a view of that one array, must be a unit
+    # The values: every list's norm, from one stacked product per list
+    # length; then each state, a view of that one array, must be a unit
     # vector, and each party's two states must have one dim.
-    pairs, start = [], 0
+    ends = list(itertools.accumulate(len(entries) for _, entries in lists))
+    by_size: dict[int, list[int]] = {}
+    for k, (_, entries) in enumerate(lists):
+        by_size.setdefault(len(entries), []).append(k)
+    norms = [0.0] * len(lists)
+    for size, ks in by_size.items():
+        rows = np.subtract.outer([ends[k] for k in ks], np.arange(size, 0, -1))
+        for k, norm in zip(ks, _norms(vecs[rows])):
+            norms[k] = norm
+    pairs = []
     for k, (field, entries) in enumerate(lists):
-        end = start + len(entries)
-        state = _unit_state(vecs[start:end], field)
-        start = end
+        state = _unit_state(vecs[ends[k] - len(entries) : ends[k]], norms[k], field)
         if k % 2 == 0:
             u = state
             continue
@@ -384,7 +395,7 @@ def cmd_order(scenario: Scenario, exhaustive: bool = False, quiet: bool = False)
         "exhaustive": None,
     }
     if walk:
-        table = []
+        table = None if quiet else []  # --quiet: the walk keeps a running minimum, no rows
         best, cost = best_order(instance, OrderMode.EXHAUSTIVE, table=table)
         body["exhaustive"] = {"best_order": list(best), "best_cost": cost, "table": table}
         if quiet:
@@ -401,7 +412,7 @@ def cmd_verify(seed: int, count: int) -> tuple[dict, bool]:
     flag = "argument --{}"
     result = checks.verify(
         _checked(checked_integer, seed, "seed", 0, UINT64_MAX, label=flag),
-        _checked(checked_integer, count, "trials", 1, UINT64_MAX, label=flag),
+        _checked(checked_integer, count, "trials", 1, MAX_VERIFY_COUNT, label=flag),
     )
     return _report("verify", None, vars(result)), result.all_pass
 
@@ -410,7 +421,7 @@ def cmd_sweep(scenario: Scenario) -> dict:
     """Tabulate the success-probability surface over the scenario's (c, r) grid."""
     if not scenario.sweep:
         raise ScenarioError("sweep command needs a 'sweep' block with 'c' and 'r' grids")
-    rows = checks.sweep(scenario.sweep["c"], scenario.sweep["r"], scenario.seed)
+    rows = checks.sweep(scenario.sweep["c"], scenario.sweep["r"])
     return _report("sweep", scenario, {"rows": rows})
 
 
@@ -489,7 +500,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("sweep", "tabulate p_success over the scenario's (c, r) grid")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
-    p.add_argument("--seed", type=_int, help="seed for the per-row state construction")
     return parser
 
 

@@ -27,11 +27,10 @@ import dataclasses
 import enum
 import math
 from collections.abc import Sequence
-from operator import itemgetter
 
 import numpy as np
 
-from .pair_disc import Regime, Strategy, failure_posterior, optimal_strategy
+from .pair_disc import Regime, _decision, optimal_strategy
 from .states import LocalPair, Priors, ProductInstance, _checked_type, _is_integer, _norm
 from .states import _normalized, _shown, checked_integer
 
@@ -106,37 +105,36 @@ def global_optimum(instance: ProductInstance) -> float:
 
 def _start(priors: Priors) -> tuple:
     """The protocol state before the first step: see `_step`."""
-    return (priors, 1.0, 0.0, 0.0)
+    return (priors.r, priors.s, 1.0, 0.0, 0.0)
 
 
-def _step(state: tuple, c: float, memo: dict) -> tuple[Strategy, tuple]:
-    """One protocol step at a party of overlap c: its strategy and the new state.
+def _step(state: tuple, c: float, memo: dict) -> tuple[tuple, tuple]:
+    """One protocol step at a party of overlap c: its decision and the new state.
 
-    A state is the plain tuple (priors, p_reach, p_success, expected) after a
+    A state is the float tuple (r, s, p_reach, p_success, expected) after a
     prefix of the visiting order: the priors given that every step so far
     failed, the probability of getting this far, the probability that some
     step so far concluded and the expected number of measurements so far.
-    `_start` makes the empty prefix's state.  A party with overlap 1 is
-    skipped and leaves the state unchanged; when the step cannot fail, later
-    parties are unreachable and the priors are kept.  A step's strategy and
-    failure posterior depend on its priors and overlap alone, so `memo`
-    keeps them under (r, s, c) for the next step that meets the same pair,
-    and one memo may serve any number of walks.  `run_protocol`, the
-    exhaustive order walk and `_figures` all step through here, so their
-    figures are bit-identical to `run_protocol` on the same order.
+    `_start` makes the empty prefix's state.  A decision is
+    `pair_disc._decision`'s (regime, p_success, p_fail, post_r, post_s),
+    which depends on (c, r, s) alone, so `memo` keeps it under that key for
+    the next step that meets the same pair, and one memo may serve any
+    number of walks.  A party with overlap 1 is skipped and leaves the state
+    unchanged; when the step cannot fail, later parties are unreachable and
+    the priors are kept.  `run_protocol`, the exhaustive order walk and
+    `_figures` all step through here, so their figures are bit-identical to
+    `run_protocol` on the same order.
     """
-    priors, p_reach, p_success, expected = state
-    key = (priors.r, priors.s, c)
+    r, s, p_reach, p_success, expected = state
+    key = (c, r, s)
     if (decision := memo.get(key)) is None:
-        strat = optimal_strategy(c, priors)
-        keep = c == 1.0 or strat.p_fail == 0.0
-        decision = memo[key] = (strat, priors if keep else failure_posterior(strat, priors))
-    strat, posterior = decision
+        decision = memo[key] = _decision(*key)
     if c == 1.0:
-        return strat, state
+        return decision, state
+    _, p_conclusive, p_fail, post_r, post_s = decision
     # p_fail = 0 leaves p_reach * p_fail = 0 exactly: later parties are unreachable.
-    return strat, (
-        posterior, p_reach * strat.p_fail, p_success + p_reach * strat.p_success, expected + p_reach
+    return decision, (
+        post_r, post_s, p_reach * p_fail, p_success + p_reach * p_conclusive, expected + p_reach
     )
 
 
@@ -151,8 +149,7 @@ def _figures(priors: Priors, overlaps: Sequence[float], memo: dict) -> tuple[flo
     state = _start(priors)
     for c in overlaps:
         _, state = _step(state, c, memo)
-    _, _, p_success, expected = state
-    return p_success, expected
+    return state[3], state[4]
 
 
 def run_protocol(instance: ProductInstance, order: Sequence[int]) -> ProtocolResult:
@@ -161,30 +158,27 @@ def run_protocol(instance: ProductInstance, order: Sequence[int]) -> ProtocolRes
     Parties whose two hypothesis states coincide (overlap 1) are skipped:
     their optimal measurement is vacuous.  A party with overlap 0 concludes
     with certainty; any remaining steps are recorded but unreachable.  The
-    run computes one strategy per distinct (priors, overlap) it meets.
+    run computes one decision per distinct (priors, overlap) it meets, and
+    builds a Priors only for a transcript's priors that changed.
     """
     _checked_type(instance, "instance", ProductInstance)
     order = checked_order(order, instance.n_parties)
-    state = _start(instance.priors)
+    priors = instance.priors
+    state = _start(priors)
     memo: dict = {}
     records = []
     for idx in order:
         c = instance.parties[idx].overlap_c
-        strat, after = _step(state, c, memo)
+        (regime, p_conclusive, *_), after = _step(state, c, memo)
+        posterior = priors if after[:2] == state[:2] else Priors(after[0], after[1])
         skipped = c == 1.0
         records.append(
             StepRecord(
-                idx,
-                state[0],
-                c,
-                strat.regime,
-                0.0 if skipped else strat.p_success,
-                after[0],
-                skipped=skipped,
+                idx, priors, c, regime, 0.0 if skipped else p_conclusive, posterior, skipped=skipped
             )
         )
-        state = after
-    _, p_inconclusive, p_success, expected = state
+        state, priors = after, posterior
+    _, _, p_inconclusive, p_success, expected = state
     return ProtocolResult(
         p_success=p_success,
         p_inconclusive=p_inconclusive,
@@ -226,14 +220,15 @@ def best_order(
     minimizer.  It walks the order tree depth first through `run_protocol`'s
     own step, so each prefix is stepped once and shared by every order that
     starts with it: sum_k n!/(n-k)! steps in all instead of n * n!, with no
-    transcript built and each order's row appended by the frame that takes
-    its last step.  Like every protocol run, the walk keeps one strategy per
-    distinct (priors, overlap) it meets, which on 5 parties is typically 10
-    to 40 of its 325 steps.  With EXHAUSTIVE, a given `table` list receives
-    one row per order, in lexicographic order: a dict with the keys
-    'order' (a tuple), 'expected_measurements' and 'p_success', each figure
-    equal to `run_protocol`'s on that order, so callers that report every
-    order walk them once; ASCENDING_OVERLAP fills none and refuses one.
+    transcript built; the frame that takes an order's last step compares
+    its cost with the running minimum.  Like every protocol run, the walk
+    keeps one decision per distinct (priors, overlap) it meets, which on 5
+    parties is typically 10 to 40 of its 325 steps.  With EXHAUSTIVE, a
+    given `table` list receives one row per order, in lexicographic order: a
+    dict with the keys 'order' (a tuple), 'expected_measurements' and
+    'p_success', each figure equal to `run_protocol`'s on that order, so
+    callers that report every order walk them once; without one, no row is
+    built.  ASCENDING_OVERLAP fills no table and refuses one.
     """
     _checked_type(instance, "instance", ProductInstance)
     _checked_type(mode, "mode", OrderMode)
@@ -246,25 +241,25 @@ def best_order(
     checked_integer(n, "parties in an exhaustive search", 1, EXHAUSTIVE_MAX_PARTIES)
     overlaps = [pair.overlap_c for pair in instance.parties]
     memo: dict = {}
-    rows = []
+    best: list = [None, math.inf]  # the first order of least cost so far, and its cost
 
     def visit(prefix: Order, remaining: Order, state: tuple):
         last = len(remaining) == 1
         for k, idx in enumerate(remaining):
             _, after = _step(state, overlaps[idx], memo)
-            if last:  # the order is complete: its row, here rather than one call deeper
-                rows.append(
-                    {"order": prefix + (idx,), "expected_measurements": after[3], "p_success": after[2]}
-                )
-            else:
+            if not last:
                 visit(prefix + (idx,), remaining[:k] + remaining[k + 1 :], after)
+                continue
+            # The order is complete: its row, here rather than one call deeper.
+            if table is not None:
+                table.append(
+                    {"order": prefix + (idx,), "expected_measurements": after[4], "p_success": after[3]}
+                )
+            if after[4] < best[1]:  # strict: the lexicographically first minimizer stays
+                best[:] = prefix + (idx,), after[4]
 
     visit((), tuple(range(n)), _start(instance.priors))
-    if table is not None:
-        table.extend(rows)
-    # min keeps the first of equal minima: the lexicographically first order.
-    best = min(rows, key=itemgetter("expected_measurements"))
-    return best["order"], best["expected_measurements"]
+    return best[0], best[1]
 
 
 def group(instance: ProductInstance, partition: Sequence[Sequence[int]]) -> ProductInstance:

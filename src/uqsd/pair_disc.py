@@ -31,7 +31,8 @@ import math
 
 import numpy as np
 
-from .states import PROB_TOL, LocalPair, Priors, _checked_type, checked_number, inner_product
+from .states import NORM_TOL, PROB_TOL, InternalFaultError, LocalPair, Priors, _checked_type
+from .states import checked_number, inner_product
 
 
 class Regime(enum.Enum):
@@ -117,17 +118,16 @@ class NeumarkModel:
     unitary: np.ndarray
 
 
-def _relabeled(solve, priors: Priors, *args) -> Strategy:
+def _relabeled(solve, r: float, s: float, *args) -> tuple[Regime, float, float, float, float]:
     # Relabel the hypotheses so big = max(r, s) and small = min(r, s), solve
     # for (regime, fail_big, fail_small) with solve(big, small, *args), and
-    # map the failure probabilities back onto p and q.
-    _checked_type(priors, "priors", Priors)
-    swapped = priors.s > priors.r
-    big, small = (priors.s, priors.r) if swapped else (priors.r, priors.s)
+    # map the failure probabilities back onto p and q: a Strategy's fields.
+    swapped = s > r
+    big, small = (s, r) if swapped else (r, s)
     regime, fail_big, fail_small = solve(big, small, *args)
     p_fail = big * fail_big + small * fail_small
     fail_p, fail_q = (fail_small, fail_big) if swapped else (fail_big, fail_small)
-    return Strategy(regime, fail_p, fail_q, 1.0 - p_fail, p_fail)
+    return regime, fail_p, fail_q, 1.0 - p_fail, p_fail
 
 
 def optimal_strategy(c: float, priors: Priors) -> Strategy:
@@ -140,7 +140,9 @@ def optimal_strategy(c: float, priors: Priors) -> Strategy:
     is abandoned (failure probability 1), the big one fails with c^2, and the
     success probability is big*(1 - c^2).
     """
-    return _relabeled(_closed_form, priors, checked_number(c, "c", 0.0, 1.0))
+    c = checked_number(c, "c", 0.0, 1.0)
+    _checked_type(priors, "priors", Priors)
+    return Strategy(*_relabeled(_closed_form, priors.r, priors.s, c))
 
 
 def _closed_form(big: float, small: float, c: float) -> tuple[Regime, float, float]:
@@ -153,8 +155,16 @@ def _closed_form(big: float, small: float, c: float) -> tuple[Regime, float, flo
     return Regime.SATURATED, c * c, 1.0
 
 
-# The posterior of every equal-posterior failure; Priors is frozen, so one is shared.
-_EVEN = Priors(0.5, 0.5)
+def _posterior(r: float, s: float, regime: Regime, fail_p: float, fail_q: float, p_fail: float):
+    # The priors (r, s) conditioned on the inconclusive outcome of a strategy
+    # whose p_fail > 0, as two floats; a pair that is no distribution is a fault.
+    if regime is Regime.EQUAL_POSTERIOR:
+        return 0.5, 0.5
+    post_r, post_s = r * fail_p / p_fail, s * fail_q / p_fail
+    in_range = 0.0 <= post_r <= 1.0 and 0.0 <= post_s <= 1.0
+    if not (in_range and abs(post_r + post_s - 1.0) <= NORM_TOL):  # NaN fails both
+        raise InternalFaultError(f"failure posterior ({post_r!r}, {post_s!r}) is no distribution")
+    return post_r, post_s
 
 
 def failure_posterior(strategy: Strategy, priors: Priors) -> Priors:
@@ -163,12 +173,24 @@ def failure_posterior(strategy: Strategy, priors: Priors) -> Priors:
     _checked_type(priors, "priors", Priors)
     if strategy.p_fail == 0.0:
         raise ValueError("the failure branch has probability 0; no posterior exists")
-    if strategy.regime is Regime.EQUAL_POSTERIOR:
-        return _EVEN
-    return Priors(
-        priors.r * strategy.fail_p / strategy.p_fail,
-        priors.s * strategy.fail_q / strategy.p_fail,
-    )
+    fields = strategy.regime, strategy.fail_p, strategy.fail_q, strategy.p_fail
+    return Priors(*_posterior(priors.r, priors.s, *fields))
+
+
+def _decision(c: float, r: float, s: float) -> tuple[Regime, float, float, float, float]:
+    """One party's optimal step in plain floats: (regime, p_success, p_fail, post_r, post_s).
+
+    Bit for bit the fields of `optimal_strategy(c, Priors(r, s))` and of
+    `failure_posterior` on them: the relabelled closed form (`_relabeled`)
+    and the posterior (`_posterior`) each have one home, which the two
+    public functions wrap too.  A step that is skipped (c = 1) or cannot
+    fail keeps the priors (r, s) as its posterior.  No argument is checked:
+    the protocol step calls this on values it made.
+    """
+    regime, fail_p, fail_q, p_success, p_fail = _relabeled(_closed_form, r, s, c)
+    if c == 1.0 or p_fail == 0.0:
+        return regime, p_success, p_fail, r, s
+    return regime, p_success, p_fail, *_posterior(r, s, regime, fail_p, fail_q, p_fail)
 
 
 def brute_force_strategy(c: float, priors: Priors) -> Strategy:
@@ -181,7 +203,9 @@ def brute_force_strategy(c: float, priors: Priors) -> Strategy:
     number of points per pass, is refined around the running maximizer until
     its spacing is at most 1e-8.
     """
-    return _relabeled(_grid_search, priors, checked_number(c, "c", 0.0, 1.0))
+    c = checked_number(c, "c", 0.0, 1.0)
+    _checked_type(priors, "priors", Priors)
+    return Strategy(*_relabeled(_grid_search, priors.r, priors.s, c))
 
 
 # Points per pass of the grid search.  Not a parameter: the grid is refined

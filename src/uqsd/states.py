@@ -53,6 +53,15 @@ def _norm(vec: np.ndarray) -> float:
     return math.sqrt(_norm_sq(vec))
 
 
+def _norms(stack: np.ndarray) -> list[float]:
+    """`_norm` of each row of a (k, d) complex array, bit for bit, from one
+    stacked (1, d) @ (d, 1) product per part; a norm past the float range is inf."""
+    re, im = stack.real, stack.imag
+    with np.errstate(over="ignore"):
+        norm_sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(norm_sq.ravel()).tolist()
+
+
 # What counts as an integer or a real number, decided once per type so that a
 # check costs about what type() does: Python and numpy scalars, bool excluded
 # (it subclasses int).

@@ -18,13 +18,15 @@ from hypothesis import strategies as st
 import uqsd.checks as checks
 import uqsd.cli as cli
 import uqsd.locc as locc
+import uqsd.states
 from uqsd import (
     InternalFaultError,
+    LocalPair,
     Priors,
     ProductInstance,
+    PureState,
     optimal_strategy,
     state_pair_with_overlap,
-    state_pairs_with_overlaps,
 )
 from uqsd.cli import (
     _parse_scenario_dict,
@@ -442,7 +444,7 @@ def test_file_and_flag_orders_share_one_validator(tmp_path, tripartite_path, cap
     "argv, fragment",
     [
         (["simulate", "--seed", "-1"], "'seed'"),
-        (["sweep", "--seed", "-1"], "'seed'"),
+        (["simulate", "--seed", str(-(2**64))], "'seed'"),  # below 0 and past 64 bits
         (["simulate", "--trials", "0"], "'trials'"),
         (["simulate", "--engine", "magic"], "'engine'"),
         # verify reads no scenario: its flags are named as argparse names them.
@@ -453,7 +455,7 @@ def test_file_and_flag_orders_share_one_validator(tmp_path, tripartite_path, cap
         ),
         pytest.param(
             ["verify", "--trials", "0"],
-            "argument --trials: expected an integer in [1, 18446744073709551615], got 0",
+            "argument --trials: expected an integer in [1, 1000000], got 0",
             id="verify-trials",
         ),
     ],
@@ -477,7 +479,6 @@ _WIDEST = str(2**64 - 1)
     [
         (["simulate", "--seed", _TOO_WIDE], "scenario field 'seed'"),
         (["simulate", "--trials", _TOO_WIDE], "scenario field 'trials'"),
-        (["sweep", "--seed", _TOO_WIDE], "scenario field 'seed'"),
         (["verify", "--seed", _TOO_WIDE], "argument --seed"),
         (["verify", "--trials", _TOO_WIDE], "argument --trials"),
     ],
@@ -492,10 +493,12 @@ def test_seeds_and_trials_past_64_bits_exit_one_naming_the_field(
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {fragment}: expected an integer in [")
-    assert err.endswith(f", 18446744073709551615], got {_TOO_WIDE}\n")
+    # verify's instance count has a tighter bound of its own.
+    top = cli.MAX_VERIFY_COUNT if argv[:2] == ["verify", "--trials"] else 2**64 - 1
+    assert err.endswith(f", {top}], got {_TOO_WIDE}\n")
 
 
-def test_seeds_and_trials_of_64_bits_are_reported(tmp_path, capsys, monkeypatch):
+def test_seeds_and_trials_of_64_bits_are_reported(tmp_path, capsys):
     doc = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}}
     path = write_scenario(tmp_path, {**doc, "trials": 2**64 - 1, "seed": 2**64 - 1})
     code, out, _ = run_cli(capsys, "optimum", "--scenario", path)
@@ -512,17 +515,35 @@ def test_seeds_and_trials_of_64_bits_are_reported(tmp_path, capsys, monkeypatch)
     code, out, _ = run_cli(capsys, "verify", "--seed", _WIDEST, "--trials", "2")
     assert code == 0
     assert json.loads(out)["seed"] == 2**64 - 1
-    # 2**64 - 1 instances would take forever: the suite runs two, and the
-    # report carries the count asked for.
+    # verify's instance count stops at MAX_VERIFY_COUNT, not at 64 bits.
+    code, out, err = run_cli(capsys, "verify", "--trials", _WIDEST)
+    assert (code, out) == (1, "")
+    assert err == f"error: argument --trials: expected an integer in [1, 1000000], got {_WIDEST}\n"
+
+
+def test_verify_counts_up_to_the_bound_are_reported(capsys, monkeypatch):
+    # 10**6 instances take minutes: the suite runs two, and the report
+    # carries the count asked for.  One more is refused before any runs.
     real_verify = checks.verify
 
     def verify_two(seed, count):
         return dataclasses.replace(real_verify(seed, 2), count=count)
 
     monkeypatch.setattr(checks, "verify", verify_two)
-    code, out, _ = run_cli(capsys, "verify", "--trials", _WIDEST)
+    code, out, _ = run_cli(capsys, "verify", "--trials", str(cli.MAX_VERIFY_COUNT))
     assert code == 0
-    assert json.loads(out)["count"] == 2**64 - 1
+    assert json.loads(out)["count"] == cli.MAX_VERIFY_COUNT == 10**6
+    code, out, err = run_cli(capsys, "verify", "--trials", str(10**6 + 1))
+    assert (code, out) == (1, "")
+    assert err == "error: argument --trials: expected an integer in [1, 1000000], got 1000001\n"
+
+
+def test_sweep_takes_no_seed_flag(tmp_path, capsys):
+    # The sweep steps on sqrt(c) and draws nothing, so a seed would do nothing.
+    doc = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": {"c": [0], "r": [0]}}
+    path = write_scenario(tmp_path, doc)
+    code, out, err = run_cli(capsys, "sweep", "--scenario", path, "--seed", "2")
+    assert (code, out, err) == (1, "", "error: unrecognized arguments: --seed 2\n")
 
 
 def test_unknown_engine_error_names_every_engine(tmp_path, capsys):
@@ -540,7 +561,7 @@ def test_unknown_engine_error_names_every_engine(tmp_path, capsys):
             ["simulate", "--order", "0", "--trials", "5", "--seed", "1", "--engine", "povm", "--quiet"],
             {"order": [0], "trials": 5, "seed": 1, "engine": "povm"},
         ),
-        (["sweep", "--seed", "2", "--csv"], {"seed": 2}),
+        (["sweep", "--csv"], {}),
         (["order", "--quiet", "--exhaustive"], {}),
     ],
     ids=["simulate", "sweep", "order"],
@@ -817,33 +838,39 @@ def test_sweep_csv_matches_json_cell_by_cell(capsys):
             assert float(cell) == row[name], (name, cell, row)
 
 
-def test_sweep_draws_pairs_once_per_overlap_column(monkeypatch):
-    built, cells = [], []
+def _pair_of_overlap(root: float) -> LocalPair:
+    # p = (1, 0) and q = (root, sqrt(1 - root^2)), so <p|q> = root exactly.  A
+    # LocalPair snaps an overlap within NORM_TOL of 0 or 1 onto that end; the
+    # sweep's sqrt(c) needs no snap, so the pair keeps root itself.
+    q = PureState.normalized([root, math.sqrt(1.0 - root * root)])
+    pair = LocalPair(PureState(2, [1.0, 0.0]), q)
+    object.__setattr__(pair, "overlap_c", root)
+    return pair
 
-    def counted(*args):
-        built.append(state_pairs_with_overlaps(*args))
-        return built[-1]
+
+def test_sweep_steps_each_column_on_root_c_with_no_states(monkeypatch):
+    cells = []
 
     def recorded(priors, overlaps, memo):
         cells.append((priors, overlaps))
         return locc._figures(priors, overlaps, memo)
 
-    monkeypatch.setattr(checks, "state_pairs_with_overlaps", counted)
+    def no_states(*args):
+        raise AssertionError("the sweep built a state")
+
     monkeypatch.setattr(checks, "_figures", recorded)
-    cs, rs, seed = [0.1, 0.5, 0.9], [0.2, 0.5, 0.7, 1.0], 3
-    rows = checks.sweep(cs, rs, seed)
-    # 2 * len(cs) pairs, built once, and every r steps through the same two overlaps.
-    assert [len(pairs) for pairs in built] == [2 * len(cs)]
+    for name in ("state_pair_with_overlap", "random_pure_state", "_complex_normals"):
+        monkeypatch.setattr(uqsd.states, name, no_states)
+    cs, rs = [0.1, 0.5, 0.9], [0.2, 0.5, 0.7, 1.0]
+    rows = checks.sweep(cs, rs)
+    # Every cell steps through its column's two overlaps, sqrt(c) exactly.
     assert len(cells) == len(rs) * len(cs)
     for k, (priors, overlaps) in enumerate(cells):
-        i = k % len(cs)
         assert priors == Priors(rs[k // len(cs)], 1.0 - rs[k // len(cs)])
-        assert list(overlaps) == [pair.overlap_c for pair in built[0][2 * i : 2 * i + 2]]
+        assert list(overlaps) == [math.sqrt(cs[k % len(cs)])] * 2
     assert [(row.c, row.r) for row in rows] == [(c, r) for r in rs for c in cs]
-    expected = state_pairs_with_overlaps([math.sqrt(c) for c in cs for _ in range(2)], 2, seed)
-    for k, row in enumerate(rows):
-        i = k % len(cs)
-        pairs = expected[2 * i : 2 * i + 2]
+    for row in rows:
+        pairs = (_pair_of_overlap(math.sqrt(row.c)),) * 2
         result = locc.run_protocol(ProductInstance(pairs, Priors(row.r, 1.0 - row.r)), (0, 1))
         assert row.p_locc == result.p_success
         assert row.e_count == result.expected_measurements
@@ -856,21 +883,18 @@ _SWEEP_AXIS = st.lists(
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    cs=_SWEEP_AXIS, rs=_SWEEP_AXIS, seed=st.integers(min_value=0, max_value=2**32), data=st.data()
-)
-def test_sweep_rows_equal_run_protocol_under_the_grid_wide_memo(cs, rs, seed, data):
+@given(cs=_SWEEP_AXIS, rs=_SWEEP_AXIS, data=st.data())
+def test_sweep_rows_equal_run_protocol_under_the_grid_wide_memo(cs, rs, data):
     # Every grid holds c = 0 and 1, r = 0 and 1, and for each c the prior
     # r = 1/(1 + c) at which its parties' first step (overlap sqrt(c)) changes regime.
     cs = data.draw(st.permutations([*cs, 0.0, 1.0]))
     rs = data.draw(st.permutations([*rs, 0.0, 1.0, *(1.0 / (1.0 + c) for c in cs)]))
-    rows = checks.sweep(cs, rs, seed)
-    pairs = state_pairs_with_overlaps([math.sqrt(c) for c in cs for _ in range(2)], 2, seed)
+    rows = checks.sweep(cs, rs)
     assert [(row.c, row.r) for row in rows] == [(c, r) for r in rs for c in cs]
-    for k, row in enumerate(rows):
-        i = k % len(cs)
+    for row in rows:
         priors = Priors(row.r, 1.0 - row.r)
-        result = locc.run_protocol(ProductInstance(pairs[2 * i : 2 * i + 2], priors), (0, 1))
+        pairs = (_pair_of_overlap(math.sqrt(row.c)),) * 2
+        result = locc.run_protocol(ProductInstance(pairs, priors), (0, 1))
         assert (row.p_locc, row.e_count) == (result.p_success, result.expected_measurements)
         strategy = optimal_strategy(row.c, priors)
         assert (row.regime, row.p_global) == (strategy.regime, strategy.p_success)
@@ -883,7 +907,7 @@ def test_sweep_rows_equal_run_protocol_under_the_grid_wide_memo(cs, rs, seed, da
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(checks, "_figures", fresh_memo_figures)
-        assert checks.sweep(cs, rs, seed) == rows
+        assert checks.sweep(cs, rs) == rows
     assert len(memos) == len(rows)
 
 
@@ -1257,7 +1281,7 @@ def test_order_walks_each_visiting_order_once(tmp_path, capsys, monkeypatch):
     # Four identical parties make every order cost exactly the same, so the
     # report must keep best_order's tie-break (the first order in
     # permutation order).  The walk over the order tree and the ascending
-    # heuristic, the only protocol run, each compute a strategy once per
+    # heuristic, the only protocol run, each compute a decision once per
     # distinct (priors, overlap) they meet: the same pairs on identical parties.
     n = 4
     party = {"u": [[1.0, 0.0], [0.0, 0.0]], "v": [[0.6, 0.0], [0.8, 0.0]]}
@@ -1280,7 +1304,7 @@ def test_order_walks_each_visiting_order_once(tmp_path, capsys, monkeypatch):
 
         return counted
 
-    monkeypatch.setattr(locc, "optimal_strategy", counting(locc.optimal_strategy, steps))
+    monkeypatch.setattr(locc, "_decision", counting(locc._decision, steps))
     monkeypatch.setattr(cli, "run_protocol", counting(cli.run_protocol, runs))
     monkeypatch.setattr(locc, "run_protocol", counting(locc.run_protocol, runs))
     code, out, _ = run_cli(capsys, "order", "--scenario", path)
@@ -1292,3 +1316,37 @@ def test_order_walks_each_visiting_order_once(tmp_path, capsys, monkeypatch):
     assert len(ex["table"]) == math.factorial(n)
     assert ex["best_order"] == [0, 1, 2, 3]
     assert (tuple(ex["best_order"]), ex["best_cost"]) == expected_best
+
+
+@pytest.mark.parametrize(
+    "tied, first",
+    [
+        # After an overlap-0 party concludes, later parties are unreachable:
+        # every order that starts with party 1 costs exactly 1.
+        ([[0.0, 0.0], [1.0, 0.0]], [1, 0, 2]),
+        # An overlap-1 party is skipped: where it stands changes no cost.
+        ([[1.0, 0.0], [0.0, 0.0]], [1, 2, 0]),
+    ],
+    ids=["overlap-0", "overlap-1"],
+)
+def test_quiet_order_keeps_the_first_minimizer_of_the_table(tmp_path, capsys, tied, first):
+    # --quiet keeps a running minimum instead of the table's rows; on tied
+    # costs it must still name the table's first minimizer.
+    parties = [
+        {"u": [[1.0, 0.0], [0.0, 0.0]], "v": [[0.6, 0.0], [0.8, 0.0]]},
+        {"u": [[1.0, 0.0], [0.0, 0.0]], "v": tied},
+        {"u": [[1.0, 0.0], [0.0, 0.0]], "v": [[0.3, 0.0], [math.sqrt(0.91), 0.0]]},
+    ]
+    path = write_scenario(tmp_path, {"priors": {"r": 0.7}, "explicit": {"parties": parties}})
+    code, out, _ = run_cli(capsys, "order", "--scenario", path)
+    assert code == 0
+    full = json.loads(out)["exhaustive"]
+    cost = min(row["expected_measurements"] for row in full["table"])
+    minimizers = [row["order"] for row in full["table"] if row["expected_measurements"] == cost]
+    assert len(minimizers) > 1 and minimizers[0] == first
+    code, out, _ = run_cli(capsys, "order", "--scenario", path, "--quiet")
+    assert code == 0
+    quiet = json.loads(out)["exhaustive"]
+    assert "table" not in quiet
+    assert (quiet["best_order"], quiet["best_cost"]) == (first, cost)
+    assert (full["best_order"], full["best_cost"]) == (first, cost)

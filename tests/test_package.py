@@ -214,9 +214,8 @@ BOUNDED = {
     ),
     "verify.seed": ("seed", lambda v: checks.verify(v, 1), np.int64(3), -1),
     "verify.count": ("count", lambda v: checks.verify(1, v), np.int64(1), 0),
-    "sweep.cs": ("cs[0]", lambda v: checks.sweep([v], [0.5], 0), np.float64(0.5), -0.1),
-    "sweep.rs": ("rs[0]", lambda v: checks.sweep([0.5], [v], 0), np.float64(0.5), 1.5),
-    "sweep.seed": ("seed", lambda v: checks.sweep([0.5], [0.5], v), np.int64(3), -1),
+    "sweep.cs": ("cs[0]", lambda v: checks.sweep([v], [0.5]), np.float64(0.5), -0.1),
+    "sweep.rs": ("rs[0]", lambda v: checks.sweep([0.5], [v]), np.float64(0.5), 1.5),
 }
 
 

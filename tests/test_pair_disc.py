@@ -9,6 +9,7 @@ import uqsd.pair_disc as pair_disc
 from uqsd import (
     DegeneratePairError,
     InconsistentStrategyError,
+    InternalFaultError,
     Priors,
     Regime,
     Strategy,
@@ -148,6 +149,39 @@ def test_failure_posterior_normalized(c, r):
     strat = optimal_strategy(c, priors)
     post = failure_posterior(strat, priors)
     assert abs(post.r + post.s - 1.0) < 1e-12
+
+
+def _step_by_objects(c: float, r: float) -> tuple:
+    # One protocol step through the public objects: the strategy, and the
+    # failure posterior unless the step is skipped (c = 1) or cannot fail.
+    priors = Priors(r, 1.0 - r)
+    strat = optimal_strategy(c, priors)
+    post = priors if c == 1.0 or strat.p_fail == 0.0 else failure_posterior(strat, priors)
+    return strat.regime, strat.p_success, strat.p_fail, post.r, post.s
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(c=st.floats(min_value=0.0, max_value=1.0), r=st.floats(min_value=0.0, max_value=1.0))
+def test_float_step_equals_strategy_and_posterior_bit_for_bit(c, r):
+    assert pair_disc._decision(c, r, 1.0 - r) == _step_by_objects(c, r)
+
+
+@pytest.mark.parametrize(
+    "c, r",
+    [(c, r) for c in (0.0, 1.0) for r in (0.0, 0.5, 1.0)]
+    + [(c, 1.0 / (1.0 + c * c)) for c in (0.05, 0.3, 0.5, 0.8, 0.95)],  # the regime boundary
+)
+def test_float_step_edge_cases_equal_strategy_and_posterior(c, r):
+    assert pair_disc._decision(c, r, 1.0 - r) == _step_by_objects(c, r)
+
+
+def test_a_posterior_that_is_no_distribution_is_an_internal_fault():
+    # Only a strategy no closed form returns can get here: fail_p = 0.5 with
+    # p_fail = 0.1 puts 2.5 on p.
+    bad = Strategy(Regime.SATURATED, 0.5, 0.5, 0.9, 0.1)
+    message = r"^failure posterior \(2\.5, 2\.5\) is no distribution$"
+    with pytest.raises(InternalFaultError, match=message):
+        failure_posterior(bad, Priors(0.5, 0.5))
 
 
 @pytest.mark.parametrize(

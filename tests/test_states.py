@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from uqsd import (
 import uqsd.checks
 import uqsd.cli
 import uqsd.states
-from uqsd.states import _norm
+from uqsd.states import _norm, _norms
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -312,8 +313,17 @@ def test_one_squared_norm_per_parsed_state(monkeypatch, tmp_path):
     path = tmp_path / "explicit.json"
     path.write_text(json.dumps(doc))
     calls = _count_norm_sq(monkeypatch)
+    stacks = []
+    real_norms = uqsd.cli._norms
+
+    def counted(stack):
+        stacks.append(stack.shape)
+        return real_norms(stack)
+
+    monkeypatch.setattr(uqsd.cli, "_norms", counted)
     parsed = uqsd.cli.parse_scenario(str(path))
-    assert calls == [4] * (2 * n)
+    # All 2n lists have 4 amplitudes: their squared norms are one stacked product.
+    assert (calls, stacks) == ([], [(2 * n, 4)])
     for got, want in zip(parsed.instance.parties, inst.parties):
         assert got.q.amplitudes.tobytes() == want.q.amplitudes.tobytes()
         np.testing.assert_allclose(got.p.amplitudes, want.p.amplitudes, rtol=0, atol=1e-15)
@@ -420,8 +430,8 @@ def test_one_random_stream_per_seeded_construction(monkeypatch):
     uqsd.cli.parse_scenario(str(SCENARIOS / "tripartite.json"))
     assert streams == [0]
     del streams[:]
-    uqsd.checks.sweep([0.0, 0.25, 0.5, 1.0], [0.5, 0.9], 4)
-    assert streams == [4]
+    uqsd.checks.sweep([0.0, 0.25, 0.5, 1.0], [0.5, 0.9])  # no states: no stream
+    assert streams == []
     del streams[:]
     count = 10
     uqsd.checks.verify(1, count)  # two (c, r) streams and one per instance
@@ -435,6 +445,17 @@ def test_fast_norm_matches_numpy_bit_for_bit():
             for _ in range(4):
                 vec = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
                 assert _norm(vec) == np.linalg.norm(vec)
+
+
+def test_stacked_norms_match_norm_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    for dim in range(1, 65):
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            stack = scale * (rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim)))
+            assert _norms(stack) == [_norm(vec) for vec in stack]
+    # A squared norm past the float range is inf, with no overflow warning.
+    big, nan = _norms(np.array([[1e200, 1e200j], [np.nan, 0.0]]))
+    assert big == math.inf and math.isnan(nan)
 
 
 def _nonzero_vectors(max_dim):
