@@ -41,6 +41,11 @@ DEFAULT_SEED = 0
 UINT64_MAX = 2**64 - 1
 # Largest `verify --trials`: at about 0.9 ms per instance, about 15 minutes.
 MAX_VERIFY_COUNT = 10**6
+# Largest `simulate` trial count: at about 77 s per 10**9 trials, about 13 minutes.
+MAX_SIMULATE_TRIALS = 10**10
+# Largest `sweep` grid, len(c) * len(r) cells: each cell is a report row of
+# about 160 bytes of JSON, so the report stays under about 16 MB.
+MAX_SWEEP_CELLS = 10**5
 # Largest `abstract.dim`.  Nothing computed grows faster than dim, but every
 # report embeds the scenario's amplitudes in explicit form, about 91 KB of
 # JSON per party at this size.
@@ -374,29 +379,26 @@ def cmd_protocol(scenario: Scenario, quiet: bool = False) -> dict:
 def cmd_simulate(scenario: Scenario) -> dict:
     instance = scenario.instance
     order = scenario.order or tuple(range(instance.n_parties))
-    stats = simulate(instance, order, scenario.trials, scenario.seed, scenario.engine)
+    trials = _checked(checked_integer, scenario.trials, "trials", 1, MAX_SIMULATE_TRIALS)
+    stats = simulate(instance, order, trials, scenario.seed, scenario.engine)
     body = {"engine": scenario.engine, "seed": scenario.seed, "order": list(order)}
     return _report("simulate", scenario, {**body, **vars(stats)})
 
 
 def cmd_order(scenario: Scenario, exhaustive: bool = False, quiet: bool = False) -> dict:
     instance = scenario.instance
-    n = instance.n_parties
-    walk = n <= EXHAUSTIVE_MAX_PARTIES
-    if exhaustive and not walk:
-        raise ScenarioError(
-            f"exhaustive order search refused for n = {n} (> {EXHAUSTIVE_MAX_PARTIES}):"
-            f" its walk over the order tree takes sum_k {n}!/({n}-k)! steps"
-        )
     asc_order, asc_cost = best_order(instance, OrderMode.ASCENDING_OVERLAP)
     body = {
         "ascending_order": list(asc_order),
         "ascending_cost": asc_cost,
         "exhaustive": None,
     }
-    if walk:
+    if exhaustive or instance.n_parties <= EXHAUSTIVE_MAX_PARTIES:
         table = None if quiet else []  # --quiet: the walk keeps a running minimum, no rows
-        best, cost = best_order(instance, OrderMode.EXHAUSTIVE, table=table)
+        try:  # best_order refuses a walk past EXHAUSTIVE_MAX_PARTIES parties
+            best, cost = best_order(instance, OrderMode.EXHAUSTIVE, table=table)
+        except ValueError as exc:
+            raise ScenarioError(f"argument --exhaustive: {exc}") from None
         body["exhaustive"] = {"best_order": list(best), "best_cost": cost, "table": table}
         if quiet:
             del body["exhaustive"]["table"]
@@ -421,7 +423,11 @@ def cmd_sweep(scenario: Scenario) -> dict:
     """Tabulate the success-probability surface over the scenario's (c, r) grid."""
     if not scenario.sweep:
         raise ScenarioError("sweep command needs a 'sweep' block with 'c' and 'r' grids")
-    rows = checks.sweep(scenario.sweep["c"], scenario.sweep["r"])
+    cs, rs = scenario.sweep["c"], scenario.sweep["r"]
+    if len(cs) * len(rs) > MAX_SWEEP_CELLS:
+        grid = f"{len(cs)} x {len(rs)} = {len(cs) * len(rs)}"
+        _fail("sweep", f"expected a grid of at most {MAX_SWEEP_CELLS} cells, got {grid}")
+    rows = checks.sweep(cs, rs)
     return _report("sweep", scenario, {"rows": rows})
 
 

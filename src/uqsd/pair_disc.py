@@ -32,7 +32,7 @@ import math
 import numpy as np
 
 from .states import NORM_TOL, PROB_TOL, InternalFaultError, LocalPair, Priors, _checked_type
-from .states import checked_number, inner_product
+from .states import checked_number
 
 
 class Regime(enum.Enum):
@@ -78,9 +78,9 @@ class PairSpan:
 
     The basis is |b0> = |p> and |b1>, the unit part of |q> orthogonal to |p>.
     In it |p> = (1, 0) and |q> = (c * phase, sqrt(1 - c^2)), where c is the
-    pair's cached overlap and phase = <p|q> / c (1 when c = 0), so a pair
-    whose overlap snapped to 0 is exactly orthogonal here.  `states` holds
-    these coordinates, one row per hypothesis.
+    pair's overlap and phase its `LocalPair.phase` (1 when c = 0), so a
+    pair whose overlap snapped to 0 is exactly orthogonal here.  `states`
+    holds these coordinates, one row per hypothesis.
     """
 
     phase: complex
@@ -262,7 +262,7 @@ def _realizable(pair: LocalPair, strategy: Strategy, realization: str):
     fail_q = checked_number(strategy.fail_q, "fail_q", 0.0, 1.0)
     if fail_p * fail_q < c * c - PROB_TOL:
         raise InconsistentStrategyError(f"fail_p * fail_q = {fail_p * fail_q!r} < c^2 = {c * c!r}")
-    phase = inner_product(pair.p, pair.q) / c if c > 0.0 else 1.0 + 0.0j
+    phase = pair.phase
     states = np.array([[1.0, 0.0], [c * phase, math.sqrt(1.0 - c * c)]], dtype=np.complex128)
     states.setflags(write=False)
     return c, fail_p, fail_q, PairSpan(phase, states)

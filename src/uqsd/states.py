@@ -124,16 +124,15 @@ def _checked_seed(seed, name: str = "seed"):
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class PureState:
-    """A unit vector of complex amplitudes on a d-dimensional system; see `_set_fields`."""
+    """A unit vector of complex amplitudes; `dim`, their count, is derived.  See `_set_fields`."""
 
-    dim: int
     amplitudes: np.ndarray
+    dim: int = dataclasses.field(init=False)
 
     def __post_init__(self):
-        checked_integer(self.dim, "dim", 1)
         vec = np.array(self.amplitudes, dtype=np.complex128)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"expected {self.dim} amplitudes, got shape {vec.shape}")
+        if vec.ndim != 1 or not vec.size:
+            raise ValueError(f"expected a non-empty vector of amplitudes, got shape {vec.shape}")
         _set_fields(self, vec, _norm_sq(vec))
 
     @classmethod
@@ -145,7 +144,7 @@ class PureState:
         """
         vec = np.array(amplitudes, dtype=np.complex128)
         # Any other shape is left for the constructor to reject.
-        return _normalized(vec, _norm(vec)) if vec.ndim == 1 else cls(vec.size, vec)
+        return _normalized(vec, _norm(vec)) if vec.ndim == 1 else cls(vec)
 
 
 def _normalized(vec: np.ndarray, norm: float) -> PureState:
@@ -206,29 +205,39 @@ def inner_product(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def _snapped_overlap(p: PureState, q: PureState) -> float:
-    # Snap to the exact endpoints so that orthogonal / identical pairs are
-    # recognized exactly by downstream branch logic.
-    c = abs(inner_product(p, q))
+def _snapped_overlap(p: PureState, q: PureState) -> tuple[float, complex]:
+    # |<p|q>| and <p|q> / |<p|q>| from one inner product.  The modulus snaps
+    # to the exact endpoints so that orthogonal / identical pairs are
+    # recognized exactly by downstream branch logic; once it snapped to 0,
+    # the phase is 1.
+    z = inner_product(p, q)
+    c = abs(z)
     if c <= NORM_TOL:
-        return 0.0
+        return 0.0, 1.0 + 0.0j
     if abs(c - 1.0) <= NORM_TOL:
-        return 1.0
-    return c
+        c = 1.0
+    return c, z / c
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class LocalPair:
-    """One party's two hypothesis states and their overlap |<p|q>|, computed once."""
+    """One party's two hypothesis states and what both derive from one <p|q>.
+
+    overlap_c is |<p|q>|, snapped to 0 or 1 within NORM_TOL of either end;
+    phase is <p|q> / overlap_c, or 1 once the overlap snapped to 0.
+    """
 
     p: PureState
     q: PureState
     overlap_c: float = dataclasses.field(init=False)
+    phase: complex = dataclasses.field(init=False)
 
     def __post_init__(self):
         _checked_type(self.p, "p", PureState)
         _checked_type(self.q, "q", PureState)
-        object.__setattr__(self, "overlap_c", _snapped_overlap(self.p, self.q))
+        c, phase = _snapped_overlap(self.p, self.q)
+        object.__setattr__(self, "overlap_c", c)
+        object.__setattr__(self, "phase", phase)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -328,10 +337,9 @@ def random_instance(n: int, dim: int, seed) -> ProductInstance:
     n = checked_integer(n, "n", 1)
     dim = checked_integer(dim, "dim", 2)
     rng = np.random.default_rng(_checked_seed(seed))
-    vecs = _complex_normals(rng, dim, (n, 2))
-    parties = tuple(
-        LocalPair(*(_normalized(vec, _norm(vec)) for vec in party)) for party in vecs
-    )
+    vecs = _complex_normals(rng, dim, (n, 2)).reshape(2 * n, dim)
+    states = [_normalized(vec, norm) for vec, norm in zip(vecs, _norms(vecs))]
+    parties = tuple(LocalPair(p, q) for p, q in zip(states[::2], states[1::2]))
     u = rng.random(2)
     r = float(u[0] / (u[0] + u[1]))
     return ProductInstance(parties=parties, priors=Priors(r, 1.0 - r))

@@ -538,6 +538,54 @@ def test_verify_counts_up_to_the_bound_are_reported(capsys, monkeypatch):
     assert err == "error: argument --trials: expected an integer in [1, 1000000], got 1000001\n"
 
 
+def test_simulate_trials_up_to_the_bound_are_reported(tmp_path, capsys, monkeypatch):
+    # 10**10 trials take minutes: the suite samples ten, and the report
+    # carries the count asked for.  One more is refused before any runs.
+    real_simulate = cli.simulate
+
+    def simulate_ten(instance, order, trials, seed, engine):
+        return dataclasses.replace(real_simulate(instance, order, 10, seed, engine), trials=trials)
+
+    monkeypatch.setattr(cli, "simulate", simulate_ten)
+    path = write_scenario(tmp_path, {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}})
+    bound = str(cli.MAX_SIMULATE_TRIALS)
+    code, out, _ = run_cli(capsys, "simulate", "--scenario", path, "--trials", bound)
+    assert code == 0
+    assert json.loads(out)["trials"] == cli.MAX_SIMULATE_TRIALS == 10**10
+    code, out, err = run_cli(capsys, "simulate", "--scenario", path, "--trials", str(10**10 + 1))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: scenario field 'trials': expected an integer in [1, 10000000000], got 10000000001\n"
+    )
+
+
+def test_sweep_grids_up_to_the_bound_are_tabulated(tmp_path, capsys, monkeypatch):
+    # A grid of 10**5 cells takes seconds: the suite tabulates its first
+    # cell alone.  One cell more is refused before any row is built.
+    grids = []
+    real_sweep = checks.sweep
+
+    def sweep_first_cell(cs, rs):
+        grids.append((len(cs), len(rs)))
+        return real_sweep(cs[:1], rs[:1])
+
+    monkeypatch.setattr(checks, "sweep", sweep_first_cell)
+    doc = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}}
+    path = write_scenario(tmp_path, {**doc, "sweep": {"c": [0.5], "r": [0.5] * cli.MAX_SWEEP_CELLS}})
+    code, out, _ = run_cli(capsys, "sweep", "--scenario", path)
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 1
+    assert grids == [(1, cli.MAX_SWEEP_CELLS)] and cli.MAX_SWEEP_CELLS == 10**5
+    path = write_scenario(tmp_path, {**doc, "sweep": {"c": [0.5], "r": [0.5] * (10**5 + 1)}})
+    code, out, err = run_cli(capsys, "sweep", "--scenario", path)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: scenario field 'sweep': expected a grid of at most 100000 cells,"
+        " got 1 x 100001 = 100001\n"
+    )
+    assert grids == [(1, 10**5)]
+
+
 def test_sweep_takes_no_seed_flag(tmp_path, capsys):
     # The sweep steps on sqrt(c) and draws nothing, so a seed would do nothing.
     doc = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": {"c": [0], "r": [0]}}
@@ -688,6 +736,11 @@ def test_order_exhaustive_refused_for_many_parties(tmp_path, capsys):
     code, _, err = run_cli(capsys, "order", "--scenario", path, "--exhaustive")
     assert code == 1
     assert "9" in err
+    # The refusal is best_order's own, under the flag that asked for the walk.
+    assert err == (
+        "error: argument --exhaustive: parties in an exhaustive search:"
+        " expected an integer in [1, 8], got 9\n"
+    )
 
     # Without the flag the command degrades to the heuristic alone.
     code, out, _ = run_cli(capsys, "order", "--scenario", path)
@@ -843,7 +896,7 @@ def _pair_of_overlap(root: float) -> LocalPair:
     # LocalPair snaps an overlap within NORM_TOL of 0 or 1 onto that end; the
     # sweep's sqrt(c) needs no snap, so the pair keeps root itself.
     q = PureState.normalized([root, math.sqrt(1.0 - root * root)])
-    pair = LocalPair(PureState(2, [1.0, 0.0]), q)
+    pair = LocalPair(PureState([1.0, 0.0]), q)
     object.__setattr__(pair, "overlap_c", root)
     return pair
 

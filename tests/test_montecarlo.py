@@ -95,7 +95,7 @@ def test_a_misidentifying_outcome_table_is_an_internal_fault(tmp_path, capsys, m
         ),
     )
     message = "outcome table misidentifies with probability 1.0"
-    pair = LocalPair(PureState(2, [1, 0]), PureState(2, [0, 1]))
+    pair = LocalPair(PureState([1, 0]), PureState([0, 1]))
     with pytest.raises(InternalFaultError, match=rf"^{message}$"):
         simulate(ProductInstance((pair,), Priors(0.5, 0.5)), (0,), 10, 0, Engine.POVM_SAMPLING)
 

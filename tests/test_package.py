@@ -170,7 +170,6 @@ _FLAT = uqsd.Priors(0.5, 0.5)
 # Every public numeric parameter: the name its errors start with, a call
 # that passes the value to it, a valid numpy scalar and a value out of range.
 BOUNDED = {
-    "PureState.dim": ("dim", lambda v: uqsd.PureState(v, np.array([1.0, 0.0])), np.int64(2), 0),
     "Priors.r": ("r", lambda v: uqsd.Priors(v, 0.5), np.float64(0.5), 1.5),
     "Priors.s": ("s", lambda v: uqsd.Priors(0.5, v), np.float64(0.5), -0.5),
     "random_pure_state.dim": ("dim", lambda v: uqsd.random_pure_state(v, 0), np.int64(2), 1),
@@ -346,7 +345,7 @@ def test_tuple_seed_entries_are_checked_like_integer_seeds(construction, seed, n
 
 
 def test_product_instance_requires_dim_two_everywhere():
-    line = uqsd.PureState(1, np.array([1.0]))
+    line = uqsd.PureState(np.array([1.0]))
     with pytest.raises(ValueError, match=r"^party 1 dim: expected an integer >= 2, got 1$"):
         uqsd.ProductInstance((_PAIR, uqsd.LocalPair(line, line)), _FLAT)
 

@@ -10,12 +10,15 @@ from uqsd import (
     DegeneratePairError,
     InconsistentStrategyError,
     InternalFaultError,
+    LocalPair,
     Priors,
+    PureState,
     Regime,
     Strategy,
     brute_force_strategy,
     build_povm,
     failure_posterior,
+    inner_product,
     neumark_model,
     optimal_strategy,
     state_pair_with_overlap,
@@ -452,3 +455,24 @@ def test_span_states_are_the_pair_coordinates(realize):
         basis = span_basis(pair)
         for state, coords in zip((pair.p, pair.q), span.states):
             np.testing.assert_allclose(basis @ coords, state.amplitudes, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("realize", [build_povm, neumark_model], ids=lambda f: f.__name__)
+def test_span_phase_is_the_pairs_one_phase(realize):
+    # A pair takes <p|q> once: its phase is <p|q> / c bit for bit, or exactly
+    # 1 once c snapped to 0, and each realization's span carries that value.
+    e0 = PureState([1.0, 0.0])
+    pairs = [
+        LocalPair(e0, PureState.normalized([1e-13j, 1.0])),  # |<p|q>| = 1e-13 snaps to 0
+        LocalPair(e0, PureState([0.0, 1.0j])),
+    ]
+    rng = np.random.default_rng(808)
+    cs = rng.uniform(0.0, 1.0 - 1e-6, 40)
+    pairs += [state_pair_with_overlap(float(c), 3, (808, i)) for i, c in enumerate(cs)]
+    for pair in pairs:
+        if pair.overlap_c == 0.0:
+            assert repr(pair.phase) == repr(1 + 0j)
+        else:
+            assert repr(pair.phase) == repr(inner_product(pair.p, pair.q) / pair.overlap_c)
+        span = realize(pair, optimal_strategy(pair.overlap_c, Priors(0.5, 0.5))).span
+        assert repr(span.phase) == repr(pair.phase)

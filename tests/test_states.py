@@ -24,14 +24,14 @@ from uqsd import (
 import uqsd.checks
 import uqsd.cli
 import uqsd.states
-from uqsd.states import _norm, _norms
+from uqsd.states import _norm, _normalized, _norms
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def test_inner_product_basis_vectors():
-    e0 = PureState(2, np.array([1.0, 0.0]))
-    e1 = PureState(2, np.array([0.0, 1.0]))
+    e0 = PureState(np.array([1.0, 0.0]))
+    e1 = PureState(np.array([0.0, 1.0]))
     plus = PureState.normalized([1.0, 1.0])
     assert inner_product(e0, e0) == 1.0 + 0.0j
     assert inner_product(e0, e1) == 0.0
@@ -57,11 +57,18 @@ def test_inner_product_conjugate_symmetry_and_bound():
 
 def test_pure_state_requires_normalization():
     with pytest.raises(ValueError):
-        PureState(2, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        PureState(3, np.array([1.0, 0.0]))  # wrong length
+        PureState(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         PureState.normalized([0.0, 0.0])
+
+
+def test_pure_state_derives_dim_from_its_amplitudes():
+    assert PureState([0.6, 0.8j, 0.0]).dim == 3
+    with pytest.raises(TypeError):
+        PureState(3, [0.6, 0.8, 0.0])  # dim is no argument
+    for bad in (1.0, [[1.0, 0.0]], [[1.0], [0.0]], []):
+        with pytest.raises(ValueError, match=r"^expected a non-empty vector of amplitudes, got shape"):
+            PureState(bad)
 
 
 def test_pure_state_amplitudes_are_immutable():
@@ -260,7 +267,7 @@ def test_product_instance_rejects_what_it_cannot_use():
 def test_pure_state_rejects_non_finite_amplitudes():
     for bad in ([np.nan, 0.0], [np.inf, 0.0], [1.0, complex(0.0, np.nan)]):
         with pytest.raises(ValueError, match="finite"):
-            PureState(2, np.array(bad, dtype=np.complex128))
+            PureState(np.array(bad, dtype=np.complex128))
         with pytest.raises(ValueError):
             PureState.normalized(bad)
 
@@ -329,6 +336,21 @@ def test_one_squared_norm_per_parsed_state(monkeypatch, tmp_path):
         np.testing.assert_allclose(got.p.amplitudes, want.p.amplitudes, rtol=0, atol=1e-15)
 
 
+def test_random_instance_states_are_each_draw_normalized_alone():
+    # The one stacked norm of all 2n draws is each draw's own _norm, bit for
+    # bit, in the layout of one standard_normal((n, 2, 2, dim)) draw.
+    for n in range(1, 7):
+        for dim in range(2, 9):
+            for seed in range(50):
+                draws = np.random.default_rng(seed).standard_normal((n, 2, 2, dim))
+                vecs = draws[:, :, 0] + 1j * draws[:, :, 1]
+                inst = random_instance(n, dim, seed)
+                for pair, (p, q) in zip(inst.parties, vecs):
+                    for state, vec in ((pair.p, p), (pair.q, q)):
+                        want = _normalized(vec, _norm(vec)).amplitudes
+                        assert state.amplitudes.tobytes() == want.tobytes()
+
+
 def test_one_squared_norm_per_constructed_state(monkeypatch):
     calls = _count_norm_sq(monkeypatch)
     random_pure_state(5, 3)
@@ -337,11 +359,18 @@ def test_one_squared_norm_per_constructed_state(monkeypatch):
     state_pair_with_overlap(0.4, 3, 4)  # |p>, the residual |t> and |q>
     assert calls == [3, 3, 3]
     del calls[:]
-    random_instance(3, 2, 5)
-    assert calls == [2] * 6
-    del calls[:]
+    stacks = []
+    real_norms = uqsd.states._norms
+
+    def counted(stack):
+        stacks.append(stack.shape)
+        return real_norms(stack)
+
+    monkeypatch.setattr(uqsd.states, "_norms", counted)
+    random_instance(3, 2, 5)  # all 2n squared norms: one stacked product
+    assert (calls, stacks) == ([], [(6, 2)])
     PureState.normalized([3.0, 4.0])
-    PureState(2, [0.6, 0.8])
+    PureState([0.6, 0.8])
     assert calls == [2, 2]
 
 
@@ -479,7 +508,7 @@ def test_pure_state_rejects_every_non_finite_amplitude(vec, where, bad, imag):
     i = where % vec.size
     vec[i] = complex(vec[i].real, bad) if imag else complex(bad, vec[i].imag)
     with pytest.raises(ValueError, match="finite"):
-        PureState(vec.size, vec)
+        PureState(vec)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True)
@@ -492,7 +521,7 @@ def test_pure_state_rejects_finite_amplitudes_whose_norm_overflows(vec, where, b
     vec = vec / np.linalg.norm(vec)
     vec[where % vec.size] = big
     with pytest.raises(ValueError, match="not normalized"):
-        PureState(vec.size, vec)
+        PureState(vec)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -501,4 +530,4 @@ def test_states_round_trip_through_normalized_bit_identically(vec):
     state = PureState.normalized(vec)
     again = PureState.normalized(state.amplitudes)
     assert again.amplitudes.tobytes() == state.amplitudes.tobytes()
-    assert PureState(state.dim, again.amplitudes).amplitudes.tobytes() == state.amplitudes.tobytes()
+    assert PureState(again.amplitudes).amplitudes.tobytes() == state.amplitudes.tobytes()
