@@ -107,6 +107,15 @@ def _as_field(field: str, call, *args):
         _fail(field, str(exc))
 
 
+def _refuse_unknown(block: dict, known, prefix: str) -> None:
+    # One set comparison per object.  A key outside `known` is refused, the
+    # first in file order, named under `prefix`: the block's own field and a
+    # dot, or "" at the top level.
+    if not block.keys() <= known:
+        key = next(key for key in block if key not in known)
+        raise ScenarioError(f"scenario field {_shown(prefix + key)}: unknown field")
+
+
 def _are_amplitudes(rows: list) -> bool:  # [re, im] lists of two numbers, checked per type
     return (
         all(issubclass(kind, list) for kind in {*map(type, rows)})
@@ -142,6 +151,7 @@ def _parse_priors(doc: dict) -> Priors:
     block = doc.get("priors")
     if not isinstance(block, dict):
         _fail("priors", "required object with key 'r' (and optionally 's')")
+    _refuse_unknown(block, {"r", "s"}, "priors.")
     r = _checked(checked_number, block.get("r"), "priors.r", 0.0, 1.0)
     s = _checked(checked_number, block.get("s", 1.0 - r), "priors.s", 0.0, 1.0)
     return _as_field("priors", Priors, r, s)
@@ -156,6 +166,7 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
         block = doc["abstract"]
         if not isinstance(block, dict):
             _fail("abstract", "expected an object")
+        _refuse_unknown(block, {"overlaps", "dim", "seed"}, "abstract.")
         cs = _probabilities(block.get("overlaps"), "abstract.overlaps")
         dim = _checked(checked_integer, block.get("dim", 2), "abstract.dim", 2, MAX_ABSTRACT_DIM)
         seed = _checked(checked_integer, block.get("seed", 0), "abstract.seed", 0)
@@ -165,6 +176,7 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
     block = doc["explicit"]
     if not isinstance(block, dict):
         _fail("explicit", "expected an object")
+    _refuse_unknown(block, {"parties"}, "explicit.")
     parties = block.get("parties")
     if not isinstance(parties, list) or not parties:
         _fail("explicit.parties", "required non-empty list")
@@ -175,6 +187,8 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
     for i, party in enumerate(parties):
         if not isinstance(party, dict) or "u" not in party or "v" not in party:
             _fail(f"explicit.parties[{i}]", "expected an object with keys 'u' and 'v'")
+        if len(party) > 2:  # 'u' and 'v' are there, so some key is unknown
+            _refuse_unknown(party, {"u", "v"}, f"explicit.parties[{i}].")
         for key in ("u", "v"):
             field, entries = f"explicit.parties[{i}].{key}", party[key]
             if not isinstance(entries, list) or len(entries) < 2:
@@ -217,9 +231,7 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError(f"scenario root must be an object, got {type(doc).__name__}")
     doc = {**doc, **flags}
-    for key in doc:
-        if key not in SCENARIO_FIELDS:
-            raise ScenarioError(f"scenario field {_shown(key)}: unknown field")
+    _refuse_unknown(doc, SCENARIO_FIELDS, "")
     priors = _parse_priors(doc)
     pairs = _parse_parties(doc)
     # The parser has already checked the party count and every dim.
@@ -229,7 +241,7 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
     if order is not None:
         order = _as_field("order", checked_order, order, len(pairs))
 
-    engine_name = doc.get("engine", "povm")
+    engine_name = doc.get("engine", Engine.POVM_SAMPLING.value)
     try:
         engine = Engine(engine_name)
     except ValueError:
@@ -240,6 +252,7 @@ def _parse_scenario_dict(doc: Any, **flags) -> Scenario:
     if sweep is not None:
         if not isinstance(sweep, dict):
             _fail("sweep", "expected an object with keys 'c' and 'r'")
+        _refuse_unknown(sweep, {"c", "r"}, "sweep.")
         sweep = {axis: _probabilities(sweep.get(axis), f"sweep.{axis}") for axis in ("c", "r")}
 
     return Scenario(

@@ -4,9 +4,10 @@ Both engines compile the protocol into one outcome table: for each
 non-skipped step, P(identify p, identify q, fail | truth).  The POVM engine
 fills it from Born probabilities, the Neumark engine by evolving each state
 with the ancilla unitary, both in the two-dimensional span of the step's
-pair and for all steps at once.  One sampler reads the table as stop cells:
-per truth, "step k identifies p", "step k identifies q" for every step, and
-"every step failed".  Trials run in blocks of BLOCK rows; block b draws one
+pair and for all steps at once; the pairs' span coordinates are built once
+per table.  One sampler reads the table as stop cells: per truth, "step k
+identifies p", "step k identifies q" for every step, and "every step
+failed".  Trials run in blocks of BLOCK rows; block b draws one
 (rows, 2) uniform matrix from the stream seeded (seed, b), whose column 0
 picks the truth and column 1 the stop cell, by inversion of that truth's
 cumulative cell probabilities.  A trial thus draws two uniforms whatever
@@ -30,7 +31,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .locc import StepRecord, measurement_count_distribution, run_protocol
-from .pair_disc import build_povm, neumark_model, optimal_strategy
+from .pair_disc import _span_states, build_povm, neumark_model, optimal_strategy
 from .states import NORM_TOL, InternalFaultError, ProductInstance, _checked_type
 from .states import checked_integer
 
@@ -83,21 +84,18 @@ class SimStats:
     z_measurements: float | None
 
 
-def _born_probabilities(steps) -> np.ndarray:
-    # <x|e|x> for each step's states x and POVM elements e, shape (steps, 2, 3).
-    povms = [build_povm(pair, strat) for pair, strat in steps]
-    states = np.array([povm.span.states for povm in povms])
-    elements = np.array([povm.elements for povm in povms])
+def _born_probabilities(steps, states: np.ndarray) -> np.ndarray:
+    # <x|e|x> for each step's span coordinates x and POVM elements e, shape
+    # (steps, 2, 3).
+    elements = np.array([build_povm(pair, strat) for pair, strat in steps])
     return np.einsum("sti,soij,stj->sto", states.conj(), elements, states).real
 
 
-def _branch_weights(steps) -> np.ndarray:
+def _branch_weights(steps, states: np.ndarray) -> np.ndarray:
     # Weights of |0>|b0>, |0>|b1> and the ancilla-1 branch after each step's
-    # unitary, shape (steps, 2, 3).  The ancilla starts in 0, so only the
-    # unitary's first two columns act.
-    models = [neumark_model(pair, strat) for pair, strat in steps]
-    states = np.array([model.span.states for model in models])
-    unitaries = np.array([model.unitary for model in models])[:, :, :2]
+    # unitary acts on its span coordinates, shape (steps, 2, 3).  The ancilla
+    # starts in 0, so only the unitary's first two columns act.
+    unitaries = np.array([neumark_model(pair, strat) for pair, strat in steps])[:, :, :2]
     weights = np.abs(np.einsum("sij,stj->sti", unitaries, states)) ** 2
     gain = np.abs(weights.sum(axis=2) - (np.abs(states) ** 2).sum(axis=2))
     if not (gain <= NORM_TOL).all():
@@ -125,7 +123,7 @@ def _outcome_table(
     ]
     if not steps:
         return np.zeros((0, 2, 3))
-    probs = compile_steps(steps)
+    probs = compile_steps(steps, _span_states([pair for pair, _ in steps]))
     probs[probs < _PROB_FLOOR] = 0.0
     table = probs / probs.sum(axis=2, keepdims=True)
     # P(identify q | p) and P(identify p | q): rounding residues at most.

@@ -4,8 +4,11 @@ Closed-form optimum and posterior update, an independent brute-force grid
 oracle, and two physical realizations of the optimal measurement: a
 three-element POVM on the system alone, and a unitary on system plus an
 ancilla qubit followed by projective measurements.  Both act only on the
-two-dimensional span of the pair's states, so they are built there, as
-2 x 2 and 4 x 4 matrices, with O(dim) work; no operator here has dim rows.
+two-dimensional span of the pair's states, so they are built there, with
+O(dim) work, and returned as read-only arrays: the POVM as its (3, 2, 2)
+elements, the dilation as its 4 x 4 unitary.  Both are written in one basis
+of the span, |b0> = |p> and |b1>, the unit part of |q> orthogonal to |p>; no
+operator here has dim rows.
 """
 
 from __future__ import annotations
@@ -13,9 +16,6 @@ from __future__ import annotations
 __all__ = [
     "Regime",
     "Strategy",
-    "PairSpan",
-    "Povm",
-    "NeumarkModel",
     "DegeneratePairError",
     "InconsistentStrategyError",
     "optimal_strategy",
@@ -70,52 +70,6 @@ class Strategy:
     fail_q: float
     p_success: float
     p_fail: float
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class PairSpan:
-    """One pair's two states in an orthonormal basis of span{|p>, |q>}.
-
-    The basis is |b0> = |p> and |b1>, the unit part of |q> orthogonal to |p>.
-    In it |p> = (1, 0) and |q> = (c * phase, sqrt(1 - c^2)), where c is the
-    pair's overlap and phase its `LocalPair.phase` (1 when c = 0), so a
-    pair whose overlap snapped to 0 is exactly orthogonal here.  `states`
-    holds these coordinates, one row per hypothesis.
-    """
-
-    phase: complex
-    states: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class Povm:
-    """Three-outcome measurement: identify p, identify q, or give up.
-
-    `elements` stacks e_p, e_q and e_fail as 2 x 2 matrices in the basis of
-    `span`; on the orthogonal complement of the span the measurement always
-    gives up.
-    """
-
-    span: PairSpan
-    elements: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class NeumarkModel:
-    """Measurement realized as a unitary on ancilla (x) span{|p>, |q>}.
-
-    `unitary` is 4 x 4 with the ancilla first: entry 2a + k is ancilla state
-    a times basis vector |bk> of `span`.  The ancilla qubit starts in 0.
-    After the unitary, a projective ancilla measurement distinguishes 0
-    (conclusive) from 1 (inconclusive).  On the conclusive branch the system
-    is measured in the span basis: |b0> identifies p and |b1> identifies q.
-    On the inconclusive branch both hypotheses collapse onto |b0>, the second
-    up to the phase factor span.phase.  On the orthogonal complement of the
-    span the unitary is the identity.
-    """
-
-    span: PairSpan
-    unitary: np.ndarray
 
 
 def _relabeled(solve, r: float, s: float, *args) -> tuple[Regime, float, float, float, float]:
@@ -250,9 +204,9 @@ def _grid_search(big: float, small: float, c: float) -> tuple[Regime, float, flo
 
 
 def _realizable(pair: LocalPair, strategy: Strategy, realization: str):
-    # The pair's overlap, the strategy's failure probabilities and the pair's
-    # span, once a measurement on the pair can realize the strategy.
-    # `realization` names what a pair of identical states admits none of.
+    # The pair's overlap and the strategy's failure probabilities, once a
+    # measurement on the pair can realize the strategy.  `realization` names
+    # what a pair of identical states admits none of.
     _checked_type(pair, "pair", LocalPair)
     _checked_type(strategy, "strategy", Strategy)
     c = pair.overlap_c
@@ -262,26 +216,39 @@ def _realizable(pair: LocalPair, strategy: Strategy, realization: str):
     fail_q = checked_number(strategy.fail_q, "fail_q", 0.0, 1.0)
     if fail_p * fail_q < c * c - PROB_TOL:
         raise InconsistentStrategyError(f"fail_p * fail_q = {fail_p * fail_q!r} < c^2 = {c * c!r}")
-    phase = pair.phase
-    states = np.array([[1.0, 0.0], [c * phase, math.sqrt(1.0 - c * c)]], dtype=np.complex128)
-    states.setflags(write=False)
-    return c, fail_p, fail_q, PairSpan(phase, states)
+    return c, fail_p, fail_q
 
 
-def build_povm(pair: LocalPair, strategy: Strategy) -> Povm:
+def _span_states(pairs) -> np.ndarray:
+    """Each pair's two states in its span basis, shape (len(pairs), 2, 2).
+
+    Row 0 is |p> = (1, 0) and row 1 is |q> = (c * phase, sqrt(1 - c^2)),
+    where c is the pair's overlap and phase its `LocalPair.phase` (1 once c
+    snapped to 0, so such a pair is exactly orthogonal here).
+    """
+    cs = [pair.overlap_c for pair in pairs]
+    rows = [[[1.0, 0.0], [c * pair.phase, math.sqrt(1.0 - c * c)]] for c, pair in zip(cs, pairs)]
+    return np.array(rows, dtype=np.complex128)
+
+
+def build_povm(pair: LocalPair, strategy: Strategy) -> np.ndarray:
     """Three-element POVM realizing the given failure probabilities.
 
-    In the span basis, e_p is (1 - fail_p) / (1 - c^2) times the projector
-    onto (sqrt(1 - c^2), -conj(c * phase)), the unit vector orthogonal to
-    |q>, so <p|e_p|p> = 1 - fail_p; e_q is (1 - fail_q) / (1 - c^2) times the
-    projector onto |b1>, orthogonal to |p>; e_fail is the completion to the
-    identity.  e_fail is positive semidefinite exactly when
+    Returns the read-only (3, 2, 2) array of e_p, e_q and e_fail (identify
+    p, identify q, give up) in the span basis |b0> = |p>, |b1> = the unit
+    part of |q> orthogonal to |p>; on the orthogonal complement of the span
+    the measurement always gives up.  e_p is (1 - fail_p) / (1 - c^2) times
+    the projector onto (sqrt(1 - c^2), -conj(c * phase)), the unit vector
+    orthogonal to |q>, so <p|e_p|p> = 1 - fail_p; e_q is
+    (1 - fail_q) / (1 - c^2) times the projector onto |b1>, orthogonal to
+    |p>; e_fail is the completion to the identity.  phase is the pair's
+    `LocalPair.phase`.  e_fail is positive semidefinite exactly when
     fail_p * fail_q >= c^2, so a strategy below that bound is rejected.  At
     c = 0 the elements are diagonal and, for the optimal strategy, e_fail is
     exactly 0.
     """
-    c, fail_p, fail_q, span = _realizable(pair, strategy, "POVM")
-    z = c * span.phase
+    c, fail_p, fail_q = _realizable(pair, strategy, "POVM")
+    z = c * pair.phase
     s = math.sqrt(1.0 - c * c)
     a = (1.0 - fail_p) / (1.0 - c * c)
     b = (1.0 - fail_q) / (1.0 - c * c)
@@ -290,27 +257,35 @@ def build_povm(pair: LocalPair, strategy: Strategy) -> Povm:
     e_fail = [[1.0 - e_p[0][0], -e_p[0][1]], [-e_p[1][0], 1.0 - e_p[1][1] - b]]
     elements = np.array([e_p, e_q, e_fail], dtype=np.complex128)
     elements.setflags(write=False)
-    return Povm(span=span, elements=elements)
+    return elements
 
 
-def neumark_model(pair: LocalPair, strategy: Strategy) -> NeumarkModel:
+def neumark_model(pair: LocalPair, strategy: Strategy) -> np.ndarray:
     """Unitary-plus-ancilla realization of the discrimination measurement.
 
-    The unitary maps |0> (x) |p> (ancilla first) to
+    Returns the read-only 4 x 4 unitary on ancilla (x) span{|p>, |q>}, the
+    ancilla first: entry 2a + k is ancilla state a times |bk>, in the span
+    basis |b0> = |p>, |b1> = the unit part of |q> orthogonal to |p>.  On
+    the orthogonal complement of the span it is the identity.  The ancilla
+    starts in 0; after the unitary, a projective ancilla measurement tells 0
+    (conclusive) from 1 (inconclusive), and on the conclusive branch |b0>
+    identifies p and |b1> identifies q.
+
+    The unitary maps |0> (x) |p> to
     y1 = sqrt(1-fail_p) |0>|b0> + sqrt(fail_p) |1>|b0> and |0> (x) |q> to
     y2 = sqrt(1-fail_q) |0>|b1> + sqrt(fail_q) phase |1>|b0>, with all four
-    square roots real nonnegative; the complex phase of <p|q> is carried
-    entirely by the second hypothesis' failure state.  It needs
-    sqrt(fail_p * fail_q) = c.
+    square roots real nonnegative and phase the pair's `LocalPair.phase`:
+    the complex phase of <p|q> is carried entirely by the second
+    hypothesis' failure state.  It needs sqrt(fail_p * fail_q) = c.
     """
-    c, fail_p, fail_q, span = _realizable(pair, strategy, "dilation")
+    c, fail_p, fail_q = _realizable(pair, strategy, "dilation")
     alpha, beta = math.sqrt(1.0 - fail_p), math.sqrt(fail_p)
     gamma, delta = math.sqrt(1.0 - fail_q), math.sqrt(fail_q)
     if abs(beta * delta - c) > PROB_TOL:
         raise InconsistentStrategyError(
             f"sqrt(fail_p * fail_q) = {beta * delta!r} but the overlap is {c!r}"
         )
-    phase = span.phase
+    phase = pair.phase
     # |0>|b0> is |p> and |0>|b1> the unit part of |q> orthogonal to |p>, so
     # the unitary's columns are y1, the unit part w2 of y2 orthogonal to y1,
     # and a completion.  y1 and y2 lie in the first three coordinates, where
@@ -330,5 +305,4 @@ def neumark_model(pair: LocalPair, strategy: Strategy) -> NeumarkModel:
         dtype=np.complex128,
     )
     unitary.setflags(write=False)
-    return NeumarkModel(span=span, unitary=unitary)
-
+    return unitary

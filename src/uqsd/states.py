@@ -115,8 +115,10 @@ def _checked_type(value, name: str, kind: type):
 
 
 def _checked_seed(seed, name: str = "seed"):
-    # A seed is an integer >= 0 or a non-empty tuple of seeds, which names a
-    # sub-stream; each entry is checked under its index, e.g. seed[0][1].
+    # A seed is an integer >= 0 or a non-empty tuple of seeds, such as
+    # (seed, i); each entry is checked under its index, e.g. seed[0][1].
+    # numpy flattens a nested tuple, so ((0, 1), 2) seeds the same stream as
+    # (0, 1, 2): nesting names no sub-stream of its own.
     if isinstance(seed, tuple) and seed:
         return tuple(_checked_seed(entry, f"{name}[{i}]") for i, entry in enumerate(seed))
     return checked_integer(seed, name, 0)

@@ -38,7 +38,7 @@ def unit_orthogonal(keep, drop):
 
 def span_basis(pair):
     """The (dim, 2) array whose columns are |b0> = |p> and |b1>, the unit part
-    of |q> orthogonal to |p>: the basis of `PairSpan.states`."""
+    of |q> orthogonal to |p>: the span basis of `uqsd.pair_disc`."""
     p, q = pair.p.amplitudes, pair.q.amplitudes
     return np.column_stack([p, unit_orthogonal(q, p)])
 
@@ -51,24 +51,26 @@ def embed(pair, op, complement):
     return b @ op @ b_dag + complement * (np.eye(len(b)) - b @ b_dag)
 
 
-def embedded_povm(pair, povm):
-    """e_p, e_q and e_fail of `povm` as dim x dim matrices on the whole system."""
-    e_p, e_q, e_fail = povm.elements
+def embedded_povm(pair, elements):
+    """e_p, e_q and e_fail, the (3, 2, 2) `elements` of a POVM in the span
+    basis, as dim x dim matrices on the whole system."""
+    e_p, e_q, e_fail = elements
     return embed(pair, e_p, 0.0), embed(pair, e_q, 0.0), embed(pair, e_fail, 1.0)
 
 
-def embedded_unitary(pair, model):
-    """The (2 dim) x (2 dim) dilation unitary of `model`, ancilla first."""
-    blocks = model.unitary.reshape(2, 2, 2, 2)  # out ancilla, out k, in ancilla, in k
+def embedded_unitary(pair, unitary):
+    """The 4 x 4 dilation `unitary` on ancilla (x) span as a (2 dim) x (2 dim)
+    unitary on the whole system, ancilla first."""
+    blocks = unitary.reshape(2, 2, 2, 2)  # out ancilla, out k, in ancilla, in k
     return np.block(
         [[embed(pair, blocks[a, :, b, :], float(a == b)) for b in (0, 1)] for a in (0, 1)]
     )
 
 
-def evolve_with_ancilla(pair, model, state):
-    """(ancilla 0) (x) |state> after the dilation unitary, on the whole
-    system; the first dim entries are the conclusive branch."""
-    return embedded_unitary(pair, model)[:, : state.dim] @ state.amplitudes
+def evolve_with_ancilla(pair, unitary, state):
+    """(ancilla 0) (x) |state> after the 4 x 4 dilation `unitary`, on the
+    whole system; the first dim entries are the conclusive branch."""
+    return embedded_unitary(pair, unitary)[:, : state.dim] @ state.amplitudes
 
 
 def full_povm_probs(pair, strat):

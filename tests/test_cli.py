@@ -115,6 +115,7 @@ _VALID = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}}
         ({**_VALID, "order": [0] * _LARGE}, "'order'"),
         ({**_VALID, "engine": "x" * _LARGE}, "'engine'"),
         ({**_VALID, "k" * _LARGE: 0}, "'kkkkkkkkkk"),
+        ({**_VALID, "abstract": {"overlaps": [0.5], "k" * _LARGE: 0}}, "'abstract.kkkkkkkkkk"),
         (
             {
                 "priors": {"r": 0.5},
@@ -123,7 +124,7 @@ _VALID = {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}}
             "'explicit.parties[0].u[0]'",
         ),
     ],
-    ids=["priors", "order", "engine", "unknown-key", "explicit-entry"],
+    ids=["priors", "order", "engine", "unknown-key", "unknown-nested-key", "explicit-entry"],
 )
 def test_an_error_shows_only_the_start_of_a_large_bad_value(tmp_path, capsys, doc, field):
     code, out, err = run_cli(capsys, "optimum", "--scenario", write_scenario(tmp_path, doc))
@@ -131,6 +132,54 @@ def test_an_error_shows_only_the_start_of_a_large_bad_value(tmp_path, capsys, do
     assert err.startswith(f"error: scenario field {field}")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert len(err.encode()) < 300
+
+
+_PARTY = {"u": [[1, 0], [0, 0]], "v": [[0, 0], [1, 0]]}
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        pytest.param({**_VALID, "priors": {"r": 0.5, "S": 0.9}}, "priors.S", id="priors"),
+        pytest.param(
+            {**_VALID, "abstract": {"overlaps": [0.5, 0.5], "Dim": 64}},
+            "abstract.Dim",
+            id="abstract",
+        ),
+        pytest.param(
+            {"priors": {"r": 0.5}, "explicit": {"parties": [_PARTY], "Parties": []}},
+            "explicit.Parties",
+            id="explicit",
+        ),
+        pytest.param(
+            {"priors": {"r": 0.5}, "explicit": {"parties": [_PARTY, {**_PARTY, "w": 1}]}},
+            "explicit.parties[1].w",
+            id="party",
+        ),
+        # A party's keys are part of the structure pass, which comes before
+        # any entry is checked.
+        pytest.param(
+            {
+                "priors": {"r": 0.5},
+                "explicit": {"parties": [{**_PARTY, "u": [["x", 0], [0, 0]]}, {**_PARTY, "w": 1}]},
+            },
+            "explicit.parties[1].w",
+            id="party-before-entries",
+        ),
+        pytest.param(
+            {**_VALID, "sweep": {"c": [0.5], "r": [0.5], "extra": 1, "more": 2}},
+            "sweep.extra",
+            id="sweep",
+        ),
+    ],
+)
+def test_an_unknown_key_inside_a_block_is_refused(tmp_path, capsys, doc, field):
+    # Each object's first unknown key, in file order, is named; every
+    # command parses the whole scenario, so none runs on it.
+    path = write_scenario(tmp_path, doc)
+    for command in ("optimum", "simulate"):
+        code, out, err = run_cli(capsys, command, "--scenario", path)
+        assert (code, out, err) == (1, "", f"error: scenario field '{field}': unknown field\n")
 
 
 _LONG = 100_000

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 import json
 import math
 import os
@@ -87,13 +86,7 @@ def test_a_misidentifying_outcome_table_is_an_internal_fault(tmp_path, capsys, m
     # A POVM with e_p and e_q swapped names the wrong state every time it
     # concludes; on orthogonal states it always concludes.
     real = mc.build_povm
-    monkeypatch.setattr(
-        mc,
-        "build_povm",
-        lambda pair, strat: dataclasses.replace(
-            real(pair, strat), elements=real(pair, strat).elements[[1, 0, 2]]
-        ),
-    )
+    monkeypatch.setattr(mc, "build_povm", lambda pair, strat: real(pair, strat)[[1, 0, 2]])
     message = "outcome table misidentifies with probability 1.0"
     pair = LocalPair(PureState([1, 0]), PureState([0, 1]))
     with pytest.raises(InternalFaultError, match=rf"^{message}$"):
@@ -530,7 +523,6 @@ def test_tables_match_the_full_dimensional_construction(engine):
 
 
 _LEAK_SCRIPT = r"""
-import dataclasses
 import sys
 
 import uqsd.montecarlo as mc
@@ -541,8 +533,7 @@ real = mc.neumark_model
 
 def leaky(pair, strategy):
     # A dilation that is not unitary: it leaks 0.2 % of each state's norm^2.
-    model = real(pair, strategy)
-    return dataclasses.replace(model, unitary=0.999 * model.unitary)
+    return 0.999 * real(pair, strategy)
 
 
 mc.neumark_model = leaky

@@ -347,7 +347,7 @@ def test_povm_rejects_identical_pair():
 def test_neumark_unitarity_and_branches(c, r, dim):
     pair, strat = _pair_and_strategy(c, r, seed=21, dim=dim)
     model = neumark_model(pair, strat)
-    for unitary in (model.unitary, embedded_unitary(pair, model)):
+    for unitary in (model, embedded_unitary(pair, model)):
         np.testing.assert_allclose(
             unitary.conj().T @ unitary, np.eye(len(unitary)), atol=1e-12
         )
@@ -364,7 +364,7 @@ def test_neumark_unitarity_and_branches(c, r, dim):
 def test_neumark_failure_states_differ_by_the_overlap_phase():
     pair, strat = _pair_and_strategy(0.6, 0.5, seed=8)
     model = neumark_model(pair, strat)
-    assert abs(abs(model.span.phase) - 1.0) < 1e-12
+    assert abs(abs(pair.phase) - 1.0) < 1e-12
     dim = pair.p.dim
     block_p = evolve_with_ancilla(pair, model, pair.p)[dim:]
     block_q = evolve_with_ancilla(pair, model, pair.q)[dim:]
@@ -372,7 +372,7 @@ def test_neumark_failure_states_differ_by_the_overlap_phase():
     delta = math.sqrt(strat.fail_q)
     target = span_basis(pair)[:, 0]
     np.testing.assert_allclose(block_p, beta * target, atol=1e-12)
-    np.testing.assert_allclose(block_q, delta * model.span.phase * target, atol=1e-12)
+    np.testing.assert_allclose(block_q, delta * pair.phase * target, atol=1e-12)
 
 
 def test_neumark_conclusive_basis_is_orthonormal():
@@ -441,26 +441,46 @@ def test_realizations_reject_strategies_they_cannot_realize(
         realize(pair, bad)
 
 
-@pytest.mark.parametrize("realize", [build_povm, neumark_model], ids=lambda f: f.__name__)
-def test_span_states_are_the_pair_coordinates(realize):
+def test_span_states_are_the_pair_coordinates():
     # span_basis(pair) @ states[k] rebuilds the pair's amplitudes: the one
     # direct link between the 2 x 2 construction and the system.
     rng = np.random.default_rng(707)
     cs = [0.0, 1.0 - 1e-6, *rng.uniform(0.0, 1.0 - 1e-6, 40)]
-    for i, c in enumerate(cs):
-        dim = (2, 3, 5, 8, 16, 33, 64)[i % 7]
-        pair = state_pair_with_overlap(float(c), dim, (707, i))
-        span = realize(pair, optimal_strategy(pair.overlap_c, Priors(0.5, 0.5))).span
-        assert abs(abs(span.phase) - 1.0) < 1e-12
+    pairs = [
+        state_pair_with_overlap(float(c), (2, 3, 5, 8, 16, 33, 64)[i % 7], (707, i))
+        for i, c in enumerate(cs)
+    ]
+    for pair, states in zip(pairs, pair_disc._span_states(pairs), strict=True):
         basis = span_basis(pair)
-        for state, coords in zip((pair.p, pair.q), span.states):
+        for state, coords in zip((pair.p, pair.q), states):
             np.testing.assert_allclose(basis @ coords, state.amplitudes, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("realize", [build_povm, neumark_model], ids=lambda f: f.__name__)
-def test_span_phase_is_the_pairs_one_phase(realize):
+def test_span_states_are_the_per_pair_coordinates_bit_for_bit():
+    # One stacked table holds, bit for bit, the coordinates each pair would
+    # get alone: |p> = (1, 0) and |q> = (c * phase, sqrt(1 - c^2)).
+    e0 = PureState([1.0, 0.0])
+    pairs = [
+        LocalPair(e0, PureState.normalized([1e-13j, 1.0])),  # |<p|q>| = 1e-13 snaps to 0
+        state_pair_with_overlap(1.0 - 5e-7, 3, 0),  # c within 1e-6 of 1
+    ]
+    rng = np.random.default_rng(909)
+    pairs += [
+        state_pair_with_overlap(float(rng.uniform()), int(rng.integers(2, 65)), (909, i))
+        for i in range(200)
+    ]
+    assert pairs[0].overlap_c == 0.0 and 1.0 - 1e-6 < pairs[1].overlap_c < 1.0
+    table = pair_disc._span_states(pairs)
+    assert table.shape == (len(pairs), 2, 2) and table.dtype == np.complex128
+    for pair, states in zip(pairs, table, strict=True):
+        c, phase = pair.overlap_c, pair.phase
+        alone = np.array([[1, 0], [c * phase, math.sqrt(1 - c * c)]], dtype=np.complex128)
+        assert states.tobytes() == alone.tobytes()
+
+
+def test_span_phase_is_the_pairs_one_phase():
     # A pair takes <p|q> once: its phase is <p|q> / c bit for bit, or exactly
-    # 1 once c snapped to 0, and each realization's span carries that value.
+    # 1 once c snapped to 0.
     e0 = PureState([1.0, 0.0])
     pairs = [
         LocalPair(e0, PureState.normalized([1e-13j, 1.0])),  # |<p|q>| = 1e-13 snaps to 0
@@ -474,5 +494,14 @@ def test_span_phase_is_the_pairs_one_phase(realize):
             assert repr(pair.phase) == repr(1 + 0j)
         else:
             assert repr(pair.phase) == repr(inner_product(pair.p, pair.q) / pair.overlap_c)
-        span = realize(pair, optimal_strategy(pair.overlap_c, Priors(0.5, 0.5))).span
-        assert repr(span.phase) == repr(pair.phase)
+
+
+@pytest.mark.parametrize(
+    "realize, shape", [(build_povm, (3, 2, 2)), (neumark_model, (4, 4))], ids=["povm", "neumark"]
+)
+def test_realizations_return_read_only_arrays(realize, shape):
+    pair, strat = _pair_and_strategy(0.5, 0.7, seed=5, dim=3)
+    matrix = realize(pair, strat)
+    assert (matrix.shape, matrix.dtype) == (shape, np.complex128)
+    with pytest.raises(ValueError, match="read-only"):
+        matrix[0, 0] = 0.0

@@ -444,6 +444,18 @@ def test_nested_tuple_seeds_are_pinned():
     assert _digest(*members, extra=(inst.priors.r,)) == "c161dfdb4e9f5ef7"
 
 
+def test_nested_tuple_seeds_are_flattened():
+    # numpy flattens a nested tuple seed, so ((0, 1), 2) seeds the same
+    # stream as (0, 1, 2): nesting names no sub-stream of its own.
+    for dim in (2, 3, 8):
+        nested = random_pure_state(dim, ((0, 1), 2)).amplitudes
+        flat = random_pure_state(dim, (0, 1, 2)).amplitudes
+        assert nested.tobytes() == flat.tobytes()
+    nested = state_pair_with_overlap(0.6, 3, ((np.int64(0), 1), 2))
+    flat = state_pair_with_overlap(0.6, 3, (0, 1, 2))
+    assert _digest(nested.p, nested.q) == _digest(flat.p, flat.q)
+
+
 def test_one_random_stream_per_seeded_construction(monkeypatch):
     streams = []
     real = np.random.default_rng
