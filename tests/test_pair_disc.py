@@ -441,9 +441,29 @@ def test_realizations_reject_strategies_they_cannot_realize(
         realize(pair, bad)
 
 
-def test_span_states_are_the_pair_coordinates():
+def _span_branches(realize, pair):
+    """The realization's outcome amplitudes for |p> and |q>, computed on the
+    pair's span coordinates: for the POVM the square roots of its elements
+    applied to each state, for the dilation the unitary applied to ancilla 0
+    (x) the state, each as [identify p, identify q, fail block]."""
+    states = pair_disc._span_states([pair])[0]
+    matrix = realize(pair, optimal_strategy(pair.overlap_c, Priors(0.5, 0.5)))
+    if realize is neumark_model:
+        evolved = [matrix @ np.concatenate([x, [0.0, 0.0]]) for x in states]
+        return [[y[:1], y[1:2], y[2:]] for y in evolved]
+    roots = []
+    for element in matrix:
+        w, v = np.linalg.eigh(element)
+        roots.append(v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T)
+    return [[root @ x for root in roots] for x in states]
+
+
+@pytest.mark.parametrize("realize", [build_povm, neumark_model], ids=lambda f: f.__name__)
+def test_span_states_are_the_pair_coordinates(realize):
     # span_basis(pair) @ states[k] rebuilds the pair's amplitudes: the one
-    # direct link between the 2 x 2 construction and the system.
+    # direct link between the 2 x 2 construction and the system.  Each
+    # realization, read on those coordinates, gives the strategy's outcome
+    # probabilities.
     rng = np.random.default_rng(707)
     cs = [0.0, 1.0 - 1e-6, *rng.uniform(0.0, 1.0 - 1e-6, 40)]
     pairs = [
@@ -454,6 +474,16 @@ def test_span_states_are_the_pair_coordinates():
         basis = span_basis(pair)
         for state, coords in zip((pair.p, pair.q), states):
             np.testing.assert_allclose(basis @ coords, state.amplitudes, rtol=0, atol=1e-12)
+        strat = optimal_strategy(pair.overlap_c, Priors(0.5, 0.5))
+        born = [
+            [float(np.sum(np.abs(branch) ** 2)) for branch in branches]
+            for branches in _span_branches(realize, pair)
+        ]
+        expected = [
+            [1.0 - strat.fail_p, 0.0, strat.fail_p],
+            [0.0, 1.0 - strat.fail_q, strat.fail_q],
+        ]
+        np.testing.assert_allclose(born, expected, rtol=0, atol=1e-12)
 
 
 def test_span_states_are_the_per_pair_coordinates_bit_for_bit():
@@ -478,9 +508,11 @@ def test_span_states_are_the_per_pair_coordinates_bit_for_bit():
         assert states.tobytes() == alone.tobytes()
 
 
-def test_span_phase_is_the_pairs_one_phase():
+@pytest.mark.parametrize("realize", [build_povm, neumark_model], ids=lambda f: f.__name__)
+def test_span_phase_is_the_pairs_one_phase(realize):
     # A pair takes <p|q> once: its phase is <p|q> / c bit for bit, or exactly
-    # 1 once c snapped to 0.
+    # 1 once c snapped to 0, and each realization carries that phase: the
+    # failure branches of |p> and |q> overlap by c * phase.
     e0 = PureState([1.0, 0.0])
     pairs = [
         LocalPair(e0, PureState.normalized([1e-13j, 1.0])),  # |<p|q>| = 1e-13 snaps to 0
@@ -494,6 +526,9 @@ def test_span_phase_is_the_pairs_one_phase():
             assert repr(pair.phase) == repr(1 + 0j)
         else:
             assert repr(pair.phase) == repr(inner_product(pair.p, pair.q) / pair.overlap_c)
+        fail_p, fail_q = (branches[2] for branches in _span_branches(realize, pair))
+        overlap = complex(np.vdot(fail_p, fail_q))
+        assert abs(overlap - pair.overlap_c * pair.phase) < 1e-12
 
 
 @pytest.mark.parametrize(
