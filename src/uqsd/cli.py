@@ -30,7 +30,7 @@ from .locc import EXHAUSTIVE_MAX_PARTIES, OrderMode, best_order, checked_order, 
 from .locc import global_optimum, global_overlap
 from .montecarlo import Engine, simulate
 from .pair_disc import optimal_strategy
-from .states import LocalPair, Priors, ProductInstance, PureState, _normalized, _norms
+from .states import LocalPair, Priors, ProductInstance, _normalized, _norms
 from .states import _SHOWN_CHARS, _is_real, _shown, checked_integer, checked_number
 from .states import state_pairs_with_overlaps
 
@@ -134,13 +134,6 @@ def _complex_array(rows: list) -> np.ndarray | None:
     return None
 
 
-def _unit_state(vec: np.ndarray, norm: float, field: str) -> PureState:
-    if abs(norm - 1.0) > 1e-6:
-        _fail(field, f"amplitudes have norm {norm!r}; expected a unit vector")
-    # _normalized still refuses e.g. NaN amplitudes, whose norm passes the test above.
-    return _as_field(field, _normalized, vec, norm)
-
-
 def _probabilities(values, field: str) -> list[float]:
     if not isinstance(values, list) or not values:
         _fail(field, "required non-empty list of numbers")
@@ -194,18 +187,23 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
             if not isinstance(entries, list) or len(entries) < 2:
                 _fail(field, "expected a list of at least two [re, im] pairs")
             lists.append((field, entries))
-    # The entries: every amplitude converted in one np.array call; only if
-    # that refuses some entry are they checked one by one, to name it.
-    if (vecs := _complex_array([pair for _, entries in lists for pair in entries])) is None:
+    # The entries: every amplitude converted in one np.fromiter call and
+    # checked finite by one np.isfinite; only if either refuses some entry
+    # are they checked one by one, to name it.
+    vecs = _complex_array([pair for _, entries in lists for pair in entries])
+    if vecs is None or not np.isfinite(vecs).all():
         for field, entries in lists:
             for j, pair in enumerate(entries):
                 if not _are_amplitudes([pair]):
                     _fail(f"{field}[{j}]", f"expected [re, im], got {_shown(pair)}")
-                if _complex_array([pair]) is None:
+                if (vec := _complex_array([pair])) is None:
                     _fail(f"{field}[{j}]", "amplitude does not fit in a float")
+                if not np.isfinite(vec).all():
+                    _fail(f"{field}[{j}]", f"expected finite numbers, got {_shown(pair)}")
     # The values: every list's norm, from one stacked product per list
     # length; then each state, a view of that one array, must be a unit
-    # vector, and each party's two states must have one dim.
+    # vector, and each party's two states must have one dim.  The entries
+    # are finite, so a norm within 1e-6 of 1 is normalized without fault.
     ends = list(itertools.accumulate(len(entries) for _, entries in lists))
     by_size: dict[int, list[int]] = {}
     for k, (_, entries) in enumerate(lists):
@@ -217,7 +215,9 @@ def _parse_parties(doc: dict) -> tuple[LocalPair, ...]:
             norms[k] = norm
     pairs = []
     for k, (field, entries) in enumerate(lists):
-        state = _unit_state(vecs[ends[k] - len(entries) : ends[k]], norms[k], field)
+        if abs(norms[k] - 1.0) > 1e-6:
+            _fail(field, f"amplitudes have norm {norms[k]!r}; expected a unit vector")
+        state = _normalized(vecs[ends[k] - len(entries) : ends[k]], norms[k])
         if k % 2 == 0:
             u = state
             continue

@@ -5,9 +5,11 @@ non-skipped step, P(identify p, identify q, fail | truth).  The POVM engine
 fills it from Born probabilities, the Neumark engine by evolving each state
 with the ancilla unitary, both in the two-dimensional span of the step's
 pair and for all steps at once; the pairs' span coordinates are built once
-per table.  One sampler reads the table as stop cells: per truth, "step k
-identifies p", "step k identifies q" for every step, and "every step
-failed".  Trials run in blocks of BLOCK rows; block b draws one
+per table.  Every entry is checked against the strategy its step realizes,
+within NORM_TOL, so a faulty realization raises InternalFaultError; rows
+are not renormalized.  One sampler reads the table as stop cells: per
+truth, "step k identifies p", "step k identifies q" for every step, and
+"every step failed".  Trials run in blocks of BLOCK rows; block b draws one
 (rows, 2) uniform matrix from the stream seeded (seed, b), whose column 0
 picks the truth and column 1 the stop cell, by inversion of that truth's
 cumulative cell probabilities.  A trial thus draws two uniforms whatever
@@ -34,10 +36,6 @@ from .locc import StepRecord, measurement_count_distribution, run_protocol
 from .pair_disc import _span_states, build_povm, neumark_model, optimal_strategy
 from .states import NORM_TOL, InternalFaultError, ProductInstance, _checked_type
 from .states import checked_integer
-
-# Outcome probabilities below this are artifacts of float rounding on terms
-# that vanish identically; zeroing them keeps impossible branches impossible.
-_PROB_FLOOR = 1e-30
 
 # Trials per block.  Block b of a run draws its (rows, 2) uniform matrix from
 # np.random.default_rng((seed, b)), so the block, not the trial, is the unit
@@ -97,11 +95,6 @@ def _branch_weights(steps, states: np.ndarray) -> np.ndarray:
     # starts in 0, so only the unitary's first two columns act.
     unitaries = np.array([neumark_model(pair, strat) for pair, strat in steps])[:, :, :2]
     weights = np.abs(np.einsum("sij,stj->sti", unitaries, states)) ** 2
-    gain = np.abs(weights.sum(axis=2) - (np.abs(states) ** 2).sum(axis=2))
-    if not (gain <= NORM_TOL).all():
-        raise InternalFaultError(
-            f"Neumark evolution is not unitary: it changes a norm^2 by {float(gain.max())!r}"
-        )
     fail = weights[:, :, 2:].sum(axis=2, keepdims=True)
     return np.concatenate([weights[:, :, :2], fail], axis=2)
 
@@ -112,8 +105,13 @@ def _outcome_table(
     """P(identify p, identify q, fail | truth), shape (steps, 2, 3).
 
     One entry per non-skipped step of the protocol transcript, in visiting
-    order; the truth axis lists p first.  The entries that contradict the
-    truth are exactly 0, so no uniform, not even 0.0, can misidentify.
+    order; the truth axis lists p first.  Each step's rows are the engine's
+    Born probabilities, which must equal those of the strategy the step was
+    built from, (1 - fail_p, 0, fail_p) and (0, 1 - fail_q, fail_q), within
+    NORM_TOL, or the realization is faulty.  Rows are not renormalized.  The
+    entries that contradict the truth are then set to exactly 0, so no
+    uniform, not even 0.0, can misidentify, and negative rounding residues
+    to 0, so the stop cells never decrease.
     """
     compile_steps = _born_probabilities if engine is Engine.POVM_SAMPLING else _branch_weights
     steps = [
@@ -123,17 +121,13 @@ def _outcome_table(
     ]
     if not steps:
         return np.zeros((0, 2, 3))
-    probs = compile_steps(steps, _span_states([pair for pair, _ in steps]))
-    probs[probs < _PROB_FLOOR] = 0.0
-    table = probs / probs.sum(axis=2, keepdims=True)
-    # P(identify q | p) and P(identify p | q): rounding residues at most.
-    cross = table[:, [0, 1], [1, 0]]
-    if not (cross <= NORM_TOL).all():
-        raise InternalFaultError(
-            f"outcome table misidentifies with probability {float(cross.max())!r}"
-        )
+    table = compile_steps(steps, _span_states([pair for pair, _ in steps]))
+    rows = [[[1.0 - s.fail_p, 0.0, s.fail_p], [0.0, 1.0 - s.fail_q, s.fail_q]] for _, s in steps]
+    gap = float(np.abs(table - rows).max())
+    if not gap <= NORM_TOL:  # NaN fails too
+        raise InternalFaultError(f"{engine.value} outcome table is off its strategy by {gap!r}")
     table[:, [0, 1], [1, 0]] = 0.0
-    return table
+    return table.clip(0.0)
 
 
 def _stop_cells(table: np.ndarray) -> np.ndarray:

@@ -1133,10 +1133,10 @@ def test_nan_amplitudes_are_rejected_naming_the_field(tmp_path, capsys):
         ' "sweep": {"c": [0.5], "r": [0.5]}}'
     )
     code, out, err = run_cli(capsys, "sweep", "--scenario", str(path))
-    assert code == 1
-    assert out == ""
-    assert "scenario field 'explicit.parties[0].u'" in err
-    assert "finite" in err
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: scenario field 'explicit.parties[0].u[0]': expected finite numbers, got [nan, 0]\n"
+    )
 
 
 def test_overflowing_amplitude_norm_is_one_error_line(tmp_path):
@@ -1241,13 +1241,18 @@ _UNIT_V = [[0.6, 0], [0.8, 0]]
         ([[1, 0]], "u", "expected a list of at least two [re, im] pairs"),
         ([[0, 0], [0, 0]], "u", "amplitudes have norm 0.0; expected a unit vector"),
         ([[0.0, 0.0], [-0.0, 0.0]], "u", "amplitudes have norm 0.0; expected a unit vector"),
-        ([[math.nan, 0], [0, 0]], "u", "amplitudes must be finite"),
+        ([[math.nan, 0], [0, 0]], "u[0]", "expected finite numbers, got [nan, 0]"),
+        ([[math.inf, 0], [0, 0]], "u[0]", "expected finite numbers, got [inf, 0]"),
+        ([[1, 0], [-math.inf, 0]], "u[1]", "expected finite numbers, got [-inf, 0]"),
+        ([[1, math.inf], [0, 0]], "u[0]", "expected finite numbers, got [1, inf]"),
+        ([[1, 0], [0, -math.inf]], "u[1]", "expected finite numbers, got [0, -inf]"),
         ([[2, 0], [0, 0]], "u", "amplitudes have norm 2.0; expected a unit vector"),
         ([[1e200, 0], [0, 0]], "u", "amplitudes have norm inf; expected a unit vector"),
     ],
     ids=[
         "bool", "str", "none", "one-element", "three-elements", "dict", "bad-index-2",
-        "huge-int", "not-a-list", "one-entry", "zero", "signed-zero", "nan", "norm-2", "norm-inf",
+        "huge-int", "not-a-list", "one-entry", "zero", "signed-zero", "nan", "inf-re",
+        "minus-inf-re", "inf-im", "minus-inf-im", "norm-2", "norm-inf",
     ],
 )
 def test_amplitude_errors_name_the_field(tmp_path, capsys, u, field, problem):
@@ -1313,7 +1318,7 @@ _GOOD_PARTY = {"u": [[1, 0], [0, 0]], "v": _UNIT_V}
         ),
         (
             [_GOOD_PARTY, {"u": [[math.nan, 0], [0, 0]], "v": _UNIT_V}],
-            "'explicit.parties[1].u': amplitudes must be finite",
+            "'explicit.parties[1].u[0]': expected finite numbers, got [nan, 0]",
         ),
         (
             [_GOOD_PARTY, {"u": _UNIT_V, "v": [[2, 0], [0, 0]]}],
@@ -1365,9 +1370,14 @@ def test_a_fault_in_a_later_party_is_named(tmp_path, capsys, parties, error):
             [{"u": [[math.nan, 0], [0, 0]], "v": [[None]]}, {"u": _UNIT_V}],
             "'explicit.parties[0].v': expected a list of at least two [re, im] pairs",
         ),
+        (
+            [{"u": [[2, 0], [0, 0]], "v": _UNIT_V}, {"u": [[1, 0], [0, math.nan]], "v": _UNIT_V}],
+            "'explicit.parties[1].u[1]': expected finite numbers, got [0, nan]",
+        ),
     ],
     ids=["norm-then-not-an-object", "norm-then-huge-int", "huge-int-then-type",
-         "huge-int-then-norm", "dim-then-type", "nan-then-type-then-missing-key"],
+         "huge-int-then-norm", "dim-then-type", "nan-then-type-then-missing-key",
+         "norm-then-nan"],
 )
 def test_the_first_fault_of_the_earliest_failing_pass_is_named(tmp_path, capsys, parties, error):
     # An explicit block is checked in three passes, each in file order: the

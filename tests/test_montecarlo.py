@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import uqsd.cli as cli
 import uqsd.montecarlo as mc
+import uqsd.pair_disc as pair_disc
 from uqsd import (
     Engine,
     InternalFaultError,
@@ -87,7 +89,7 @@ def test_a_misidentifying_outcome_table_is_an_internal_fault(tmp_path, capsys, m
     # concludes; on orthogonal states it always concludes.
     real = mc.build_povm
     monkeypatch.setattr(mc, "build_povm", lambda pair, strat: real(pair, strat)[[1, 0, 2]])
-    message = "outcome table misidentifies with probability 1.0"
+    message = "povm outcome table is off its strategy by 1.0"
     pair = LocalPair(PureState([1, 0]), PureState([0, 1]))
     with pytest.raises(InternalFaultError, match=rf"^{message}$"):
         simulate(ProductInstance((pair,), Priors(0.5, 0.5)), (0,), 10, 0, Engine.POVM_SAMPLING)
@@ -99,6 +101,51 @@ def test_a_misidentifying_outcome_table_is_an_internal_fault(tmp_path, capsys, m
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert err.endswith(f"InternalFaultError: {message}\n")
+
+
+def _halved_povm(pair, strategy):
+    # Still a POVM, with e_fail completing it to the identity, but it
+    # concludes p only half as often as the strategy says.
+    e_p, e_q, _ = pair_disc.build_povm(pair, strategy)
+    return np.array([e_p / 2, e_q, np.eye(2) - e_p / 2 - e_q])
+
+
+def _swapped_dilation(pair, strategy):
+    # Still unitary, but built with fail_p and fail_q swapped: at unequal
+    # priors each state then fails as often as the other should.
+    swapped = dataclasses.replace(strategy, fail_p=strategy.fail_q, fail_q=strategy.fail_p)
+    return pair_disc.neumark_model(pair, swapped)
+
+
+@pytest.mark.parametrize(
+    "name, mutant, engine, gap",
+    [
+        ("build_povm", _halved_povm, Engine.POVM_SAMPLING, 0.375),
+        ("neumark_model", _swapped_dilation, Engine.NEUMARK_EVOLUTION, 0.75),
+    ],
+    ids=["povm-halved-e_p", "neumark-swapped-failures"],
+)
+def test_a_realization_off_its_strategy_is_an_internal_fault(
+    tmp_path, capsys, monkeypatch, name, mutant, engine, gap
+):
+    # Neither mutant misidentifies, and each is a valid measurement; only the
+    # comparison of every table entry with the strategy's finds them.
+    monkeypatch.setattr(mc, name, mutant)
+    inst = _abstract_instance([0.5, 0.3], 0.8)
+    with pytest.raises(InternalFaultError) as info:
+        simulate(inst, (0, 1), 1000, 0, engine)
+    message = str(info.value)
+    assert message.startswith(f"{engine.value} outcome table is off its strategy by ")
+    assert float(message.rsplit(" ", 1)[1]) == pytest.approx(gap, abs=1e-12)
+
+    party = {"u": [[1, 0], [0, 0]], "v": [[0.6, 0], [0.8, 0]]}
+    doc = {"priors": {"r": 0.8}, "explicit": {"parties": [party]}, "engine": engine.value}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code = cli.main(["simulate", "--scenario", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert f"InternalFaultError: {engine.value} outcome table is off its strategy by " in err
 
 
 def test_simulate_stderr_formula():
@@ -556,4 +603,4 @@ def test_neumark_span_check_survives_python_optimize():
         [sys.executable, "-O", "-c", _LEAK_SCRIPT], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "not unitary" in proc.stdout
+    assert proc.stdout.startswith("neumark outcome table is off its strategy by 0.00")
