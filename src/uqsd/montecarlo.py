@@ -1,20 +1,21 @@
 """Stochastic execution of the sequential protocol at the physical level.
 
-Both engines compile the protocol into one outcome table: for each
-non-skipped step, P(identify p, identify q, fail | truth).  The POVM engine
-fills it from Born probabilities, the Neumark engine by evolving each state
-with the ancilla unitary, both in the two-dimensional span of the step's
-pair and for all steps at once; the pairs' span coordinates are built once
-per table.  Every entry is checked against the strategy its step realizes,
-within NORM_TOL, so a faulty realization raises InternalFaultError; rows
-are not renormalized.  One sampler reads the table as stop cells: per
-truth, "step k identifies p", "step k identifies q" for every step, and
-"every step failed".  Trials run in blocks of BLOCK rows; block b draws one
-(rows, 2) uniform matrix from the stream seeded (seed, b), whose column 0
-picks the truth and column 1 the stop cell, by inversion of that truth's
-cumulative cell probabilities.  A trial thus draws two uniforms whatever
-the party count.  Aggregation uses integer counters only, so results are
-bit-identical regardless of how blocks are scheduled.
+The sampler reads one outcome table: for each non-skipped step,
+P(identify p, identify q, fail | truth), the rows of the strategy the step
+was built from.  The engine picks which realization of those strategies is
+compiled and checked: the POVM engine takes Born probabilities, the Neumark
+engine evolves each state with the ancilla unitary, both in the
+two-dimensional span of the step's pair and for all steps at once.  Every
+compiled entry must equal the strategy's within NORM_TOL, so a faulty
+realization raises InternalFaultError; the tallies depend only on the
+protocol and the seed, whichever engine runs.  The sampler reads the table
+as stop cells: per truth, "step k identifies p", "step k identifies q" for
+every step, and "every step failed".  Trials run in blocks of BLOCK rows;
+block b draws one (rows, 2) uniform matrix from the stream seeded (seed, b),
+whose column 0 picks the truth and column 1 the stop cell, by inversion of
+that truth's cumulative cell probabilities.  A trial thus draws two
+uniforms whatever the party count.  Aggregation uses integer counters only,
+so results are bit-identical regardless of how blocks are scheduled.
 """
 
 from __future__ import annotations
@@ -67,9 +68,10 @@ class SimStats:
     """Sampled figures vs `analytic`.
 
     success_stderr is the binomial stderr sqrt(p (1 - p) / trials) at the
-    analytic success probability p, as count_stderr is for the measurement
-    count.  A z-score is None only if its stderr is 0, so the analytic value
-    calls the outcome certain, yet the sampled figure differs.
+    analytic success probability p, with p (1 - p) taken as 0 where it
+    rounds below 0, as count_stderr is for the measurement count.  A z-score
+    is None only if its stderr is 0, so the analytic value calls the outcome
+    certain, yet the sampled figure differs.
     """
 
     trials: int
@@ -105,13 +107,12 @@ def _outcome_table(
     """P(identify p, identify q, fail | truth), shape (steps, 2, 3).
 
     One entry per non-skipped step of the protocol transcript, in visiting
-    order; the truth axis lists p first.  Each step's rows are the engine's
-    Born probabilities, which must equal those of the strategy the step was
-    built from, (1 - fail_p, 0, fail_p) and (0, 1 - fail_q, fail_q), within
-    NORM_TOL, or the realization is faulty.  Rows are not renormalized.  The
-    entries that contradict the truth are then set to exactly 0, so no
-    uniform, not even 0.0, can misidentify, and negative rounding residues
-    to 0, so the stop cells never decrease.
+    order; the truth axis lists p first.  Each step's rows are those of the
+    strategy it was built from, (1 - fail_p, 0, fail_p) and
+    (0, 1 - fail_q, fail_q): their cross entries are exactly 0, so no
+    uniform, not even 0.0, can misidentify, and none is negative.  The
+    engine's Born probabilities for the step must equal them within
+    NORM_TOL, or the realization is faulty.
     """
     compile_steps = _born_probabilities if engine is Engine.POVM_SAMPLING else _branch_weights
     steps = [
@@ -121,13 +122,11 @@ def _outcome_table(
     ]
     if not steps:
         return np.zeros((0, 2, 3))
-    table = compile_steps(steps, _span_states([pair for pair, _ in steps]))
-    rows = [[[1.0 - s.fail_p, 0.0, s.fail_p], [0.0, 1.0 - s.fail_q, s.fail_q]] for _, s in steps]
-    gap = float(np.abs(table - rows).max())
+    rows = np.array([[[1 - s.fail_p, 0.0, s.fail_p], [0.0, 1 - s.fail_q, s.fail_q]] for _, s in steps])
+    gap = float(np.abs(compile_steps(steps, _span_states([pair for pair, _ in steps])) - rows).max())
     if not gap <= NORM_TOL:  # NaN fails too
         raise InternalFaultError(f"{engine.value} outcome table is off its strategy by {gap!r}")
-    table[:, [0, 1], [1, 0]] = 0.0
-    return table.clip(0.0)
+    return rows
 
 
 def _stop_cells(table: np.ndarray) -> np.ndarray:
@@ -207,7 +206,7 @@ def simulate(
     table = _outcome_table(instance, result.transcript, engine)
     successes, misidentifications, measurements = _tally(table, instance.priors.r, trials, seed)
     rate = successes / trials
-    success_stderr = math.sqrt(result.p_success * (1.0 - result.p_success) / trials)
+    success_stderr = math.sqrt(max(0.0, result.p_success * (1.0 - result.p_success)) / trials)
     mean = measurements / trials
     dist = measurement_count_distribution(result)
     count_var = sum(k * k * p for k, p in dist) - result.expected_measurements**2

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .states import NORM_TOL, PROB_TOL, InternalFaultError, LocalPair, Priors, _checked_type
+from .states import NORM_TOL, InternalFaultError, LocalPair, Priors, _checked_type
 from .states import checked_number
 
 
@@ -214,7 +214,7 @@ def _realizable(pair: LocalPair, strategy: Strategy, realization: str):
         raise DegeneratePairError(f"identical hypothesis states admit no {realization}")
     fail_p = checked_number(strategy.fail_p, "fail_p", 0.0, 1.0)
     fail_q = checked_number(strategy.fail_q, "fail_q", 0.0, 1.0)
-    if fail_p * fail_q < c * c - PROB_TOL:
+    if fail_p * fail_q < c * c - NORM_TOL:
         raise InconsistentStrategyError(f"fail_p * fail_q = {fail_p * fail_q!r} < c^2 = {c * c!r}")
     return c, fail_p, fail_q
 
@@ -243,9 +243,9 @@ def build_povm(pair: LocalPair, strategy: Strategy) -> np.ndarray:
     (1 - fail_q) / (1 - c^2) times the projector onto |b1>, orthogonal to
     |p>; e_fail is the completion to the identity.  phase is the pair's
     `LocalPair.phase`.  e_fail is positive semidefinite exactly when
-    fail_p * fail_q >= c^2, so a strategy below that bound is rejected.  At
-    c = 0 the elements are diagonal and, for the optimal strategy, e_fail is
-    exactly 0.
+    fail_p * fail_q >= c^2, so a strategy below that bound by more than
+    NORM_TOL is rejected.  At c = 0 the elements are diagonal and, for the
+    optimal strategy, e_fail is exactly 0.
     """
     c, fail_p, fail_q = _realizable(pair, strategy, "POVM")
     z = c * pair.phase
@@ -281,7 +281,7 @@ def neumark_model(pair: LocalPair, strategy: Strategy) -> np.ndarray:
     c, fail_p, fail_q = _realizable(pair, strategy, "dilation")
     alpha, beta = math.sqrt(1.0 - fail_p), math.sqrt(fail_p)
     gamma, delta = math.sqrt(1.0 - fail_q), math.sqrt(fail_q)
-    if abs(beta * delta - c) > PROB_TOL:
+    if abs(beta * delta - c) > NORM_TOL:
         raise InconsistentStrategyError(
             f"sqrt(fail_p * fail_q) = {beta * delta!r} but the overlap is {c!r}"
         )

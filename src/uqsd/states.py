@@ -4,7 +4,6 @@ from __future__ import annotations
 
 __all__ = [
     "NORM_TOL",
-    "PROB_TOL",
     "InternalFaultError",
     "PureState",
     "Priors",
@@ -26,11 +25,10 @@ from collections.abc import Sequence
 
 import numpy as np
 
-# Centralized numerical tolerances.  NORM_TOL guards structural identities
-# (normalization, overlap snapping, probability sums); PROB_TOL guards looser
-# consistency checks between independently computed probabilities.
+# The one numerical tolerance.  NORM_TOL guards every structural identity:
+# normalization, overlap snapping, probability sums, a strategy's bound
+# fail_p * fail_q >= c^2 and a realization's agreement with its strategy.
 NORM_TOL = 1e-12
-PROB_TOL = 1e-9
 
 
 class InternalFaultError(RuntimeError):

@@ -44,6 +44,18 @@ def _table(inst, order, engine):
     return mc._outcome_table(inst, run_protocol(inst, order).transcript, engine)
 
 
+def _compiled(inst, order, engine):
+    # The engine's own rows, shape (steps, 2, 3): what _outcome_table compiles
+    # and checks against the strategy rows it returns.
+    compile_steps = mc._born_probabilities if engine is Engine.POVM_SAMPLING else mc._branch_weights
+    steps = [
+        (inst.parties[rec.party_index], optimal_strategy(rec.local_overlap, rec.priors_before))
+        for rec in run_protocol(inst, order).transcript
+        if not rec.skipped
+    ]
+    return compile_steps(steps, pair_disc._span_states([pair for pair, _ in steps]))
+
+
 def test_orthogonal_states_conclude_immediately():
     # Every trial is settled, correctly, by the first party.
     inst = _abstract_instance([0.0, 0.0], 0.5)
@@ -207,6 +219,38 @@ def test_engines_are_statistically_indistinguishable():
     neumark = simulate(inst, (0, 1), trials, 6, Engine.NEUMARK_EVOLUTION)
     combined = math.hypot(povm.success_stderr, neumark.success_stderr)
     assert abs(povm.success_rate - neumark.success_rate) <= 5 * combined
+
+
+def test_engines_give_equal_stats_for_the_same_seed():
+    # The sampler reads the strategy rows, whichever realization was checked,
+    # so the engine cannot move a tally.
+    for i in range(200):
+        inst = random_instance(2 + i % 5, 2 + i % 3, (1000, i))
+        order = tuple(range(inst.n_parties))
+        povm = simulate(inst, order, 1000, i, Engine.POVM_SAMPLING)
+        assert povm == simulate(inst, order, 1000, i, Engine.NEUMARK_EVOLUTION)
+    for path in sorted((pathlib.Path(__file__).resolve().parents[1] / "scenarios").glob("*.json")):
+        scenario = cli.parse_scenario(str(path))
+        inst, trials, seed = scenario.instance, scenario.trials, scenario.seed
+        order = scenario.order or tuple(range(inst.n_parties))
+        povm = simulate(inst, order, trials, seed, Engine.POVM_SAMPLING)
+        assert povm == simulate(inst, order, trials, seed, Engine.NEUMARK_EVOLUTION)
+
+
+@pytest.mark.parametrize("engine", list(Engine), ids=lambda e: e.value)
+def test_a_last_orthogonal_party_never_crashes_simulate(engine):
+    # Such a protocol's p_success can round to 1 + 2.2e-16, so p (1 - p) is
+    # below 0; the success stderr is then 0, as for p = 1.
+    above_one = 0
+    for i in range(2000):
+        base = random_instance(1 + i % 5, 2 + i % 3, (1010, i))
+        orthogonal = state_pair_with_overlap(0.0, 2 + i % 3, (1011, i))
+        inst = ProductInstance(base.parties + (orthogonal,), base.priors)
+        stats = simulate(inst, tuple(range(inst.n_parties)), 10, i, engine)
+        above_one += stats.analytic.p_success > 1.0
+        if stats.analytic.p_success >= 1.0:
+            assert stats.success_stderr == 0.0
+    assert above_one > 0
 
 
 def test_degenerate_parties_cost_no_measurements():
@@ -454,8 +498,8 @@ def test_povm_and_neumark_tables_agree():
     for i in range(50):
         inst = random_instance(1 + i % 4, 2 + i % 3, (515, i))
         order = tuple(range(inst.n_parties))
-        povm = _table(inst, order, Engine.POVM_SAMPLING)
-        neumark = _table(inst, order, Engine.NEUMARK_EVOLUTION)
+        povm = _compiled(inst, order, Engine.POVM_SAMPLING)
+        neumark = _compiled(inst, order, Engine.NEUMARK_EVOLUTION)
         assert povm.shape == neumark.shape == (inst.n_parties, 2, 3)
         np.testing.assert_allclose(povm, neumark, rtol=0, atol=1e-12)
         np.testing.assert_allclose(povm.sum(axis=2), 1.0, rtol=0, atol=1e-12)
@@ -528,14 +572,15 @@ def test_edge_overlap_rows_are_analytic(engine, c, r):
             [1.0 - strat.fail_p, 0.0, strat.fail_p],
             [0.0, 1.0 - strat.fail_q, strat.fail_q],
         ]
-        table = _table(inst, (0,), engine)
+        table = _compiled(inst, (0,), engine)
         np.testing.assert_allclose(table, [want], rtol=0, atol=1e-12)
 
 
 # --- The full-dimensional construction, kept as an oracle ------------------
 #
-# The span construction must give the same tables as the measurement built
-# on the whole system (`_oracles.full_povm_probs`, `full_neumark_probs`).
+# The span construction must give the same Born probabilities as the
+# measurement built on the whole system (`_oracles.full_povm_probs`,
+# `full_neumark_probs`).
 
 
 def _oracle_table(instance, order, engine):
@@ -565,7 +610,7 @@ def test_tables_match_the_full_dimensional_construction(engine):
         extra = tuple(state_pair_with_overlap(c, dim, (576, i)) for c in (0.0, 1.0))
         inst = ProductInstance(base.parties + extra, base.priors)
         order = tuple(reversed(range(inst.n_parties)))
-        table = _table(inst, order, engine)
+        table = _compiled(inst, order, engine)
         np.testing.assert_allclose(table, _oracle_table(inst, order, engine), rtol=0, atol=1e-12)
 
 

@@ -427,6 +427,8 @@ def test_povm_and_neumark_give_identical_born_probabilities(c, r):
     "fail_p,fail_q,error,message",
     [
         (0.1, 0.1, InconsistentStrategyError, r"^fail_p \* fail_q = "),  # e_fail not PSD
+        # 5e-10 below c^2 = 0.25, past NORM_TOL: e_fail has a negative eigenvalue.
+        (0.5, (0.25 - 5e-10) / 0.5, InconsistentStrategyError, r"^fail_p \* fail_q = "),
         (1.5, 0.5, ValueError, r"^fail_p: expected "),  # e_p negative
         (math.nan, 0.5, ValueError, r"^fail_p: expected "),
         (0.5, -0.2, ValueError, r"^fail_q: expected "),
