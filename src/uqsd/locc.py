@@ -64,10 +64,12 @@ class StepRecord:
 class ProtocolResult:
     """A protocol run's exact figures and what each party saw and did.
 
-    p_success is the probability that some step concludes, p_inconclusive
-    that every step fails; expected_measurements is the expected number of
-    non-skipped steps reached, each of which measures once.  transcript has
-    one StepRecord per party in visiting order, skipped parties included.
+    p_inconclusive is the probability that every step fails and p_success
+    the probability that some step concludes, exactly 1 - p_inconclusive, so
+    the two add to 1 and p_success never passes 1.  expected_measurements is
+    the expected number of non-skipped steps reached, each of which measures
+    once.  transcript has one StepRecord per party in visiting order, skipped
+    parties included.
     """
 
     p_success: float
@@ -105,17 +107,18 @@ def global_optimum(instance: ProductInstance) -> float:
 
 def _start(priors: Priors) -> tuple:
     """The protocol state before the first step: see `_step`."""
-    return (priors.r, priors.s, 1.0, 0.0, 0.0)
+    return (priors.r, priors.s, 1.0, 0.0)
 
 
 def _step(state: tuple, c: float, memo: dict) -> tuple[tuple, tuple]:
     """One protocol step at a party of overlap c: its decision and the new state.
 
-    A state is the float tuple (r, s, p_reach, p_success, expected) after a
-    prefix of the visiting order: the priors given that every step so far
-    failed, the probability of getting this far, the probability that some
-    step so far concluded and the expected number of measurements so far.
-    `_start` makes the empty prefix's state.  A decision is
+    A state is the float tuple (r, s, p_reach, expected) after a prefix of
+    the visiting order: the priors given that every step so far failed, the
+    probability of getting this far and the expected number of measurements
+    so far.  Each step's success and failure add to what reached it, so the
+    probability that some step so far concluded is 1 - p_reach.  `_start`
+    makes the empty prefix's state.  A decision is
     `pair_disc._decision`'s (regime, p_success, p_fail, post_r, post_s),
     which depends on (c, r, s) alone, so `memo` keeps it under that key for
     the next step that meets the same pair, and one memo may serve any
@@ -125,31 +128,30 @@ def _step(state: tuple, c: float, memo: dict) -> tuple[tuple, tuple]:
     `_figures` all step through here, so their figures are bit-identical to
     `run_protocol` on the same order.
     """
-    r, s, p_reach, p_success, expected = state
+    r, s, p_reach, expected = state
     key = (c, r, s)
     if (decision := memo.get(key)) is None:
         decision = memo[key] = _decision(*key)
     if c == 1.0:
         return decision, state
-    _, p_conclusive, p_fail, post_r, post_s = decision
+    _, _, p_fail, post_r, post_s = decision
     # p_fail = 0 leaves p_reach * p_fail = 0 exactly: later parties are unreachable.
-    return decision, (
-        post_r, post_s, p_reach * p_fail, p_success + p_reach * p_conclusive, expected + p_reach
-    )
+    return decision, (post_r, post_s, p_reach * p_fail, expected + p_reach)
 
 
 def _figures(priors: Priors, overlaps: Sequence[float], memo: dict) -> tuple[float, float]:
     """(p_success, expected_measurements) of the protocol over parties of these overlaps.
 
     The figures of `run_protocol` on an instance with these priors whose
-    parties, visited in turn, have these overlaps, without its transcript;
-    stepped the same way, so they are bit-identical to it.  `memo` may be
-    shared with other walks (see `_step`).
+    parties, visited in turn, have these overlaps, without its transcript:
+    stepped the same way, with p_success taken as 1 - p_reach after the last
+    step, so they are bit-identical to it.  `memo` may be shared with other
+    walks (see `_step`).
     """
     state = _start(priors)
     for c in overlaps:
         _, state = _step(state, c, memo)
-    return state[3], state[4]
+    return 1.0 - state[2], state[3]
 
 
 def run_protocol(instance: ProductInstance, order: Sequence[int]) -> ProtocolResult:
@@ -178,9 +180,9 @@ def run_protocol(instance: ProductInstance, order: Sequence[int]) -> ProtocolRes
             )
         )
         state, priors = after, posterior
-    _, _, p_inconclusive, p_success, expected = state
+    _, _, p_inconclusive, expected = state
     return ProtocolResult(
-        p_success=p_success,
+        p_success=1.0 - p_inconclusive,
         p_inconclusive=p_inconclusive,
         expected_measurements=expected,
         transcript=tuple(records),
@@ -251,12 +253,13 @@ def best_order(
                 visit(prefix + (idx,), remaining[:k] + remaining[k + 1 :], after)
                 continue
             # The order is complete: its row, here rather than one call deeper.
+            _, _, reach, cost = after
             if table is not None:
                 table.append(
-                    {"order": prefix + (idx,), "expected_measurements": after[4], "p_success": after[3]}
+                    {"order": prefix + (idx,), "expected_measurements": cost, "p_success": 1.0 - reach}
                 )
-            if after[4] < best[1]:  # strict: the lexicographically first minimizer stays
-                best[:] = prefix + (idx,), after[4]
+            if cost < best[1]:  # strict: the lexicographically first minimizer stays
+                best[:] = prefix + (idx,), cost
 
     visit((), tuple(range(n)), _start(instance.priors))
     return best[0], best[1]

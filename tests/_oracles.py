@@ -22,8 +22,16 @@ matrix from the stream seeded (seed, b), one row per trial:
   agree uniform for uniform;
 - `sample_trial` walks the steps one at a time, one uniform per step, as the
   protocol does; the stop-cell sampler must have its law.
+
+Two references check the closed form and the protocol without its code:
+
+- `decimal_protocol` runs the sequential protocol again in 50-digit
+  `decimal` arithmetic, closed form, failure posterior and bookkeeping;
+- `zero_error_optimum` maximizes one party's success over zero-error POVMs
+  built from the pair's state vectors, by a grid search, with no closed form.
 """
 
+import decimal
 import itertools
 import math
 
@@ -148,3 +156,63 @@ def stop_cell_trial(table, prior_r, pair):
     bounds = list(itertools.accumulate(cells))
     target = pair[1] * bounds[-1]
     return truth, next(j for j, upper in enumerate(bounds) if target < upper)
+
+
+_DIGITS50 = decimal.Context(prec=50)
+
+
+def decimal_protocol(overlaps, r, s):
+    """(p_success, p_inconclusive) of the protocol over parties of these
+    overlaps, visited in turn from priors (r, s), as 50-digit Decimals.
+
+    Every float input is taken exactly.  Each step relabels the priors so
+    that big >= small and fails on the big-prior state with c sqrt(small/big)
+    and on the other with c sqrt(big/small) when sqrt(small/big) >= c, else
+    with c^2 and 1; its posterior is each prior times its failure
+    probability over p_fail.  p_success sums each step's conclusive
+    probability times the probability of reaching it, apart from
+    p_inconclusive, the product of the p_fail.  A party of overlap 1 is
+    skipped."""
+    with decimal.localcontext(_DIGITS50):
+        r, s = decimal.Decimal(r), decimal.Decimal(s)
+        success, reach = decimal.Decimal(0), decimal.Decimal(1)
+        for c in map(decimal.Decimal, overlaps):
+            if c == 1:
+                continue
+            big, small = max(r, s), min(r, s)
+            ratio = (small / big).sqrt()
+            fail_big, fail_small = (c * ratio, c / ratio) if ratio >= c else (c * c, 1)
+            p_fail = big * fail_big + small * fail_small
+            success += reach * (1 - p_fail)
+            reach *= p_fail
+            if p_fail > 0:
+                post_big, post_small = big * fail_big / p_fail, small * fail_small / p_fail
+                r, s = (post_big, post_small) if r >= s else (post_small, post_big)
+        return success, reach
+
+
+def zero_error_optimum(pair, r, s):
+    """The largest r <p|e_p|p> + s <q|e_q|q> over zero-error POVMs on `pair`.
+
+    A zero-error e_p is a |q'><q'| and e_q is b |p'><p'|, where q' and p' are
+    the unit vectors of the pair's span orthogonal to |q> and to |p>; the
+    POVM exists when I - e_p - e_q >= 0.  For a < 1, I - a |q'><q'| is
+    invertible, its inverse is I + a / (1 - a) |q'><q'|, and the largest
+    feasible b is 1 / <p'|(I - a |q'><q'|)^-1|p'>, its Schur complement.  The
+    success is concave in a, so a grid over a in [0, 1) is refined around
+    its best point until its spacing is at most 1e-15.  The pair must not be
+    degenerate."""
+    p, q = pair.p.amplitudes, pair.q.amplitudes
+    not_q, not_p = unit_orthogonal(p, q), unit_orthogonal(q, p)
+    gain_p, gain_q = abs(np.vdot(p, not_q)) ** 2, abs(np.vdot(q, not_p)) ** 2
+    cross = abs(np.vdot(not_q, not_p)) ** 2
+    lo, hi = 0.0, np.nextafter(1.0, 0.0)
+    while True:
+        a = np.linspace(lo, hi, 64)
+        b = 1.0 / (1.0 + a / (1.0 - a) * cross)
+        scores = r * a * gain_p + s * b * gain_q
+        k = int(np.argmax(scores))
+        step = (hi - lo) / 63
+        if step <= 1e-15:
+            return float(scores[k])
+        lo, hi = max(0.0, a[k] - step), min(hi, a[k] + step)

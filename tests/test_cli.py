@@ -725,19 +725,33 @@ def test_simulate_report_is_statistically_consistent(tmp_path, capsys):
     assert abs(report["z_measurements"]) < 5.0
 
 
-def test_simulate_survives_a_success_probability_past_one(tmp_path, capsys):
-    # The last two parties are nearly orthogonal: run_protocol's p_success
-    # rounds to 1 + 2.2e-16, so p (1 - p) is below 0.
+def _past_one_scenario(tmp_path):
+    # The last two parties are nearly orthogonal, so the protocol concludes
+    # with certainty up to rounding: a p_success that rounded past 1 would
+    # make p (1 - p) negative.
     overlaps = [0.38820486480281424, 0.4628914240474994, 2e-12, 2e-12]
-    path = write_scenario(
+    return write_scenario(
         tmp_path, {"priors": {"r": 0.5}, "abstract": {"overlaps": overlaps, "dim": 3, "seed": 602}}
     )
-    code, out, err = run_cli(capsys, "simulate", "--scenario", path)
+
+
+def test_simulate_survives_a_success_probability_past_one(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "simulate", "--scenario", _past_one_scenario(tmp_path))
     assert (code, err) == (0, "")
     report = json.loads(out)
+    assert report["analytic"]["p_success"] <= 1.0
     assert report["success_rate"] == 1.0 and report["success_stderr"] == 0.0
     # A zero stderr leaves z_success None unless the rate equals p_success.
     assert report["z_success"] == (None if report["analytic"]["p_success"] != 1.0 else 0.0)
+
+
+def test_protocol_success_never_passes_one(tmp_path, capsys):
+    # p_success is 1 - p_inconclusive, so the two add to 1 exactly.
+    code, out, err = run_cli(capsys, "protocol", "--scenario", _past_one_scenario(tmp_path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["p_success"] <= 1.0
+    assert report["p_success"] + report["p_inconclusive"] == 1.0
 
 
 def test_simulate_flag_overrides_reach_the_report(tmp_path, capsys):

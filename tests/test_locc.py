@@ -1,4 +1,5 @@
 import collections.abc
+import decimal
 import itertools
 import math
 
@@ -25,6 +26,8 @@ from uqsd import (
     simulate,
     state_pair_with_overlap,
 )
+
+from _oracles import decimal_protocol
 
 
 def _abstract_instance(overlaps, r, seed=0, dim=2):
@@ -397,6 +400,15 @@ _POOLED_PARTIES = st.tuples(
 )
 
 
+def _drawn_instance(overlaps, r):
+    # The instance of a list of overlaps or of a _POOLED_PARTIES draw.
+    if isinstance(overlaps, tuple):
+        c, picks = overlaps
+        pool = _abstract_instance([0.0, 1.0, c], r).parties
+        return ProductInstance(tuple(pool[k] for k in picks), Priors(r, 1.0 - r))
+    return _abstract_instance(overlaps, r)
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     overlaps=st.one_of(st.lists(_EDGE_OVERLAPS, min_size=1, max_size=6), _POOLED_PARTIES),
@@ -406,12 +418,7 @@ def test_exhaustive_walk_rows_equal_run_protocol(overlaps, r):
     # The shared-prefix walk runs the same float operations in the same
     # sequence as run_protocol, and reuses a step's strategy only where its
     # priors and overlap are equal, so every row is bit-identical, not close.
-    if isinstance(overlaps, tuple):
-        c, picks = overlaps
-        pool = _abstract_instance([0.0, 1.0, c], r).parties
-        inst = ProductInstance(tuple(pool[k] for k in picks), Priors(r, 1.0 - r))
-    else:
-        inst = _abstract_instance(overlaps, r)
+    inst = _drawn_instance(overlaps, r)
     table = []
     best_order(inst, OrderMode.EXHAUSTIVE, table=table)
     assert [row["order"] for row in table] == list(itertools.permutations(range(inst.n_parties)))
@@ -419,6 +426,42 @@ def test_exhaustive_walk_rows_equal_run_protocol(overlaps, r):
         result = run_protocol(inst, row["order"])
         assert row["expected_measurements"] == result.expected_measurements
         assert row["p_success"] == result.p_success
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    overlaps=st.one_of(st.lists(_EDGE_OVERLAPS, min_size=1, max_size=8), _POOLED_PARTIES),
+    r=_EDGE_PRIORS,
+)
+def test_success_and_inconclusive_add_to_exactly_one(overlaps, r):
+    # p_success is 1 - p_inconclusive, and fl(1 - x) + x rounds to 1 for
+    # every x in [0, 1], so the sum is 1 with no tolerance.
+    inst = _drawn_instance(overlaps, r)
+    result = run_protocol(inst, tuple(range(inst.n_parties)))
+    assert 0.0 <= result.p_inconclusive <= 1.0
+    assert result.p_success + result.p_inconclusive == 1.0
+
+
+def test_protocol_figures_match_a_50_digit_reference():
+    # p_inconclusive, a product of p_fail, is within one ulp of 1 of the
+    # reference; p_success = 1 - p_inconclusive adds only the rounding of
+    # that subtraction, half an ulp of 1/2.  One in three instances ends in
+    # an orthogonal party, where p_success is 1 up to rounding.
+    ulp_of_one, half_ulp_of_half = decimal.Decimal(2) ** -52, decimal.Decimal(2) ** -54
+    for i in range(2000):
+        inst = random_instance(1 + i % 6, 2 + i % 3, (1010, i))
+        if i % 3 == 2:
+            orthogonal = state_pair_with_overlap(0.0, 2, (1011, i))
+            inst = ProductInstance(inst.parties + (orthogonal,), inst.priors)
+        result = run_protocol(inst, tuple(range(inst.n_parties)))
+        overlaps = [pair.overlap_c for pair in inst.parties]
+        ref_success, ref_inconclusive = decimal_protocol(overlaps, inst.priors.r, inst.priors.s)
+        with decimal.localcontext(decimal.Context(prec=50)):
+            inconclusive_error = abs(decimal.Decimal(result.p_inconclusive) - ref_inconclusive)
+            success_error = abs(decimal.Decimal(result.p_success) - ref_success)
+            assert inconclusive_error <= ulp_of_one, (i, inconclusive_error)
+            assert success_error <= inconclusive_error + half_ulp_of_half + decimal.Decimal("1e-40"), i
+        assert result.p_success <= 1.0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
