@@ -41,7 +41,14 @@ class Verification:
 
 
 def verify(seed: int, count: int) -> Verification:
-    """Measure every property on `count` random cases drawn from `seed`."""
+    """Measure every property on `count` random cases drawn from `seed`.
+
+    Each property draws its cases in turn from one stream of its own:
+    `default_rng((seed, 0))` the (c, r) points of closed_form_vs_oracle,
+    `(seed, 1)` the instances of order_invariance, `(seed, 2)` those of
+    grouping_invariance and `(seed, 3)` the boundary points of
+    boundary_formula_gap and boundary_perturbation.
+    """
     seed = checked_integer(seed, "seed", 0)
     count = checked_integer(count, "count", 1)
     # Largest deviation per property and the first case that showed it.
@@ -64,8 +71,9 @@ def verify(seed: int, count: int) -> Verification:
         record("closed_form_vs_oracle", dev, {"c": c, "r": r})
 
     # Every visiting order reproduces the joint optimum.
+    rng = np.random.default_rng((seed, 1))
     for i in range(count):
-        instance = random_instance(2 + i % 3, 2 + i % 2, (seed, 1, i))
+        instance = random_instance(2 + i % 3, 2 + i % 2, rng)
         target = global_optimum(instance)
         rows = []
         best_order(instance, OrderMode.EXHAUSTIVE, table=rows)
@@ -74,12 +82,19 @@ def verify(seed: int, count: int) -> Verification:
         record("order_invariance", devs[k], {"instance": instance, "order": rows[k]["order"]})
 
     # Merging parties into effective parties leaves the result unchanged.
-    for i in range(count):
-        instance = random_instance(3, 2, (seed, 2, i))
+    # Each grouped run is `_figures` on the merged overlaps, which steps like
+    # `run_protocol` without its transcript, so its p_success is
+    # bit-identical to `run_protocol` on the grouped instance; one step memo
+    # serves the whole loop, as in `sweep`.
+    rng = np.random.default_rng((seed, 2))
+    memo: dict = {}
+    for _ in range(count):
+        instance = random_instance(3, 2, rng)
         base = run_protocol(instance, (0, 1, 2)).p_success
         for partition in ([[0, 1], [2]], [[0], [1, 2]], [[0, 1, 2]]):
             grouped = group(instance, partition)
-            dev = abs(run_protocol(grouped, tuple(range(grouped.n_parties))).p_success - base)
+            overlaps = [pair.overlap_c for pair in grouped.parties]
+            dev = abs(_figures(grouped.priors, overlaps, memo)[0] - base)
             record("grouping_invariance", dev, {"instance": instance, "partition": partition})
 
     # Both closed-form branches meet at the regime boundary...

@@ -39,9 +39,9 @@ DEFAULT_SEED = 0
 # Largest seed or trial count, in a scenario or a flag: reports echo both, and
 # orjson writes no integer wider than 64 bits.
 UINT64_MAX = 2**64 - 1
-# Largest `verify --trials`: at about 0.9 ms per instance, about 15 minutes.
+# Largest `verify --trials`: at about 0.3 ms per instance, about 5 minutes.
 MAX_VERIFY_COUNT = 10**6
-# Largest `simulate` trial count: at about 77 s per 10**9 trials, about 13 minutes.
+# Largest `simulate` trial count: at about 53 s per 10**9 trials, about 9 minutes.
 MAX_SIMULATE_TRIALS = 10**10
 # Largest `sweep` grid, len(c) * len(r) cells: each cell is a report row of
 # about 160 bytes of JSON, so the report stays under about 16 MB.

@@ -224,7 +224,11 @@ class LocalPair:
     """One party's two hypothesis states and what both derive from one <p|q>.
 
     overlap_c is |<p|q>|, snapped to 0 or 1 within NORM_TOL of either end;
-    phase is <p|q> / overlap_c, or 1 once the overlap snapped to 0.
+    phase is <p|q> / overlap_c, or 1 once the overlap snapped to 0.  A
+    pair whose overlap c snapped to 0 has success probability 1, where the
+    best zero-error measurement on its vectors reaches 1 - 2c*sqrt(rs) at
+    priors (r, s): its p_success is overstated by at most
+    2c*sqrt(rs) <= 1e-12.
     """
 
     p: PureState
@@ -262,6 +266,14 @@ class ProductInstance:
         return len(self.parties)
 
 
+def _stream(seed) -> np.random.Generator:
+    # The stream a seeded construction draws from: a given Generator itself,
+    # which the construction advances, or default_rng of any other seed.
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(_checked_seed(seed))
+
+
 def _complex_normals(rng: np.random.Generator, dim: int, shape: tuple = ()) -> np.ndarray:
     # Complex Gaussian vectors of length dim, one per index of `shape`, from
     # one standard_normal((*shape, 2, dim)) draw with each real part before
@@ -275,13 +287,14 @@ def random_pure_state(dim: int, seed) -> PureState:
 
     Args:
         dim: System dimension, at least 2.
-        seed: Seed for the pseudorandom number generator.
+        seed: Seed for the pseudorandom number generator, or a
+            np.random.Generator, which the state draws from and advances.
 
     Returns:
         A PureState whose 2*dim real Gaussian components were normalized.
     """
     dim = checked_integer(dim, "dim", 2)
-    vec = _complex_normals(np.random.default_rng(_checked_seed(seed)), dim)
+    vec = _complex_normals(_stream(seed), dim)
     return _normalized(vec, _norm(vec))
 
 
@@ -296,10 +309,7 @@ def state_pair_with_overlap(c: float, dim: int, seed) -> LocalPair:
     """
     c = checked_number(c, "c", 0.0, 1.0)
     dim = checked_integer(dim, "dim", 2)
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = np.random.default_rng(_checked_seed(seed))
+    rng = _stream(seed)
     # |p> and the first candidate for |t> in one draw: the stream two draws would read.
     raw, candidate = _complex_normals(rng, dim, (2,))
     p = _normalized(raw, _norm(raw))
@@ -332,11 +342,13 @@ def random_instance(n: int, dim: int, seed) -> ProductInstance:
 
     Everything comes from one stream `default_rng(seed)`: first one
     standard_normal((n, 2, 2, dim)) draw, indexed by (party, hypothesis,
-    real/imaginary part, amplitude), then random(2) for the priors.
+    real/imaginary part, amplitude), then random(2) for the priors.  `seed`
+    may also be a np.random.Generator, which the instance draws from and
+    advances, so that one stream can yield many instances in turn.
     """
     n = checked_integer(n, "n", 1)
     dim = checked_integer(dim, "dim", 2)
-    rng = np.random.default_rng(_checked_seed(seed))
+    rng = _stream(seed)
     vecs = _complex_normals(rng, dim, (n, 2)).reshape(2 * n, dim)
     states = [_normalized(vec, norm) for vec, norm in zip(vecs, _norms(vecs))]
     parties = tuple(LocalPair(p, q) for p, q in zip(states[::2], states[1::2]))

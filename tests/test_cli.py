@@ -908,6 +908,48 @@ def test_verify_reports_the_first_row_of_largest_deviation(monkeypatch):
     assert entry["max_deviation"] == abs(target + 0.5 - target)
 
 
+def test_grouping_invariance_catches_a_faulty_grouping(monkeypatch):
+    # Two stand-ins for `group`, each wrong in one way, make the property
+    # fail: a merged part that keeps only its first member's pair, and a
+    # merged q that takes the conjugate of its first member's q.
+    real_group = checks.group
+
+    def first_member_only(instance, partition):
+        parties = tuple(instance.parties[part[0]] for part in partition)
+        return ProductInstance(parties, instance.priors)
+
+    def conjugated_member(instance, partition):
+        merged = []
+        for first, *rest in partition:
+            pair = instance.parties[first]
+            if rest:
+                p_vec, q_vec = pair.p.amplitudes, np.conj(pair.q.amplitudes)  # the fault
+                for i in rest:
+                    p_vec = np.kron(p_vec, instance.parties[i].p.amplitudes)
+                    q_vec = np.kron(q_vec, instance.parties[i].q.amplitudes)
+                pair = LocalPair(PureState.normalized(p_vec), PureState.normalized(q_vec))
+            merged.append(pair)
+        return ProductInstance(tuple(merged), instance.priors)
+
+    for faulty in (first_member_only, conjugated_member):
+        monkeypatch.setattr(checks, "group", faulty)
+        entry = checks.verify(1, 10).properties["grouping_invariance"]
+        assert entry["pass"] is False, faulty.__name__
+        assert entry["max_deviation"] > 0.1, faulty.__name__
+    monkeypatch.setattr(checks, "group", real_group)
+
+    # With the real grouping and a tolerance nothing meets, the reported worst
+    # case replays through the public protocol to the reported deviation.
+    monkeypatch.setitem(checks.TOLERANCES, "grouping_invariance", -1.0)
+    entry = checks.verify(1, 10).properties["grouping_invariance"]
+    assert entry["pass"] is False
+    instance, partition = entry["worst"]["instance"], entry["worst"]["partition"]
+    grouped = locc.group(instance, partition)
+    p_grouped = locc.run_protocol(grouped, tuple(range(grouped.n_parties))).p_success
+    p_base = locc.run_protocol(instance, (0, 1, 2)).p_success
+    assert abs(p_grouped - p_base) == entry["max_deviation"]
+
+
 def test_verify_rejects_nonpositive_count():
     with pytest.raises(cli.ScenarioError):
         cmd_verify(1, 0)

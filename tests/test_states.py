@@ -430,6 +430,34 @@ def test_seeded_constructions_are_pinned():
     assert _digest(*members, extra=extra) == "717dc0204c0332c9"
 
 
+def test_generator_seeds_draw_the_seeded_stream():
+    # A Generator seed is drawn from and advanced: default_rng(s) gives the
+    # digest of the seed s itself, and a second call on the same Generator
+    # gives the next instance of that stream, which a replay reproduces.
+    def instance_digest(inst):
+        members = [s for pair in inst.parties for s in (pair.p, pair.q)]
+        return _digest(*members, extra=(inst.priors.r, inst.priors.s))
+
+    for n, dim, seed in ((1, 2, 0), (3, 2, 5), (4, 3, 9), (2, 3, (1, 2))):
+        rng = np.random.default_rng(seed)
+        first = instance_digest(random_instance(n, dim, rng))
+        assert first == instance_digest(random_instance(n, dim, seed))
+        second = instance_digest(random_instance(n, dim, rng))
+        assert second != first
+        replay = np.random.default_rng(seed)
+        random_instance(n, dim, replay)
+        assert instance_digest(random_instance(n, dim, replay)) == second
+    for dim, seed in ((2, 0), (3, 7), (8, (1, 2))):
+        rng = np.random.default_rng(seed)
+        first = _digest(random_pure_state(dim, rng))
+        assert first == _digest(random_pure_state(dim, seed))
+        second = _digest(random_pure_state(dim, rng))
+        assert second != first
+        replay = np.random.default_rng(seed)
+        random_pure_state(dim, replay)
+        assert _digest(random_pure_state(dim, replay)) == second
+
+
 def test_nested_tuple_seeds_are_pinned():
     # A tuple seed's entries may be tuples and numpy integers; checking them
     # must leave the stream numpy reads unchanged.
@@ -473,10 +501,13 @@ def test_one_random_stream_per_seeded_construction(monkeypatch):
     del streams[:]
     uqsd.checks.sweep([0.0, 0.25, 0.5, 1.0], [0.5, 0.9])  # no states: no stream
     assert streams == []
-    del streams[:]
-    count = 10
-    uqsd.checks.verify(1, count)  # two (c, r) streams and one per instance
-    assert len(streams) == 2 + 2 * count
+    # verify opens one stream per property group, whatever its count: the
+    # (c, r) points, the order instances, the grouping instances and the
+    # boundary points, in that order.
+    for count in (1, 10):
+        del streams[:]
+        uqsd.checks.verify(1, count)
+        assert streams == [(1, 0), (1, 1), (1, 2), (1, 3)]
 
 
 def test_fast_norm_matches_numpy_bit_for_bit():
