@@ -329,24 +329,12 @@ def serialize_scenario(scenario: Scenario) -> dict:
     return doc
 
 
-def _json_default(obj):
-    # Reports hold library results as they are: an enum is written as its
-    # value, an instance as a scenario that replays it, any other dataclass
-    # as its fields.  uqsd's dataclasses have no slots and no attributes but
-    # their fields, in field order, so `vars` of one is exactly its fields,
-    # here and in every command's report body.
-    if isinstance(obj, enum.Enum):
-        return obj.value
-    if isinstance(obj, ProductInstance):
-        return _instance_json(obj)
-    if not dataclasses.is_dataclass(obj):
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return vars(obj)
-
-
-# Keys sorted at every level; dataclasses go through _json_default, so an
-# instance is written as a scenario.
-_REPORT_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_PASSTHROUGH_DATACLASS
+def _strict_default(obj):
+    # json's strict encoder meets only what orjson has already encoded as an
+    # enum or a dataclass: an enum is written as its value, a dataclass as its
+    # fields.  uqsd's dataclasses have no slots and no attributes but their
+    # fields, in field order, so `vars` of one is exactly its fields.
+    return obj.value if isinstance(obj, enum.Enum) else vars(obj)
 
 
 def _report(command: str, scenario: Scenario | None, body: dict) -> dict:
@@ -359,13 +347,16 @@ def _report(command: str, scenario: Scenario | None, body: dict) -> dict:
 
 def _emit(report: dict):
     # orjson writes the shortest round-trip digits of every float, as float's
-    # repr does, at a fraction of json's cost.  It writes NaN and +-inf as null,
-    # as it writes None, so only a report with a null in it (none of the
-    # common ones) is encoded once more, by json's strict encoder, which raises
-    # on a non-finite number: an internal fault, with nothing on stdout.
-    text = orjson.dumps(report, default=_json_default, option=_REPORT_OPTIONS)
+    # repr does, at a fraction of json's cost.  It sorts every dict's keys and
+    # writes uqsd's dataclasses and enums itself: a dataclass as its fields in
+    # field order, an enum as its value.  A value it cannot encode raises
+    # TypeError, an internal fault.  It writes NaN and +-inf as null, as it
+    # writes None, so only a report with a null in it (none of the common
+    # ones) is encoded once more, by json's strict encoder, which raises on a
+    # non-finite number: an internal fault too, with nothing on stdout.
+    text = orjson.dumps(report, option=orjson.OPT_SORT_KEYS)
     if b"null" in text:
-        json.dumps(report, allow_nan=False, default=_json_default)
+        json.dumps(report, allow_nan=False, default=_strict_default)
     # The report and then its newline, as two writes: after a large first
     # write to a pipe whose reader has gone, only the second one fails.  The
     # flush makes a closed stdout fail here, inside `main`, not at exit.
@@ -429,7 +420,14 @@ def cmd_verify(seed: int, count: int) -> tuple[dict, bool]:
         _checked(checked_integer, seed, "seed", 0, UINT64_MAX, label=flag),
         _checked(checked_integer, count, "trials", 1, MAX_VERIFY_COUNT, label=flag),
     )
-    return _report("verify", None, vars(result)), result.all_pass
+    # A failing property's worst instance is written as a scenario that replays
+    # it, in copies: the Verification's own dicts are left as they are.
+    properties = {name: dict(entry) for name, entry in result.properties.items()}
+    for entry in properties.values():
+        if "instance" in entry.get("worst", ()):
+            worst = entry["worst"]
+            entry["worst"] = {**worst, "instance": _instance_json(worst["instance"])}
+    return _report("verify", None, {**vars(result), "properties": properties}), result.all_pass
 
 
 def cmd_sweep(scenario: Scenario) -> dict:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import uqsd.checks as checks
 import uqsd.cli as cli
 import uqsd.locc as locc
+import uqsd.montecarlo as montecarlo
 import uqsd.states
 from uqsd import (
     InternalFaultError,
@@ -1124,11 +1125,34 @@ def test_shipped_scenarios_parse_and_run(capsys):
     np.testing.assert_allclose(json.loads(out)["p_success"], expected, atol=1e-12)
 
 
-def test_reports_are_one_line_of_sorted_json(tmp_path, tripartite_path, capsys):
-    # Reports are written by orjson: one line, compact separators, keys sorted
-    # at every level, and no NaN or Infinity.  Re-encoding the parsed report
-    # with sorted keys gives back the same bytes, which a report with any
-    # unsorted object, or any other spacing, would not.
+# The uqsd dataclasses a report holds as records, by the set of their field
+# names: orjson writes each one's fields in field order.
+_RECORD_FIELDS = {
+    frozenset(names): names
+    for names in (
+        [field.name for field in dataclasses.fields(record)]
+        for record in (locc.StepRecord, Priors, montecarlo.Analytic, checks.SweepRow)
+    )
+}
+
+
+def _objects(doc):
+    # Every JSON object in a parsed report, outermost first.
+    if isinstance(doc, dict):
+        yield doc
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        for item in doc:
+            yield from _objects(item)
+
+
+def test_reports_are_one_line_of_sorted_json(tmp_path, tripartite_path, capsys, monkeypatch):
+    # Reports are written by orjson: one line, compact separators and no NaN
+    # or Infinity.  Every object's keys are sorted, but for a uqsd dataclass,
+    # whose fields come in field order: a transcript record, its priors, a
+    # simulation's analytic figures and a sweep row.  Re-encoding the parsed
+    # report, keys in the order read, gives back the same bytes, which any
+    # other spacing would not.
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
 
@@ -1137,29 +1161,68 @@ def test_reports_are_one_line_of_sorted_json(tmp_path, tripartite_path, capsys):
         {"priors": {"r": 0.5}, "abstract": {"overlaps": [0.5]}, "sweep": {"c": [0.2], "r": [0.4]}},
         "sweep.json",
     )
-    for argv in (
-        ["optimum", "--scenario", tripartite_path],
-        ["protocol", "--scenario", tripartite_path],
-        ["order", "--scenario", tripartite_path],
-        ["simulate", "--scenario", tripartite_path, "--trials", "50"],
-        ["verify", "--seed", "1", "--trials", "3"],
-        ["sweep", "--scenario", sweep],
+    records = set()
+    for argv, failing in (
+        (["optimum", "--scenario", tripartite_path], None),
+        (["protocol", "--scenario", tripartite_path], None),
+        (["protocol", "--quiet", "--scenario", tripartite_path], None),
+        (["order", "--scenario", tripartite_path], None),
+        (["simulate", "--scenario", tripartite_path, "--trials", "50"], None),
+        (["verify", "--seed", "1", "--trials", "3"], None),
+        (["sweep", "--scenario", sweep], None),
+        (["verify", "--seed", "4", "--trials", "6"], "order_invariance"),
     ):
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
+        with monkeypatch.context() as patch:
+            if failing:  # its worst case, an instance, is in the report
+                patch.setitem(checks.TOLERANCES, failing, -1.0)
+            code, out, _ = run_cli(capsys, *argv)
+        assert code == (2 if failing else 0)
         assert out.count("\n") == 1
         doc = json.loads(out, parse_constant=reject)
-        assert out == orjson.dumps(doc, option=orjson.OPT_SORT_KEYS).decode() + "\n"
+        assert out == orjson.dumps(doc).decode() + "\n"
+        for obj in _objects(doc):
+            keys = list(obj)
+            record = _RECORD_FIELDS.get(frozenset(keys))
+            assert keys == sorted(keys) or keys == record, keys
+            if record:
+                records.add(frozenset(keys))
+    # Each kind of record is met, so each field order is checked.
+    assert records == _RECORD_FIELDS.keys()
+
+
+def _plant_nan(record, field):
+    # A copy of `record` with a NaN in `field`.
+    return dataclasses.replace(record, **{field: math.nan})
 
 
 def test_a_non_finite_report_value_is_an_internal_fault(capsys, monkeypatch):
-    # orjson writes NaN as null; the strict check behind it still refuses it.
-    strategy = optimal_strategy(0.5, Priors(0.5, 0.5))
-    object.__setattr__(strategy, "p_success", math.nan)
-    monkeypatch.setattr(cli, "optimal_strategy", lambda c, priors: strategy)
-    code, out, err = run_cli(capsys, "optimum", "--scenario", str(SCENARIOS / "bipartite.json"))
-    assert (code, out) == (3, "")
-    assert err.rstrip().endswith("ValueError: Out of range float values are not JSON compliant")
+    # orjson writes NaN as null; the strict check behind it still refuses it,
+    # in a report's own numbers and in every kind of record it holds: a
+    # Strategy's fields, a StepRecord, an Analytic and a SweepRow.  The fault
+    # is json's ValueError, not a TypeError from the strict check's hook.
+    def in_transcript(result):
+        first, *rest = result.transcript
+        return dataclasses.replace(result, transcript=(_plant_nan(first, "local_overlap"), *rest))
+
+    def in_analytic(stats):
+        return dataclasses.replace(stats, analytic=_plant_nan(stats.analytic, "count_stderr"))
+
+    def in_first_row(rows):
+        return [_plant_nan(rows[0], "p_locc"), *rows[1:]]
+
+    cases = (
+        (["optimum"], "bipartite", cli, "optimal_strategy", lambda s: _plant_nan(s, "p_success")),
+        (["protocol"], "tripartite", cli, "run_protocol", in_transcript),
+        (["simulate", "--trials", "50"], "tripartite", cli, "simulate", in_analytic),
+        (["sweep"], "sweep", checks, "sweep", in_first_row),
+    )
+    for argv, scenario, owner, name, plant in cases:
+        with monkeypatch.context() as patch:
+            real = getattr(owner, name)
+            patch.setattr(owner, name, lambda *args, real=real, plant=plant: plant(real(*args)))
+            code, out, err = run_cli(capsys, *argv, "--scenario", str(SCENARIOS / f"{scenario}.json"))
+        assert (code, out) == (3, ""), argv
+        assert err.rstrip().endswith("ValueError: Out of range float values are not JSON compliant")
 
 
 def test_only_a_report_with_a_null_is_strictly_checked(tmp_path, capsys, monkeypatch):
@@ -1179,6 +1242,38 @@ def test_only_a_report_with_a_null_is_strictly_checked(tmp_path, capsys, monkeyp
     for argv in (["optimum"], ["protocol"], ["order"], ["simulate", "--trials", "50"]):
         assert run_cli(capsys, *argv, "--scenario", str(SCENARIOS / "tripartite.json"))[0] == 0
     assert strict == []
+
+
+def test_the_fast_and_the_strict_encoder_agree(capsys, monkeypatch):
+    # _emit's orjson encoding and json's strict one, through the hook the
+    # strict check uses, give the same document for every kind of report:
+    # both write a dataclass as its fields and an enum as its value.
+    tripartite = parse_scenario(str(SCENARIOS / "tripartite.json"))
+    overlaps = [0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1]  # "exhaustive": null
+    nine = _parse_scenario_dict({"priors": {"r": 0.4}, "abstract": {"overlaps": overlaps}})
+    reports = [
+        cli.cmd_optimum(tripartite),
+        cli.cmd_protocol(tripartite),
+        cli.cmd_protocol(tripartite, quiet=True),
+        *(
+            cli.cmd_simulate(dataclasses.replace(tripartite, trials=50, engine=engine))
+            for engine in montecarlo.Engine
+        ),
+        cli.cmd_order(tripartite),
+        cli.cmd_order(nine),
+        cli.cmd_sweep(parse_scenario(str(SCENARIOS / "sweep.json"))),
+        cmd_verify(1, 3)[0],
+    ]
+    for name in ("order_invariance", "grouping_invariance"):  # a worst case with an instance
+        with monkeypatch.context() as patch:
+            patch.setitem(checks.TOLERANCES, name, -1.0)
+            report, ok = cmd_verify(4, 6)
+        assert not ok and "instance" in report["properties"][name]["worst"]
+        reports.append(report)
+    for report in reports:
+        cli._emit(report)
+        fast = json.loads(capsys.readouterr().out)
+        assert fast == json.loads(json.dumps(report, allow_nan=False, default=cli._strict_default))
 
 
 def test_module_is_runnable_as_a_script(tmp_path):
@@ -1274,9 +1369,14 @@ def test_entry_freezes_the_heap_before_main_and_exits_with_its_code():
 
 
 @pytest.mark.parametrize("value", [object(), types.SimpleNamespace(r=0.5)], ids=["object", "vars"])
-def test_reports_refuse_values_that_are_not_uqsd_results(value):
-    with pytest.raises(TypeError):
-        cli._json_default(value)
+def test_reports_refuse_values_that_are_not_uqsd_results(capsys, monkeypatch, value):
+    # orjson encodes uqsd's dataclasses and enums and nothing else of the
+    # kind: a report that holds any other object is an internal fault, with
+    # nothing on stdout.
+    monkeypatch.setattr(checks, "sweep", lambda cs, rs: [value])
+    code, out, err = run_cli(capsys, "sweep", "--scenario", str(SCENARIOS / "sweep.json"))
+    assert (code, out) == (3, "")
+    assert err.splitlines()[-1].startswith("TypeError: Type is not JSON serializable: ")
 
 
 class _ClosedPipe:

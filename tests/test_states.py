@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -87,17 +88,19 @@ def test_priors_validation():
 
 def test_priors_store_the_checked_floats():
     # A numpy or int prior is kept as the float the check returns, so the
-    # protocol computes in float64 and a report can serialize the priors.
+    # protocol computes in float64 and orjson, which writes a dataclass's
+    # fields itself, can encode the priors and every record that holds them.
     f32 = Priors(np.float32(0.9), 1 - np.float32(0.9))
     assert (type(f32.r), type(f32.s)) == (float, float)
     assert (f32.r, f32.s) == (float(np.float32(0.9)), float(1 - np.float32(0.9)))
     ints = Priors(1, 0)
     assert (type(ints.r), type(ints.s)) == (float, float)
-    assert json.dumps(uqsd.cli._json_default(ints)) == '{"r": 1.0, "s": 0.0}'
+    assert orjson.dumps(ints) == b'{"r":1.0,"s":0.0}'
     inst = random_instance(3, 2, 4)
     result = uqsd.run_protocol(ProductInstance(inst.parties, f32), (0, 1, 2))
     assert type(result.p_success) is float
-    json.dumps(result, default=uqsd.cli._json_default)
+    first = json.loads(orjson.dumps(result))["transcript"][0]
+    assert first["priors_before"] == {"r": f32.r, "s": f32.s}
 
 
 def test_random_pure_state_deterministic():
